@@ -333,9 +333,6 @@ class _Rewriter:
                     work.append(newp)
         return {p: c for p, c in poly.items() if c != 0}
 
-    def is_irreducible(self, path):
-        return self.reducible_at(path) is None
-
 
 class BoundQuiverAlgebra:
     """A finite-dimensional bound quiver algebra with exact structure constants.
@@ -462,9 +459,6 @@ class BoundQuiverAlgebra:
 
     # -- element arithmetic ----------------------------------------------
 
-    def zero_elem(self):
-        return {}
-
     def unit(self):
         one = self.field.one
         return {e: one for e in self.idempotent}
@@ -552,17 +546,6 @@ class BoundQuiverAlgebra:
         if not path:
             return f"e{self.vertex_labels[self.basis_source[i]]}"
         return "*".join(self.arrows[a].name for a in path)
-
-    def elem_to_string(self, x):
-        if not x:
-            return "0"
-        parts = []
-        for i in sorted(x):
-            c = x[i]
-            cs = self.field.to_string(c)
-            parts.append(f"({cs})*{self.path_name(i)}" if cs != "1"
-                         else self.path_name(i))
-        return " + ".join(parts)
 
     def __repr__(self):
         return (f"BoundQuiverAlgebra(n={self.n}, dim={self.dim}, "

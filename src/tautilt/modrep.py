@@ -76,20 +76,8 @@ class Representation:
             return ExactMatrix.identity(self.alg.field, self.dims[v])
         return self.path_matrix_arrows(path)
 
-    def element_action(self, elem, source_vertex, target_vertex):
-        """Matrix of acting by an algebra element of e_s A e_t."""
-        F = self.alg.field
-        acc = ExactMatrix.zero(F, self.dims[source_vertex], self.dims[target_vertex])
-        for bi, c in elem.items():
-            acc = acc.add(self.path_matrix(bi).scale(c))
-        return acc
-
     def is_zero(self):
         return self.total_dim == 0
-
-    def same_data(self, other):
-        return self.dims == other.dims and all(
-            self.maps[a] == other.maps[a] for a in self.maps)
 
     def __repr__(self):
         return f"Representation(dims={self.dims})"
@@ -126,14 +114,6 @@ def direct_sum(alg, reps):
 def morphism_compose(alg, f, g):
     """Vertex-wise f then g."""
     return tuple(f[v].mul(g[v]) for v in range(alg.n))
-
-
-def morphism_is_zero(f):
-    return all(m.is_zero() for m in f)
-
-
-def identity_morphism(alg, M):
-    return tuple(ExactMatrix.identity(alg.field, M.dims[v]) for v in range(alg.n))
 
 
 def morphism_add(f, g):
@@ -222,10 +202,6 @@ def hom_space(M, N):
         vec = {i: ker.rows[i][k] for i in range(nunk) if k in ker.rows[i]}
         out.append(_unflatten_morphism(alg, M, N, vec))
     return out
-
-
-def hom_dim(M, N):
-    return len(hom_space(M, N))
 
 
 # -- standard modules ---------------------------------------------------
@@ -360,12 +336,6 @@ def standard_module(alg, vertex, flavor):
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def projective_sum_rep(alg, mults):
-    """Representation of (+)_v P_v^{mults[v]}."""
-    verts = [v for v in range(alg.n) for _ in range(mults[v])]
-    return ProjSum(alg, verts).rep
-
-
 # -- submodules, quotients, radical, socle -------------------------------
 
 def subrep_from_rows(M, rows_per_vertex):
@@ -455,14 +425,6 @@ def socle_rows(M):
         stacked = ExactMatrix.hstack(F, outgoing, nrows=M.dims[v])
         out.append(stacked.left_kernel_rows().rows)
     return out
-
-
-def top_dims(M):
-    """Dimension vector of top M = M / M J."""
-    alg = M.alg
-    rad = radical_rows(M)
-    return tuple(M.dims[v] - RowSpace(alg.field, M.dims[v], rad[v]).dim
-                 for v in range(alg.n))
 
 
 # -- projective covers and presentations ---------------------------------

@@ -160,54 +160,29 @@ def pairs_isomorphic(p, q, seed=0):
 
 # -- completions ------------------------------------------------------------
 
-def _basic_summand_union(alg, complexes, seed=0):
-    """Iso-dedup a list of stripped indecomposable complexes."""
-    out = []
-    for c in complexes:
-        if not any(tt.complexes_isomorphic(c, d, seed=seed) for d in out):
-            out.append(c)
-    return out
-
-
-def _pair_targets(pair, seed=0):
-    return _basic_summand_union(pair.alg, list(pair.summands), seed=seed)
+def _completion(pair, left, seed):
+    """The completion whose new summands come from the (co)cone of the
+    minimal left approximation of A, or the right one of A[1]."""
+    alg = pair.alg
+    _require_tau_rigid(pair)
+    X = tt.algebra_stalk(alg, 0 if left else 1)
+    targets = tt.basic_summands(pair.summands, seed=seed)
+    Z = tt.approximation_cone(X, targets, left)
+    if Z is None:
+        raise AssertionError("completion cone failed to stay two-term")
+    summands = tt.basic_summands(
+        list(pair.summands) + tt.decompose_complex(Z, seed=seed), seed=seed)
+    return tau_tilting_pair_from_summands(alg, summands)
 
 
 def bongartz_completion(pair, seed=0):
     """Maximum completion: cocone of the minimal right approximation of A[1]."""
-    alg = pair.alg
-    _require_tau_rigid(pair)
-    shifted = tt.algebra_stalk(alg, 1)
-    targets = _pair_targets(pair, seed=seed)
-    chosen = tt.minimal_right_approximation_summands(shifted, targets)
-    f = tt.assemble_right_approximation(shifted, targets, chosen)
-    ch = tt.mapping_cone_chain(f)  # degrees (-1, 0, +1) after [-1]
-    ch.strip()
-    if ch.high:
-        raise AssertionError("Bongartz cocone failed to stay two-term")
-    Z = tt.TwoTermComplex(
-        alg, tuple(ch.low), tuple(ch.mid),
-        tt.AlgMatrix(alg, tuple(ch.mid), tuple(ch.low), ch.d_low))
-    new_summands = tt.decompose_complex(Z, seed=seed)
-    summands = _basic_summand_union(
-        alg, list(pair.summands) + new_summands, seed=seed)
-    return tau_tilting_pair_from_summands(alg, summands)
+    return _completion(pair, False, seed)
 
 
 def minimal_completion(pair, seed=0):
     """Minimum completion: cone of the minimal left approximation of A."""
-    alg = pair.alg
-    _require_tau_rigid(pair)
-    stalk = tt.algebra_stalk(alg, 0)
-    targets = _pair_targets(pair, seed=seed)
-    chosen = tt.minimal_left_approximation_summands(stalk, targets)
-    f = tt.assemble_left_approximation(stalk, targets, chosen)
-    Z = tt.cone_two_term(f)
-    Z = tt.strip_contractible(Z)
-    new_summands = tt.decompose_complex(Z, seed=seed)
-    summands = _basic_summand_union(
-        alg, list(pair.summands) + new_summands, seed=seed)
-    return tau_tilting_pair_from_summands(alg, summands)
+    return _completion(pair, True, seed)
 
 
 def _require_tau_rigid(pair):
@@ -218,36 +193,21 @@ def _require_tau_rigid(pair):
 
 # -- mutation ----------------------------------------------------------------
 
-def _mutate_summands(alg, summands, index, seed=0):
+def _mutate_summands(summands, index, seed=0):
     """Exchange one summand; returns (new_summand, direction)."""
     X = summands[index]
     rest = [c for k, c in enumerate(summands) if k != index]
-    # down attempt: cone over the minimal left approximation into add(rest)
-    chosen = tt.minimal_left_approximation_summands(X, rest)
-    f = tt.assemble_left_approximation(X, rest, chosen)
-    ch = tt.mapping_cone_chain(f)  # degrees (-2, -1, 0)
-    ch.strip()
-    if not ch.low:
-        new = tt.TwoTermComplex(
-            alg, tuple(ch.mid), tuple(ch.high),
-            tt.AlgMatrix(alg, tuple(ch.high), tuple(ch.mid), ch.d_high))
-        if new.is_zero():
-            raise InvariantViolation("mutation produced a zero summand")
-        return new, "down"
-    # up: cocone over the minimal right approximation from add(rest)
-    chosen = tt.minimal_right_approximation_summands(X, rest)
-    f = tt.assemble_right_approximation(X, rest, chosen)
-    ch = tt.mapping_cone_chain(f)  # degrees (-1, 0, +1)
-    ch.strip()
-    if ch.high:
-        raise InvariantViolation(
-            "neither mutation direction stayed two-term")
-    new = tt.TwoTermComplex(
-        alg, tuple(ch.low), tuple(ch.mid),
-        tt.AlgMatrix(alg, tuple(ch.mid), tuple(ch.low), ch.d_low))
+    # down: cone over the minimal left approximation into add(rest)
+    new, direction = tt.approximation_cone(X, rest, True), "down"
+    if new is None:
+        # up: cocone over the minimal right approximation from add(rest)
+        new, direction = tt.approximation_cone(X, rest, False), "up"
+        if new is None:
+            raise InvariantViolation(
+                "neither mutation direction stayed two-term")
     if new.is_zero():
         raise InvariantViolation("mutation produced a zero summand")
-    return new, "up"
+    return new, direction
 
 
 def mutate(pair, index, seed=0):
@@ -261,7 +221,7 @@ def mutate(pair, index, seed=0):
     if pair.size != pair.alg.n:
         raise NotTauRigidError("mutation needs a tau-tilting pair")
     new, direction = _mutate_summands(
-        pair.alg, list(pair.summands), index - 1, seed=seed)
+        list(pair.summands), index - 1, seed=seed)
     rest = [c for k, c in enumerate(pair.summands) if k != index - 1]
     return TauRigidPair(pair.alg, rest + [new]), direction
 
@@ -388,7 +348,7 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None, seed=0):
             if i == skip:
                 continue
             new, direction = _mutate_summands(
-                alg, list(pair.summands), i, seed=seed)
+                list(pair.summands), i, seed=seed)
             if direction != "down":
                 continue  # the up edge is discovered from the other end
             rest = [c for k, c in enumerate(pair.summands) if k != i]

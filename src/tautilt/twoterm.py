@@ -5,11 +5,22 @@ indecomposable projectives listed by vertex, with the differential as a
 matrix of algebra elements (entry (target t, source s) lies in
 e_{vt} A e_{vs}, acting by left multiplication).
 
-Everything mutation-shaped runs through mapping cones of approximations.
-A cone of a map of two-term complexes transiently occupies three
-degrees; stripping contractible pairs (unit entries between equal
-projectives) reduces it back, and whether the extreme degree empties is
-exactly the test for the mutation direction staying two-term.
+Every Hom space between two-term complexes is read off sparse linear
+systems written by one routine, `_add_products`: the block matrix of
+X -> X.d or X -> d.X between two grids of corner spaces.  Strict chain
+maps are the kernel of (f1, f0) -> f0 d_T - d_U f1, homotopies the image
+of h -> (h d_T, d_U h), and the shifts +-1 and the strict endomorphisms
+that `decompose_complex` splits along are the same products between
+other grids.
+
+Everything mutation-shaped runs through mapping cones of minimal
+approximations.  The approximation is written once, in its left form;
+the right form is its dual, read in the opposite category: Hom(A, B)
+becomes Hom(B, A) and a.b becomes b.a.  A cone of a map of two-term
+complexes transiently occupies three degrees; stripping contractible
+pairs (unit entries between equal projectives) reduces it back, and
+whether the extreme degree empties is exactly the test for the mutation
+direction staying two-term (`approximation_cone`).
 """
 
 import random
@@ -107,8 +118,7 @@ class AlgMatrix:
         """Vertex matrices (ProjSum(col) -> ProjSum(row)) of this map."""
         src = ProjSum(self.alg, self.col_verts)
         tgt = ProjSum(self.alg, self.row_verts)
-        entries = {(i, j): e for (i, j), e in self.entries.items()}
-        f = src.realize_alg_map(tgt, {(i, j): e for (i, j), e in entries.items()})
+        f = src.realize_alg_map(tgt, self.entries)
         return src, tgt, f
 
 
@@ -202,18 +212,6 @@ class Chain3:
         self.high = list(high)
         self.d_low = {k: v for k, v in d_low.items() if v}    # (mid, low) -> elem
         self.d_high = {k: v for k, v in d_high.items() if v}  # (high, mid) -> elem
-
-    def check_composite_zero(self):
-        alg = self.alg
-        acc = {}
-        for (h, m), e in self.d_high.items():
-            for (m2, l), f in self.d_low.items():
-                if m2 != m:
-                    continue
-                prod = alg.elem_mul(e, f)
-                if prod:
-                    acc[(h, l)] = alg.elem_add(acc.get((h, l), {}), prod)
-        return all(not v for v in acc.values())
 
     def _find_unit(self, table, row_verts, col_verts):
         best = None
@@ -382,22 +380,42 @@ def mapping_cone_chain(f):
     return ch
 
 
+def _two_term_cone(f, left):
+    """Stripped cone of f: X -> Y (left) or cocone of f: Y -> X, as a
+    two-term complex; None when the extra degree survives stripping."""
+    alg = f.source.alg
+    ch = mapping_cone_chain(f)
+    ch.strip()
+    if left:
+        if ch.low:
+            return None
+        p1, p0, d = ch.mid, ch.high, ch.d_high
+    else:
+        if ch.high:
+            return None
+        p1, p0, d = ch.low, ch.mid, ch.d_low
+    return TwoTermComplex(alg, tuple(p1), tuple(p0),
+                          AlgMatrix(alg, tuple(p0), tuple(p1), d))
+
+
 def cone_two_term(f):
     """Cone of a chain map out of a degree-0 stalk; two-term by shape."""
     if f.source.p1:
         raise AlgebraError("cone_two_term needs a stalk complex source")
-    ch = mapping_cone_chain(f)
-    ch.strip()
-    if ch.low:
+    Z = _two_term_cone(f, True)
+    if Z is None:
         raise AssertionError("stalk cone left a degree -2 part")
-    d = AlgMatrix(f.source.alg, tuple(ch.high), tuple(ch.mid), ch.d_high)
-    return TwoTermComplex(f.source.alg, tuple(ch.mid), tuple(ch.high), d)
+    return Z
 
 
 # -- homotopy Hom spaces --------------------------------------------------
 
 class _BlockCoords:
-    """Flat coordinates for a grid of corner spaces e_{rv[i]} A e_{cv[j]}."""
+    """Flat coordinates for a grid of corner spaces e_{rv[i]} A e_{cv[j]}.
+
+    index[(i, j)] maps each basis path b of a nonzero corner at (i, j) to
+    its coordinate; coordinates start at offset and end before end.
+    """
 
     def __init__(self, alg, row_verts, col_verts, offset=0):
         self.alg = alg
@@ -407,57 +425,150 @@ class _BlockCoords:
         k = offset
         for i, rv in enumerate(row_verts):
             for j, cv in enumerate(col_verts):
-                for b in alg.corner_basis(rv, cv):
-                    self.index[(i, j, b)] = k
-                    k += 1
+                corner = alg.corner_basis(rv, cv)
+                if corner:
+                    pos = self.index[(i, j)] = {}
+                    for b in corner:
+                        pos[b] = k
+                        k += 1
         self.end = k
 
     def matrix_to_vec(self, m, vec):
-        for (i, j), e in m.entries.items():
+        for ij, e in m.entries.items():
+            pos = self.index[ij]
             for b, c in e.items():
-                vec[self.index[(i, j, b)]] = c
+                vec[pos[b]] = c
         return vec
 
     def vec_to_matrix(self, vec):
         if not hasattr(self, "rev"):
-            self.rev = {k: ijb for ijb, k in self.index.items()}
+            self.rev = {k: (ij, b) for ij, pos in self.index.items()
+                        for b, k in pos.items()}
         m = AlgMatrix(self.alg, self.row_verts, self.col_verts)
-        acc = {}
         for k, c in vec.items():
-            ijb = self.rev.get(k)
-            if ijb is not None and c:
-                i, j, b = ijb
-                acc.setdefault((i, j), {})[b] = c
-        for key, e in acc.items():
-            m.entries[key] = e
+            hit = self.rev.get(k)
+            if hit is not None and c:
+                ij, b = hit
+                m.entries.setdefault(ij, {})[b] = c
         return m
 
 
 class _ProductCache:
-    """Memoized one-sided products of algebra basis elements with entries."""
+    """Memoized products of algebra basis elements with differential entries.
+
+    One cache serves one Hom computation between T and U, where right
+    factors are always entries of T.d and left factors entries of U.d, so
+    an entry is identified by its position and side.
+    """
 
     def __init__(self, alg):
         self.alg = alg
         self.one = alg.field.one
-        self.left = {}
-        self.right = {}
+        self.memo = {}
 
-    def lmul(self, b, ekey, e):
-        # basis element b times entry e (entry identified by position key)
-        key = (b, ekey)
-        r = self.left.get(key)
+    def product(self, b, pos, e, d_left, neg):
+        """e.b when d_left, else b.e; negated when neg."""
+        key = (b, pos, d_left, neg)
+        r = self.memo.get(key)
         if r is None:
-            r = self.alg.elem_mul({b: self.one}, e)
-            self.left[key] = r
+            if neg:
+                r = self.alg.elem_neg(self.product(b, pos, e, d_left, False))
+            elif d_left:
+                r = self.alg.elem_mul(e, {b: self.one})
+            else:
+                r = self.alg.elem_mul({b: self.one}, e)
+            self.memo[key] = r
         return r
 
-    def rmul(self, ekey, e, b):
-        key = (ekey, b)
-        r = self.right.get(key)
-        if r is None:
-            r = self.alg.elem_mul(e, {b: self.one})
-            self.right[key] = r
-        return r
+
+def _add_products(rows, src, dst, d, d_left, cache, neg=False):
+    """Add the block matrix of X -> X.d, or X -> d.X when d_left, to rows.
+
+    X ranges over the grid src and its product over the grid dst:
+    rows[dst coordinate] maps src coordinates to coefficients (negated
+    when neg).  The sum runs over the index of X that d contracts; the
+    other index of X is free and passes through, grouped by vertex so
+    each corner basis is listed once per differential entry.
+    """
+    if not d.entries:
+        return
+    alg, F = src.alg, src.alg.field
+    free = src.col_verts if d_left else src.row_verts
+    inner = src.row_verts if d_left else src.col_verts
+    groups = {}
+    for t, v in enumerate(free):
+        groups.setdefault(v, []).append(t)
+    sx, dx = src.index, dst.index
+    for pos, e in d.entries.items():
+        j, keep = (pos[1], pos[0]) if d_left else pos
+        for v, ts in groups.items():
+            corner = (alg.corner_basis(inner[j], v) if d_left
+                      else alg.corner_basis(v, inner[j]))
+            for b0 in corner:
+                prod = cache.product(b0, pos, e, d_left, neg)
+                if not prod:
+                    continue
+                for t in ts:
+                    if d_left:
+                        col, out = sx[(j, t)][b0], dx[(keep, t)]
+                    else:
+                        col, out = sx[(t, j)][b0], dx[(t, keep)]
+                    for b, c in prod.items():
+                        row = rows[out[b]]
+                        cur = row.get(col)
+                        nv = c if cur is None else F.add(cur, c)
+                        if nv == 0:
+                            row.pop(col, None)
+                        else:
+                            row[col] = nv
+
+
+def _images(src, products, ndst, cache):
+    """Nonzero images of the basis of the grid src under the sum of the
+    products X -> X.d or d.X listed as (dst grid, d, d_left)."""
+    if not src.end:
+        return []
+    rows = [{} for _ in range(ndst)]
+    for dst, d, d_left in products:
+        _add_products(rows, src, dst, d, d_left, cache)
+    images = [{} for _ in range(src.end)]
+    for r, row in enumerate(rows):
+        for col, c in row.items():
+            images[col][r] = c
+    return [v for v in images if v]
+
+
+def _chain_maps(T, U, cache):
+    """Strict chain maps T -> U: the grids of f1 and f0, and a kernel basis
+    of (f1, f0) -> f0 d_T - d_U f1 in their joint coordinates."""
+    alg = T.alg
+    c1 = _BlockCoords(alg, U.p1, T.p1)
+    c0 = _BlockCoords(alg, U.p0, T.p0, offset=c1.end)
+    eq = _BlockCoords(alg, U.p0, T.p1)
+    rows = [{} for _ in range(eq.end)]
+    _add_products(rows, c0, eq, T.d, False, cache)
+    _add_products(rows, c1, eq, U.d, True, cache, neg=True)
+    return c1, c0, kernel_via_presolve(alg.field, rows, c0.end)
+
+
+def _chain_map(T, U, c1, c0, vec):
+    return ChainMap(T, U, c1.vec_to_matrix(vec), c0.vec_to_matrix(vec))
+
+
+def _combine(T, U, terms):
+    """The chain map T -> U summing c * f over the (c, f) in terms."""
+    alg = T.alg
+    f1 = AlgMatrix(alg, U.p1, T.p1)
+    f0 = AlgMatrix(alg, U.p0, T.p0)
+    for c, f in terms:
+        for acc, part in ((f1, f.f1), (f0, f.f0)):
+            for key, e in part.entries.items():
+                s = alg.elem_add(acc.entries.get(key, {}), alg.elem_scale(c, e))
+                if s:
+                    acc.entries[key] = s
+                else:
+                    acc.entries.pop(key, None)
+    return ChainMap(T, U, f1, f0)
 
 
 class HomotopyHom:
@@ -476,234 +587,62 @@ class HomotopyHom:
         self.shift = shift
         alg = T.alg
         self.alg = alg
+        F = alg.field
+        self.reps = []
         if abs(shift) >= 2:
             self.dim = 0
-            self.reps = []
             return
-        if shift == 0:
-            self._build_shift0()
-        elif shift == 1:
-            self._build_shift1()
-        else:
-            self._build_shift_minus1()
-
-    # shift 0: chain maps (f1, f0) with f0 d_T = d_U f1, modulo
-    # f1 = h d_T, f0 = d_U h for h: T^0 -> U^{-1}
-    def _build_shift0(self):
-        alg, F = self.alg, self.alg.field
-        T, U = self.T, self.U
         cache = _ProductCache(alg)
-        self.c1 = _BlockCoords(alg, U.p1, T.p1)
-        self.c0 = _BlockCoords(alg, U.p0, T.p0, offset=self.c1.end)
-        nunk = self.c0.end
-        eq = _BlockCoords(alg, U.p0, T.p1)
-        rows = [{} for _ in range(eq.end)]
-        eqx = eq.index
-        by_vertex_U_p0 = {}
-        for r, v in enumerate(U.p0):
-            by_vertex_U_p0.setdefault(v, []).append(r)
-        # f0 . d_T: unknown f0[r][m] times known d_T[m][c]
-        for (m, c), e in T.d.entries.items():
-            tv = T.p0[m]
-            for uv, rlist in by_vertex_U_p0.items():
-                for b0 in alg.corner_basis(uv, tv):
-                    prod = cache.lmul(b0, (0, m, c), e)
-                    if not prod:
-                        continue
-                    for r in rlist:
-                        col = self.c0.index[(r, m, b0)]
-                        for b, cval in prod.items():
-                            row = rows[eqx[(r, c, b)]]
-                            cur = row.get(col)
-                            nv = cval if cur is None else F.add(cur, cval)
-                            if nv == 0:
-                                row.pop(col, None)
-                            else:
-                                row[col] = nv
-        by_vertex_T_p1 = {}
-        for c, v in enumerate(T.p1):
-            by_vertex_T_p1.setdefault(v, []).append(c)
-        # - d_U . f1: known d_U[r][m'] times unknown f1[m'][c]
-        for (r, m), e in U.d.entries.items():
-            uv = U.p1[m]
-            for tv, clist in by_vertex_T_p1.items():
-                for b1 in alg.corner_basis(uv, tv):
-                    prod = cache.rmul((1, r, m), e, b1)
-                    if not prod:
-                        continue
-                    for c in clist:
-                        col = self.c1.index[(m, c, b1)]
-                        for b, cval in prod.items():
-                            row = rows[eqx[(r, c, b)]]
-                            cur = row.get(col)
-                            nv = F.neg(cval) if cur is None else F.sub(cur, cval)
-                            if nv == 0:
-                                row.pop(col, None)
-                            else:
-                                row[col] = nv
-        raw = kernel_via_presolve(F, rows, nunk)
-        # homotopy image: h single basis entry at (m: U.p1, c: T.p0, b)
-        d_T_by_row = {}
-        for (m, c), e in T.d.entries.items():
-            d_T_by_row.setdefault(m, []).append((c, e))
-        d_U_by_col = {}
-        for (r, m), e in U.d.entries.items():
-            d_U_by_col.setdefault(m, []).append((r, e))
-        by_vertex_T_p0 = {}
-        for c, v in enumerate(T.p0):
-            by_vertex_T_p0.setdefault(v, []).append(c)
-        hvecs = []
-        for m, uv in enumerate(U.p1):
-            for tv, clist in by_vertex_T_p0.items():
-                corner = alg.corner_basis(uv, tv)
-                if not corner:
-                    continue
-                for c in clist:
-                    for b in corner:
-                        vec = {}
-                        for (c2, e) in d_T_by_row.get(c, ()):
-                            prod = cache.lmul(b, (0, c, c2), e)
-                            for bb, cval in prod.items():
-                                key = self.c1.index[(m, c2, bb)]
-                                cur = vec.get(key)
-                                nv = cval if cur is None else F.add(cur, cval)
-                                if nv == 0:
-                                    vec.pop(key, None)
-                                else:
-                                    vec[key] = nv
-                        for (r, e) in d_U_by_col.get(m, ()):
-                            prod = cache.rmul((1, r, m), e, b)
-                            for bb, cval in prod.items():
-                                key = self.c0.index[(r, c, bb)]
-                                cur = vec.get(key)
-                                nv = cval if cur is None else F.add(cur, cval)
-                                if nv == 0:
-                                    vec.pop(key, None)
-                                else:
-                                    vec[key] = nv
-                        if vec:
-                            hvecs.append(vec)
-        self.homotopies = RowSpace(F, nunk, hvecs)
-        reduced = [self.homotopies.reduce(v) for v in raw]
-        self.classes = RowSpace(F, nunk, [v for v in reduced if v])
-        self.dim = self.classes.dim
-        self.reps = []
-        for row in self.classes.reduced:
-            f1 = self.c1.vec_to_matrix(row)
-            f0 = self.c0.vec_to_matrix({k: v for k, v in row.items()
-                                        if k >= self.c1.end})
-            self.reps.append(ChainMap(self.T, self.U, f1, f0))
+        if shift == 0:
+            # chain maps (f1, f0) modulo f1 = h d_T, f0 = d_U h for
+            # h: T^0 -> U^{-1}
+            self.c1, self.c0, raw = _chain_maps(T, U, cache)
+            nunk = self.c0.end
+            h = _BlockCoords(alg, U.p1, T.p0)
+            self.homotopies = RowSpace(F, nunk, _images(
+                h, ((self.c1, T.d, False), (self.c0, U.d, True)), nunk, cache))
+            reduced = [self.homotopies.reduce(v) for v in raw]
+            self.classes = RowSpace(F, nunk, [v for v in reduced if v])
+            self.dim = self.classes.dim
+            self.reps = [_chain_map(T, U, self.c1, self.c0, row)
+                         for row in self.classes.reduced]
+        elif shift == 1:
+            # all maps T^{-1} -> U^0 modulo d_U h1 + h0 d_T
+            self.c = _BlockCoords(alg, U.p0, T.p1)
+            h1 = _BlockCoords(alg, U.p1, T.p1)
+            h0 = _BlockCoords(alg, U.p0, T.p0)
+            self.homotopies = RowSpace(F, self.c.end, (
+                _images(h1, ((self.c, U.d, True),), self.c.end, cache)
+                + _images(h0, ((self.c, T.d, False),), self.c.end, cache)))
+            self.dim = self.c.end - self.homotopies.dim
+            self.reps = [self.c.vec_to_matrix({col: F.one})
+                         for col in self.homotopies.free_cols()]
+        else:
+            # maps T^0 -> U^{-1} with both composites zero, no homotopies
+            self.c = _BlockCoords(alg, U.p1, T.p0)
+            low = _BlockCoords(alg, U.p0, T.p0)    # d_U . psi
+            high = _BlockCoords(alg, U.p1, T.p1, offset=low.end)  # psi . d_T
+            rows = [{} for _ in range(high.end)]
+            _add_products(rows, self.c, low, U.d, True, cache)
+            _add_products(rows, self.c, high, T.d, False, cache)
+            vecs = kernel_via_presolve(F, rows, self.c.end)
+            self.dim = len(vecs)
+            self.reps = [self.c.vec_to_matrix(v) for v in vecs]
 
     def chain_map_class(self, cm):
         """Canonical class coordinates of a strict chain map."""
-        vec = {}
-        self.c1.matrix_to_vec(cm.f1, vec)
-        self.c0.matrix_to_vec(cm.f0, vec)
-        red = self.homotopies.reduce(vec)
-        coords = {}
-        for idx, pc in enumerate(self.classes.pivots):
-            c = red.get(pc)
-            if c:
-                coords[idx] = c
-        # sanity: the reduced vector must lie in the class row space
-        chk = dict(red)
-        F = self.alg.field
-        for idx, c in coords.items():
-            for k, v in self.classes.reduced[idx].items():
-                cur = chk.get(k, F.zero)
-                nv = F.sub(cur, F.mul(c, v))
-                if nv == 0:
-                    chk.pop(k, None)
-                else:
-                    chk[k] = nv
-        if chk:
+        red = _class_vec(self, cm)
+        if self.classes.reduce(red):
             raise AssertionError("chain map outside the computed Hom space")
-        return coords
+        return {idx: red[pc] for idx, pc in enumerate(self.classes.pivots)
+                if red.get(pc)}
 
-    # shift 1: all maps T^{-1} -> U^0 modulo d_U h' + h d_T
-    def _build_shift1(self):
-        alg, F = self.alg, self.alg.field
-        T, U = self.T, self.U
-        cache = _ProductCache(alg)
-        self.c = _BlockCoords(alg, U.p0, T.p1)
-        d_T_by_row = {}
-        for (m, c), e in T.d.entries.items():
-            d_T_by_row.setdefault(m, []).append((c, e))
-        d_U_by_col = {}
-        for (r, m), e in U.d.entries.items():
-            d_U_by_col.setdefault(m, []).append((r, e))
-        hvecs = []
-        # d_U . h1 for h1: T^{-1} -> U^{-1} single entries
-        for m, uv in enumerate(U.p1):
-            if m not in d_U_by_col:
-                continue
-            for cidx, tv in enumerate(T.p1):
-                for b in alg.corner_basis(uv, tv):
-                    vec = {}
-                    for (r, e) in d_U_by_col[m]:
-                        prod = cache.rmul((1, r, m), e, b)
-                        for bb, cval in prod.items():
-                            key = self.c.index[(r, cidx, bb)]
-                            cur = vec.get(key)
-                            nv = cval if cur is None else F.add(cur, cval)
-                            if nv == 0:
-                                vec.pop(key, None)
-                            else:
-                                vec[key] = nv
-                    if vec:
-                        hvecs.append(vec)
-        # h0 . d_T for h0: T^0 -> U^0 single entries
-        for r, uv in enumerate(U.p0):
-            for m, tv in enumerate(T.p0):
-                if m not in d_T_by_row:
-                    continue
-                for b in alg.corner_basis(uv, tv):
-                    vec = {}
-                    for (c, e) in d_T_by_row[m]:
-                        prod = cache.lmul(b, (0, m, c), e)
-                        for bb, cval in prod.items():
-                            key = self.c.index[(r, c, bb)]
-                            cur = vec.get(key)
-                            nv = cval if cur is None else F.add(cur, cval)
-                            if nv == 0:
-                                vec.pop(key, None)
-                            else:
-                                vec[key] = nv
-                    if vec:
-                        hvecs.append(vec)
-        self.homotopies = RowSpace(F, self.c.end, hvecs)
-        self.dim = self.c.end - self.homotopies.dim
-        self.reps = []
-        for col in self.homotopies.free_cols():
-            self.reps.append(self.c.vec_to_matrix({col: F.one}))
 
-    # shift -1: maps T^0 -> U^{-1} with both composites zero, no homotopies
-    def _build_shift_minus1(self):
-        alg, F = self.alg, self.alg.field
-        T, U = self.T, self.U
-        self.c = _BlockCoords(alg, U.p1, T.p0)
-        rows_low = _BlockCoords(alg, U.p0, T.p0)   # d_U . psi
-        rows_high = _BlockCoords(alg, U.p1, T.p1)  # psi . d_T
-        rows = [{} for _ in range(rows_low.end + rows_high.end)]
-        for (r, m), e in U.d.entries.items():
-            for cidx in range(len(T.p0)):
-                for b1 in alg.corner_basis(U.p1[m], T.p0[cidx]):
-                    prod = alg.elem_mul(e, {b1: F.one})
-                    col = self.c.index[(m, cidx, b1)]
-                    for b, cval in prod.items():
-                        row = rows[rows_low.index[(r, cidx, b)]]
-                        row[col] = F.add(row.get(col, F.zero), cval)
-        for (m, cidx), e in T.d.entries.items():
-            for r in range(len(U.p1)):
-                for b1 in alg.corner_basis(U.p1[r], T.p0[m]):
-                    prod = alg.elem_mul({b1: F.one}, e)
-                    col = self.c.index[(r, m, b1)]
-                    for b, cval in prod.items():
-                        key = rows_low.end + rows_high.index[(r, cidx, b)]
-                        rows[key][col] = F.add(rows[key].get(col, F.zero), cval)
-        vecs = kernel_via_presolve(F, rows, self.c.end)
-        self.dim = len(vecs)
-        self.reps = [self.c.vec_to_matrix(v) for v in vecs]
+def _class_vec(hs, cm):
+    vec = {}
+    hs.c1.matrix_to_vec(cm.f1, vec)
+    hs.c0.matrix_to_vec(cm.f0, vec)
+    return hs.homotopies.reduce(vec)
 
 
 _HOM_CACHE = {}
@@ -736,54 +675,11 @@ def is_two_term_silting(T, seed=0):
 
 # -- strict decomposition --------------------------------------------------
 
-def _strict_end_basis(T):
-    """Basis of strict chain endomorphisms (e1, e0) with e0 d = d e1."""
-    alg, F = T.alg, T.alg.field
-    cache = _ProductCache(alg)
-    c1 = _BlockCoords(alg, T.p1, T.p1)
-    c0 = _BlockCoords(alg, T.p0, T.p0, offset=c1.end)
-    eq = _BlockCoords(alg, T.p0, T.p1)
-    eqx = eq.index
-    rows = [{} for _ in range(eq.end)]
-    for (m, c), e in T.d.entries.items():
-        for r in range(len(T.p0)):
-            for b0 in alg.corner_basis(T.p0[r], T.p0[m]):
-                prod = cache.lmul(b0, (m, c), e)
-                col = c0.index[(r, m, b0)]
-                for b, cval in prod.items():
-                    row = rows[eqx[(r, c, b)]]
-                    cur = row.get(col)
-                    nv = cval if cur is None else F.add(cur, cval)
-                    if nv == 0:
-                        row.pop(col, None)
-                    else:
-                        row[col] = nv
-    for (r, m), e in T.d.entries.items():
-        for c in range(len(T.p1)):
-            for b1 in alg.corner_basis(T.p1[m], T.p1[c]):
-                prod = cache.rmul((r, m), e, b1)
-                col = c1.index[(m, c, b1)]
-                for b, cval in prod.items():
-                    row = rows[eqx[(r, c, b)]]
-                    cur = row.get(col)
-                    nv = F.neg(cval) if cur is None else F.sub(cur, cval)
-                    if nv == 0:
-                        row.pop(col, None)
-                    else:
-                        row[col] = nv
-    basis = []
-    for vec in kernel_via_presolve(F, rows, c0.end):
-        e1 = c1.vec_to_matrix(vec)
-        e0 = c0.vec_to_matrix({kk: v for kk, v in vec.items() if kk >= c1.end})
-        basis.append((e1, e0))
-    return basis
-
-
-def _realize_endo_total(T, e1, e0):
+def _realize_endo_total(T, cm):
     """Strict chain endo as one block-diagonal matrix on the total space."""
     F = T.alg.field
-    src1, _, m1 = e1.realize()
-    src0, _, m0 = e0.realize()
+    src1, _, m1 = cm.f1.realize()
+    src0, _, m0 = cm.f0.realize()
     blocks = list(m1) + list(m0)
     total = sum(b.nrows for b in blocks)
     rows = [{} for _ in range(total)]
@@ -939,10 +835,11 @@ def decompose_complex(T, seed=0):
     T = strip_contractible(T)
     if T.is_zero():
         return []
-    basis = _strict_end_basis(T)
+    c1, c0, vecs = _chain_maps(T, T, _ProductCache(T.alg))
+    basis = [_chain_map(T, T, c1, c0, v) for v in vecs]
     if len(basis) == 1:
         return [T]
-    mats = [_realize_endo_total(T, e1, e0) for (e1, e0) in basis]
+    mats = [_realize_endo_total(T, cm) for cm in basis]
     total = mats[0].nrows if mats else 0
     e = splitting.find_idempotent(T.alg.field, mats, total, seed=seed)
     if e is None:
@@ -967,23 +864,10 @@ def decompose_complex(T, seed=0):
     sol = stacked.solve_left(target)
     if sol is None:
         raise AssertionError("idempotent escaped the strict endomorphism algebra")
-    e1 = AlgMatrix(T.alg, T.p1, T.p1)
-    e0 = AlgMatrix(T.alg, T.p0, T.p0)
-    for k in range(len(basis)):
-        c = sol.rows[0].get(k)
-        if not c:
-            continue
-        b1, b0 = basis[k]
-        scaled1 = AlgMatrix(T.alg, T.p1, T.p1,
-                            {kk: T.alg.elem_scale(c, ee)
-                             for kk, ee in b1.entries.items()})
-        scaled0 = AlgMatrix(T.alg, T.p0, T.p0,
-                            {kk: T.alg.elem_scale(c, ee)
-                             for kk, ee in b0.entries.items()})
-        e1 = e1.add(scaled1)
-        e0 = e0.add(scaled0)
+    idem = _combine(T, T, ((c, basis[k])
+                           for k, c in sorted(sol.rows[0].items())))
     out = []
-    for part in _split_by_idempotent(T, e1, e0):
+    for part in _split_by_idempotent(T, idem.f1, idem.f0):
         out.extend(decompose_complex(part, seed=seed + 1))
     out.sort(key=lambda c: (g_vector(c), c.serialize()))
     return out
@@ -1013,29 +897,9 @@ def complexes_isomorphic(T, U, seed=0):
     F = T.alg.field
     rng = random.Random(seed)
     for _ in range(60):
-        f1 = AlgMatrix(T.alg, U.p1, T.p1)
-        f0 = AlgMatrix(T.alg, U.p0, T.p0)
-        any_term = False
-        for cm in hs.reps:
-            c = F.from_int(rng.randint(-2, 2))
-            if c == 0:
-                continue
-            any_term = True
-            for (i, j), e in cm.f1.entries.items():
-                cur = f1.entries.get((i, j), {})
-                s = T.alg.elem_add(cur, T.alg.elem_scale(c, e))
-                if s:
-                    f1.entries[(i, j)] = s
-                else:
-                    f1.entries.pop((i, j), None)
-            for (i, j), e in cm.f0.entries.items():
-                cur = f0.entries.get((i, j), {})
-                s = T.alg.elem_add(cur, T.alg.elem_scale(c, e))
-                if s:
-                    f0.entries[(i, j)] = s
-                else:
-                    f0.entries.pop((i, j), None)
-        if any_term and contractible_cone(ChainMap(T, U, f1, f0)):
+        coeffs = [F.from_int(rng.randint(-2, 2)) for _ in hs.reps]
+        if any(c != 0 for c in coeffs) and contractible_cone(
+                _combine(T, U, zip(coeffs, hs.reps))):
             return True
     return False
 
@@ -1089,17 +953,8 @@ def complex_to_pair(T):
 
 # -- minimal approximations ------------------------------------------------
 
-class _AddTarget:
-    """Hom data of one indecomposable target R_j for approximations."""
-
-    def __init__(self, R):
-        self.R = R
-        self.end = None  # HomotopyHom(R, R) built on demand
-
-
 def _end_radical_reps(R, end_hom):
     """Representatives of rad End_K(R) as strict chain maps."""
-    F = R.alg.field
     dim = end_hom.dim
     if dim == 0:
         return []
@@ -1108,29 +963,63 @@ def _end_radical_reps(R, end_hom):
         for j in range(dim):
             comp = end_hom.reps[i].compose(end_hom.reps[j])
             table[(i, j)] = end_hom.chain_map_class(comp)
-    rad_coeff = splitting.radical_from_mult_table(F, table, dim)
-    reps = []
-    for row in rad_coeff:
-        f1 = AlgMatrix(R.alg, R.p1, R.p1)
-        f0 = AlgMatrix(R.alg, R.p0, R.p0)
-        for k, c in row.items():
-            src = end_hom.reps[k]
-            for (i, j), e in src.f1.entries.items():
-                cur = f1.entries.get((i, j), {})
-                s = R.alg.elem_add(cur, R.alg.elem_scale(c, e))
-                if s:
-                    f1.entries[(i, j)] = s
-                else:
-                    f1.entries.pop((i, j), None)
-            for (i, j), e in src.f0.entries.items():
-                cur = f0.entries.get((i, j), {})
-                s = R.alg.elem_add(cur, R.alg.elem_scale(c, e))
-                if s:
-                    f0.entries[(i, j)] = s
-                else:
-                    f0.entries.pop((i, j), None)
-        reps.append(ChainMap(R, R, f1, f0))
-    return reps
+    rad_coeff = splitting.radical_from_mult_table(R.alg.field, table, dim)
+    return [_combine(R, R, ((c, end_hom.reps[k]) for k, c in row.items()))
+            for row in rad_coeff]
+
+
+def _approximation_summands(X, targets, left):
+    """Chosen maps X -> targets[j] realizing the minimal left
+    add(targets)-approximation of X, as (j, ChainMap) pairs.
+
+    With left=False every Hom space and composite is read in the opposite
+    category, which yields the minimal right approximation: maps
+    targets[j] -> X.  In both directions the Hom requests go out in the
+    order X-to-targets, cross terms, endomorphisms; the hits of the FIFO
+    Hom cache depend on that order.
+    """
+    def hom(A, B):
+        return hom_homotopy(A, B, 0) if left else hom_homotopy(B, A, 0)
+
+    def then(a, b):
+        # a after b, in the category the approximation is read in
+        return a.compose(b) if left else b.compose(a)
+
+    homs = [hom(X, R) for R in targets]
+    cross = {}
+    ends = {}
+    for j, R in enumerate(targets):
+        for l, Rl in enumerate(targets):
+            if l != j:
+                cross[(l, j)] = hom(Rl, R)
+        ends[j] = hom(R, R)
+    chosen = []
+    field = X.alg.field
+    for j, R in enumerate(targets):
+        hs = homs[j]
+        if hs.dim == 0:
+            continue
+        # maps X -> R_j that factor through a radical map into R_j
+        wall = []
+        for l in range(len(targets)):
+            if l == j:
+                radical = _end_radical_reps(R, ends[j])
+            else:
+                radical = cross[(l, j)].reps
+            if not radical:
+                continue
+            for u in homs[l].reps:
+                for v in radical:
+                    wall.append(_class_vec(hs, then(v, u)))
+        covered = RowSpace(field, hs.classes.ambient, [w for w in wall if w])
+        for cand in hs.reps:
+            if covered.contains(_class_vec(hs, cand)):
+                continue
+            chosen.append((j, cand))
+            orbit = [_class_vec(hs, then(e, cand)) for e in ends[j].reps]
+            covered = RowSpace(field, hs.classes.ambient,
+                               list(covered.reduced) + [o for o in orbit if o])
+    return chosen
 
 
 def minimal_left_approximation_summands(X, targets):
@@ -1139,44 +1028,7 @@ def minimal_left_approximation_summands(X, targets):
     targets: pairwise non-isomorphic indecomposable complexes.  Returns a
     list of (target_index, ChainMap X -> targets[j]).
     """
-    homs = [hom_homotopy(X, R, 0) for R in targets]
-    cross = {}
-    ends = {}
-    for j, R in enumerate(targets):
-        for l, Rl in enumerate(targets):
-            if l == j:
-                continue
-            cross[(l, j)] = hom_homotopy(Rl, R, 0)
-        ends[j] = hom_homotopy(R, R, 0)
-    chosen = []
-    for j, R in enumerate(targets):
-        hs = homs[j]
-        if hs.dim == 0:
-            continue
-        wall = []
-        for l in range(len(targets)):
-            if l == j:
-                reps_l = _end_radical_reps(R, ends[j])
-            else:
-                reps_l = cross[(l, j)].reps
-            if not reps_l:
-                continue
-            for u in homs[l].reps if l != j else homs[j].reps:
-                for v in reps_l:
-                    comp = v.compose(u)
-                    wall.append(_class_vec(hs, comp))
-        covered = RowSpace(X.alg.field, _class_dim(hs), [w for w in wall if w])
-        end_reps = ends[j].reps
-        for cand in hs.reps:
-            vec = _class_vec(hs, cand)
-            if covered.contains(vec):
-                continue
-            chosen.append((j, cand))
-            orbit = [_class_vec(hs, e.compose(cand)) for e in end_reps]
-            covered = RowSpace(
-                X.alg.field, _class_dim(hs),
-                list(covered.reduced) + [o for o in orbit if o])
-    return chosen
+    return _approximation_summands(X, targets, True)
 
 
 def minimal_right_approximation_summands(X, targets):
@@ -1184,111 +1036,63 @@ def minimal_right_approximation_summands(X, targets):
 
     Returns a list of (target_index, ChainMap targets[j] -> X).
     """
-    homs = [hom_homotopy(R, X, 0) for R in targets]
-    cross = {}
-    ends = {}
-    for j, R in enumerate(targets):
-        for l, Rl in enumerate(targets):
-            if l == j:
-                continue
-            cross[(j, l)] = hom_homotopy(R, Rl, 0)
-        ends[j] = hom_homotopy(R, R, 0)
-    chosen = []
-    for j, R in enumerate(targets):
-        hs = homs[j]
-        if hs.dim == 0:
-            continue
-        wall = []
-        for l in range(len(targets)):
-            if l == j:
-                reps_l = _end_radical_reps(R, ends[j])
-                outer = homs[j].reps
-            else:
-                reps_l = cross[(j, l)].reps
-                outer = homs[l].reps
-            if not reps_l:
-                continue
-            for v in outer:
-                for u in reps_l:
-                    comp = v.compose(u)
-                    wall.append(_class_vec(hs, comp))
-        covered = RowSpace(X.alg.field, _class_dim(hs), [w for w in wall if w])
-        end_reps = ends[j].reps
-        for cand in hs.reps:
-            vec = _class_vec(hs, cand)
-            if covered.contains(vec):
-                continue
-            chosen.append((j, cand))
-            orbit = [_class_vec(hs, cand.compose(e)) for e in end_reps]
-            covered = RowSpace(
-                X.alg.field, _class_dim(hs),
-                list(covered.reduced) + [o for o in orbit if o])
-    return chosen
+    return _approximation_summands(X, targets, False)
 
 
-def _class_dim(hs):
-    return hs.classes.ambient
-
-
-def _class_vec(hs, cm):
-    vec = {}
-    hs.c1.matrix_to_vec(cm.f1, vec)
-    hs.c0.matrix_to_vec(cm.f0, vec)
-    return hs.homotopies.reduce(vec)
+def _assemble(X, targets, chosen, left):
+    """Stack chosen maps into one chain map X -> (+) chosen targets, or
+    (+) chosen targets -> X when not left."""
+    alg = X.alg
+    parts = [targets[j] for j, _ in chosen]
+    S = direct_sum_complex(parts) if parts else TwoTermComplex(alg, (), ())
+    src, tgt = (X, S) if left else (S, X)
+    f1 = AlgMatrix(alg, tgt.p1, src.p1)
+    f0 = AlgMatrix(alg, tgt.p0, src.p0)
+    off1 = off0 = 0
+    for j, cm in chosen:
+        for f, part, off in ((f1, cm.f1, off1), (f0, cm.f0, off0)):
+            for (i, k), e in part.entries.items():
+                f.entries[(off + i, k) if left else (i, off + k)] = e
+        off1 += len(targets[j].p1)
+        off0 += len(targets[j].p0)
+    return ChainMap(src, tgt, f1, f0)
 
 
 def assemble_left_approximation(X, targets, chosen):
     """Stack chosen maps into one chain map X -> (+) chosen targets."""
-    alg = X.alg
-    parts = [targets[j] for j, _ in chosen]
-    if not parts:
-        tgt = TwoTermComplex(alg, (), ())
-        return ChainMap(X, tgt,
-                        AlgMatrix(alg, (), X.p1), AlgMatrix(alg, (), X.p0))
-    tgt = direct_sum_complex(parts)
-    f1 = AlgMatrix(alg, tgt.p1, X.p1)
-    f0 = AlgMatrix(alg, tgt.p0, X.p0)
-    off1 = off0 = 0
-    for (j, cm) in chosen:
-        R = targets[j]
-        for (i, jj), e in cm.f1.entries.items():
-            f1.entries[(off1 + i, jj)] = e
-        for (i, jj), e in cm.f0.entries.items():
-            f0.entries[(off0 + i, jj)] = e
-        off1 += len(R.p1)
-        off0 += len(R.p0)
-    return ChainMap(X, tgt, f1, f0)
+    return _assemble(X, targets, chosen, True)
 
 
 def assemble_right_approximation(X, targets, chosen):
     """Stack chosen maps into one chain map (+) chosen targets -> X."""
-    alg = X.alg
-    parts = [targets[j] for j, _ in chosen]
-    if not parts:
-        src = TwoTermComplex(alg, (), ())
-        return ChainMap(src, X,
-                        AlgMatrix(alg, X.p1, ()), AlgMatrix(alg, X.p0, ()))
-    src = direct_sum_complex(parts)
-    f1 = AlgMatrix(alg, X.p1, src.p1)
-    f0 = AlgMatrix(alg, X.p0, src.p0)
-    off1 = off0 = 0
-    for (j, cm) in chosen:
-        R = targets[j]
-        for (i, jj), e in cm.f1.entries.items():
-            f1.entries[(i, off1 + jj)] = e
-        for (i, jj), e in cm.f0.entries.items():
-            f0.entries[(i, off0 + jj)] = e
-        off1 += len(R.p1)
-        off0 += len(R.p0)
-    return ChainMap(src, X, f1, f0)
+    return _assemble(X, targets, chosen, False)
+
+
+def approximation_cone(X, targets, left):
+    """Cone of the minimal left add(targets)-approximation of X, or the
+    cocone of the minimal right one when not left, stripped to its
+    two-term part; None when the extra degree survives stripping."""
+    if left:
+        f = assemble_left_approximation(
+            X, targets, minimal_left_approximation_summands(X, targets))
+    else:
+        f = assemble_right_approximation(
+            X, targets, minimal_right_approximation_summands(X, targets))
+    return _two_term_cone(f, left)
+
+
+def basic_summands(complexes, seed=0):
+    """One representative per isomorphism class, in first-seen order."""
+    out = []
+    for c in complexes:
+        if not any(complexes_isomorphic(c, d, seed=seed) for d in out):
+            out.append(c)
+    return out
 
 
 def minimal_left_approximation(X, T, seed=0):
     """Minimal left add(T)-approximation of X, as a chain map X -> T'."""
-    targets = []
-    for s in decompose_complex(T, seed=seed):
-        if not any(complexes_isomorphic(s, t, seed=seed) for t in targets):
-            targets.append(s)
+    targets = basic_summands(decompose_complex(T, seed=seed), seed=seed)
     chosen = minimal_left_approximation_summands(X, targets)
     return assemble_left_approximation(X, targets, chosen)
 
@@ -1299,7 +1103,7 @@ def factors_through(g, f):
     hs_xt = hom_homotopy(g.source, g.target, 0)
     gvec = _class_vec(hs_xt, g)
     image = [_class_vec(hs_xt, r.compose(f)) for r in hs_tt.reps]
-    return RowSpace(g.source.alg.field, _class_dim(hs_xt),
+    return RowSpace(g.source.alg.field, hs_xt.classes.ambient,
                     [v for v in image if v]).contains(gvec)
 
 

@@ -208,3 +208,37 @@ def test_complex_json_export(kA2, s1_complex):
     coeffs = data["d"][0][0]
     assert len(coeffs) == kA2.dim
     assert coeffs.count("0") == kA2.dim - 1  # a single path coefficient
+
+
+@pytest.mark.parametrize("name,max_nodes", [
+    ("a3", 10 ** 6), ("a4", 10 ** 6), ("preproj_a2", 10 ** 6),
+    ("loop2", 10 ** 6), ("kronecker", 12)],
+    ids=["a3", "a4", "preproj_a2", "loop2", "kronecker-12"])
+def test_euler_form_ties_the_shifts(request, name, max_nodes):
+    # For two-term T, U the alternating sum of the Hom dimensions over the
+    # shifts -1, 0, 1 equals the Euler form of the degree-wise terms:
+    # dim Hom(T,U) - dim Hom(T,U[1]) - dim Hom(T,U[-1])
+    #   = sum over p, q in {-1, 0} of (-1)^(p-q) dim Hom(T^p, U^q).
+    from tautilt.sttilt import enumerate_sttilt
+    alg = request.getfixturevalue(name)
+    graph = enumerate_sttilt(alg, max_nodes=max_nodes)
+    summands = {}
+    for pair in graph.nodes:
+        for c in pair.summands:
+            summands.setdefault(c.serialize(), c)
+
+    def proj_hom(src, tgt):
+        return sum(len(alg.corner_basis(w, v)) for v in src for w in tgt)
+
+    nonzero = {shift: 0 for shift in (-1, 0, 1)}
+    for T in summands.values():
+        for U in summands.values():
+            dims = {shift: tt.hom_homotopy(T, U, shift).dim
+                    for shift in (-1, 0, 1)}
+            euler = (proj_hom(T.p1, U.p1) + proj_hom(T.p0, U.p0)
+                     - proj_hom(T.p1, U.p0) - proj_hom(T.p0, U.p1))
+            assert dims[0] - dims[1] - dims[-1] == euler, (T, U, dims)
+            for shift, dim in dims.items():
+                nonzero[shift] += dim != 0
+    # every shift contributes somewhere, so no term is checked vacuously
+    assert all(nonzero.values()), nonzero
