@@ -337,9 +337,20 @@ class _Rewriter:
 class BoundQuiverAlgebra:
     """A finite-dimensional bound quiver algebra with exact structure constants.
 
-    Immutable after construction; all operations are pure.  Basis order:
-    vertex idempotents first, then paths by increasing length (deglex).
-    Elements are sparse {basis_index: coefficient} dicts.
+    The structure is immutable after construction and element operations
+    are pure.  Basis order: vertex idempotents first, then paths by
+    increasing length (deglex).  Elements are sparse
+    {basis_index: coefficient} dicts.
+
+    The algebra also owns the memoized two-term data computed over it,
+    which lives exactly as long as the algebra does:
+
+    * summands: the summand registry, one canonical indecomposable
+      complex per g-vector (filled by ``sttilt.intern_summand``);
+    * summand_forms: every serialization seen for a registered summand,
+      mapped to its canonical complex;
+    * hom_memo: Hom spaces in the homotopy category, keyed by
+      (shift, T.serialize(), U.serialize()) (``twoterm.hom_homotopy``).
     """
 
     def __init__(self, spec):
@@ -352,6 +363,9 @@ class BoundQuiverAlgebra:
         self._build_basis()
         self._build_structure()
         self._check_radical_nilpotent()
+        self.summands = {}
+        self.summand_forms = {}
+        self.hom_memo = {}
 
     # -- construction ----------------------------------------------------
 
@@ -405,11 +419,15 @@ class BoundQuiverAlgebra:
         self.idempotent = [self.index_of[((), v)] for v in range(self.n)]
         self.arrow_elem = [self.index_of[((a,), self.arrows[a].source)]
                            for a in range(len(self.arrows))]
-        # basis indices grouped by (source, target)
+        # basis indices grouped by (source, target), and the position of
+        # each index inside its group
         self.basis_by_st = {}
+        self.corner_pos = []
         for i in range(self.dim):
-            self.basis_by_st.setdefault(
-                (self.basis_source[i], self.basis_target[i]), []).append(i)
+            corner = self.basis_by_st.setdefault(
+                (self.basis_source[i], self.basis_target[i]), [])
+            self.corner_pos.append(len(corner))
+            corner.append(i)
 
     def _nf_to_elem(self, poly, src):
         out = {}

@@ -5,6 +5,13 @@ indecomposable complexes, each either a shifted projective Q[1] (empty
 degree 0) or the minimal presentation of an indecomposable module.  The
 module-side data (H^0 summands, projective part) is derived on demand.
 
+Every summand the engine produces is interned in the algebra's summand
+registry (`intern_summand`): one canonical complex per g-vector, which
+is sound because a tau-rigid pair is determined by its g-vectors
+(Adachi-Iyama-Reiten, "tau-tilting theory", 2014, Thm 5.5).  Pairs with
+equal keys therefore carry identical summand tuples, and the Hom spaces
+memoized on the algebra are built once per summand pair.
+
 Mutation runs on the complex side.  Removing one summand and forming the
 cone over the minimal left approximation into the rest gives the down
 mutation whenever that cone strips back to two terms; otherwise the
@@ -33,6 +40,43 @@ class NotTauRigidError(AlgebraError):
 
 class InvariantViolation(RuntimeError):
     """A certified internal invariant failed; enumeration aborts."""
+
+
+def _multiplicities(alg, verts):
+    mults = [0] * alg.n
+    for v in verts:
+        mults[v] += 1
+    return tuple(mults)
+
+
+def intern_summand(T, seed=0):
+    """The canonical object of the algebra's summand registry for the
+    indecomposable presilting complex T.
+
+    The first complex seen with a g-vector becomes canonical.  Each other
+    serialization of that g-vector is checked against it once with
+    `complexes_isomorphic` and then recorded as an alias; a failed check
+    contradicts the g-vector theorem and raises InvariantViolation.
+    """
+    alg = T.alg
+    forms = alg.summand_forms
+    ser = T.serialize()
+    canon = forms.get(ser)
+    if canon is not None:
+        return canon
+    g = tt.g_vector(T)
+    canon = alg.summands.get(g)
+    if canon is None:
+        canon = alg.summands[g] = T
+    elif not tt.complexes_isomorphic(canon, T, seed=seed):
+        raise InvariantViolation(
+            f"summands with g-vector {g} are not isomorphic: "
+            f"P^-1 {_multiplicities(alg, canon.p1)} -> "
+            f"P^0 {_multiplicities(alg, canon.p0)} and "
+            f"P^-1 {_multiplicities(alg, T.p1)} -> "
+            f"P^0 {_multiplicities(alg, T.p0)}")
+    forms[ser] = canon
+    return canon
 
 
 # -- pairs ----------------------------------------------------------------
@@ -76,12 +120,8 @@ class TauRigidPair:
     def projective_part(self):
         """Multiplicity vector of the shifted summands Q[1]."""
         if self._proj is None:
-            mults = [0] * self.alg.n
-            for c in self.summands:
-                if not c.p0:
-                    for v in c.p1:
-                        mults[v] += 1
-            self._proj = tuple(mults)
+            self._proj = _multiplicities(
+                self.alg, [v for c in self.summands if not c.p0 for v in c.p1])
         return self._proj
 
     def module(self):
@@ -100,7 +140,8 @@ def pair_from_module_data(alg, M, proj_mults, seed=0, check=True):
     """Build a basic pair from a module and projective multiplicities.
 
     Decomposes M, drops duplicate summands (basic closure), validates
-    tau-rigidity unless check=False.
+    tau-rigidity unless check=False.  Only a checked pair's summands are
+    interned.
     """
     summands = []
     groups = mr.group_by_iso(mr.decompose(M, seed=seed), seed=seed)
@@ -110,10 +151,11 @@ def pair_from_module_data(alg, M, proj_mults, seed=0, check=True):
     for v in range(alg.n):
         if proj_mults[v] >= 1:
             summands.append(tt.stalk_complex(alg, (v,), shift=1))
-    pair = TauRigidPair(alg, summands)
-    if check and not is_tau_rigid_pair(M, proj_mults):
-        raise NotTauRigidError("pair is not tau-rigid")
-    return pair
+    if check:
+        if not is_tau_rigid_pair(M, proj_mults):
+            raise NotTauRigidError("pair is not tau-rigid")
+        summands = [intern_summand(c, seed=seed) for c in summands]
+    return TauRigidPair(alg, summands)
 
 
 def is_tau_rigid_pair(M, proj_mults):
@@ -172,7 +214,8 @@ def _completion(pair, left, seed):
         raise AssertionError("completion cone failed to stay two-term")
     summands = tt.basic_summands(
         list(pair.summands) + tt.decompose_complex(Z, seed=seed), seed=seed)
-    return tau_tilting_pair_from_summands(alg, summands)
+    return tau_tilting_pair_from_summands(
+        alg, [intern_summand(c, seed=seed) for c in summands])
 
 
 def bongartz_completion(pair, seed=0):
@@ -194,7 +237,8 @@ def _require_tau_rigid(pair):
 # -- mutation ----------------------------------------------------------------
 
 def _mutate_summands(summands, index, seed=0):
-    """Exchange one summand; returns (new_summand, direction)."""
+    """Exchange summand index (0-based); returns (new_summand, direction)
+    with the new summand interned."""
     X = summands[index]
     rest = [c for k, c in enumerate(summands) if k != index]
     # down: cone over the minimal left approximation into add(rest)
@@ -202,12 +246,13 @@ def _mutate_summands(summands, index, seed=0):
     if new is None:
         # up: cocone over the minimal right approximation from add(rest)
         new, direction = tt.approximation_cone(X, rest, False), "up"
-        if new is None:
-            raise InvariantViolation(
-                "neither mutation direction stayed two-term")
-    if new.is_zero():
-        raise InvariantViolation("mutation produced a zero summand")
-    return new, direction
+    if new is None or new.is_zero():
+        what = ("neither mutation direction stayed two-term" if new is None
+                else "mutation produced a zero summand")
+        raise InvariantViolation(
+            f"pair {tuple(sorted(tt.g_matrix(summands)))}, summand "
+            f"{index + 1}: {what}")
+    return intern_summand(new, seed=seed), direction
 
 
 def mutate(pair, index, seed=0):
@@ -323,13 +368,16 @@ def _module_json(M, include_matrices=True):
 def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None, seed=0):
     """BFS of the Hasse quiver by down mutations from the pair (A, 0).
 
-    Nodes are deduplicated by the column-sorted g-matrix, with an
-    isomorphism check confirming every collision; a true collision of
-    non-isomorphic pairs aborts the run.  If the frontier exhausts within
-    the limits, the graph is the complete Hasse quiver.
+    Nodes are deduplicated by the column-sorted g-matrix.  Every summand
+    is interned, so pairs with equal keys carry the same summand tuple;
+    the registry checks isomorphism once per new serialization of a
+    g-vector and aborts the run on a collision of non-isomorphic
+    summands.  If the frontier exhausts within the limits, the graph is
+    the complete Hasse quiver.
     """
-    top = TauRigidPair(
-        alg, [tt.stalk_complex(alg, (v,), 0) for v in range(alg.n)])
+    top = TauRigidPair(alg, [
+        intern_summand(tt.stalk_complex(alg, (v,), 0), seed=seed)
+        for v in range(alg.n)])
     pairs = [top]
     ids = {top.key(): 0}
     edges = []
@@ -365,11 +413,6 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None, seed=0):
                 born_at = next(k for k, c in enumerate(child.summands)
                                if c is new)
                 queue.append((known, depth + 1, born_at))
-            else:
-                if not pairs_isomorphic(pairs[known], child, seed=seed):
-                    raise InvariantViolation(
-                        "distinct pairs share a g-matrix; this collision "
-                        "contradicts the enumeration's canonical key")
             edges.append((node_id, known, i))
     return HasseGraph(alg, pairs, edges, complete, seed=seed)
 

@@ -24,6 +24,7 @@ direction staying two-term (`approximation_cone`).
 """
 
 import random
+from bisect import bisect_right
 
 from .algebra import AlgebraError
 from .linalg import ExactMatrix, RowSpace, kernel_via_presolve
@@ -125,7 +126,7 @@ class AlgMatrix:
 class TwoTermComplex:
     """P^{-1} -> P^0 with algebra-entry differential."""
 
-    __slots__ = ("alg", "p1", "p0", "d", "_ser")
+    __slots__ = ("alg", "p1", "p0", "d", "_ser", "_h0")
 
     def __init__(self, alg, p1, p0, d=None):
         self.alg = alg
@@ -137,6 +138,7 @@ class TwoTermComplex:
             raise AlgebraError("differential shape mismatch")
         self.d = d
         self._ser = None
+        self._h0 = None
 
     def is_zero(self):
         return not self.p1 and not self.p0
@@ -413,43 +415,49 @@ def cone_two_term(f):
 class _BlockCoords:
     """Flat coordinates for a grid of corner spaces e_{rv[i]} A e_{cv[j]}.
 
-    index[(i, j)] maps each basis path b of a nonzero corner at (i, j) to
-    its coordinate; coordinates start at offset and end before end.
+    start[(i, j)] is the first coordinate of the nonzero corner at (i, j),
+    in increasing order; basis path b of that corner sits at
+    start[(i, j)] + alg.corner_pos[b].  Coordinates run from offset up to
+    end.
     """
+
+    __slots__ = ("alg", "row_verts", "col_verts", "offset", "start", "end")
 
     def __init__(self, alg, row_verts, col_verts, offset=0):
         self.alg = alg
         self.row_verts = row_verts
         self.col_verts = col_verts
-        self.index = {}
+        self.offset = offset
+        self.start = {}
         k = offset
         for i, rv in enumerate(row_verts):
             for j, cv in enumerate(col_verts):
-                corner = alg.corner_basis(rv, cv)
-                if corner:
-                    pos = self.index[(i, j)] = {}
-                    for b in corner:
-                        pos[b] = k
-                        k += 1
+                size = len(alg.corner_basis(rv, cv))
+                if size:
+                    self.start[(i, j)] = k
+                    k += size
         self.end = k
 
     def matrix_to_vec(self, m, vec):
+        pos = self.alg.corner_pos
         for ij, e in m.entries.items():
-            pos = self.index[ij]
+            s = self.start[ij]
             for b, c in e.items():
-                vec[pos[b]] = c
+                vec[s + pos[b]] = c
         return vec
 
     def vec_to_matrix(self, vec):
-        if not hasattr(self, "rev"):
-            self.rev = {k: (ij, b) for ij, pos in self.index.items()
-                        for b, k in pos.items()}
-        m = AlgMatrix(self.alg, self.row_verts, self.col_verts)
+        """The matrix of the coordinates of vec inside this grid; the
+        others are ignored."""
+        alg = self.alg
+        corners = list(self.start.items())
+        starts = [s for _, s in corners]
+        m = AlgMatrix(alg, self.row_verts, self.col_verts)
         for k, c in vec.items():
-            hit = self.rev.get(k)
-            if hit is not None and c:
-                ij, b = hit
-                m.entries.setdefault(ij, {})[b] = c
+            if c and self.offset <= k < self.end:
+                (i, j), s = corners[bisect_right(starts, k) - 1]
+                corner = alg.corner_basis(self.row_verts[i], self.col_verts[j])
+                m.entries.setdefault((i, j), {})[corner[k - s]] = c
         return m
 
 
@@ -498,7 +506,7 @@ def _add_products(rows, src, dst, d, d_left, cache, neg=False):
     groups = {}
     for t, v in enumerate(free):
         groups.setdefault(v, []).append(t)
-    sx, dx = src.index, dst.index
+    sx, dx, cpos = src.start, dst.start, alg.corner_pos
     for pos, e in d.entries.items():
         j, keep = (pos[1], pos[0]) if d_left else pos
         for v, ts in groups.items():
@@ -510,11 +518,11 @@ def _add_products(rows, src, dst, d, d_left, cache, neg=False):
                     continue
                 for t in ts:
                     if d_left:
-                        col, out = sx[(j, t)][b0], dx[(keep, t)]
+                        col, out = sx[(j, t)] + cpos[b0], dx[(keep, t)]
                     else:
-                        col, out = sx[(t, j)][b0], dx[(t, keep)]
+                        col, out = sx[(t, j)] + cpos[b0], dx[(t, keep)]
                     for b, c in prod.items():
-                        row = rows[out[b]]
+                        row = rows[out + cpos[b]]
                         cur = row.get(col)
                         nv = c if cur is None else F.add(cur, c)
                         if nv == 0:
@@ -576,12 +584,11 @@ class HomotopyHom:
 
     For shift 0 carries raw chain-map representatives and supports
     composition through canonical class coordinates; for shifts +-1 only
-    dimensions and representatives are exposed.
+    dimensions and representatives are exposed.  Built through
+    `hom_homotopy`, which checks that T and U share their algebra.
     """
 
     def __init__(self, T, U, shift=0):
-        if T.alg is not U.alg:
-            raise AlgebraError("complexes over different algebras")
         self.T = T
         self.U = U
         self.shift = shift
@@ -589,6 +596,7 @@ class HomotopyHom:
         self.alg = alg
         F = alg.field
         self.reps = []
+        self.radical = None  # rad End(T) for U = T, set on first use
         if abs(shift) >= 2:
             self.dim = 0
             return
@@ -645,20 +653,21 @@ def _class_vec(hs, cm):
     return hs.homotopies.reduce(vec)
 
 
-_HOM_CACHE = {}
-_HOM_CACHE_MAX = 24
-
-
 def hom_homotopy(T, U, shift=0):
-    """Hom_{K^b(proj)}(T, U[shift]) for two-term T, U (memoized)."""
-    key = (id(T.alg), shift, T.serialize(), U.serialize())
-    hit = _HOM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    hs = HomotopyHom(T, U, shift)
-    if len(_HOM_CACHE) >= _HOM_CACHE_MAX:
-        _HOM_CACHE.pop(next(iter(_HOM_CACHE)))
-    _HOM_CACHE[key] = hs
+    """Hom_{K^b(proj)}(T, U[shift]) for two-term T, U.
+
+    Memoized in T.alg.hom_memo, which the algebra owns: one build per
+    (shift, T.serialize(), U.serialize()) for as long as the algebra
+    lives.  Summands are interned by g-vector (``sttilt.intern_summand``),
+    so the mutations of an enumeration ask for a few distinct keys only.
+    """
+    if T.alg is not U.alg:
+        raise AlgebraError("complexes over different algebras")
+    key = (shift, T.serialize(), U.serialize())
+    memo = T.alg.hom_memo
+    hs = memo.get(key)
+    if hs is None:
+        hs = memo[key] = HomotopyHom(T, U, shift)
     return hs
 
 
@@ -926,12 +935,11 @@ def pair_to_complex(M, proj_mults):
 
 
 def complex_h0(T):
-    """H^0(T) = coker(d) as a representation."""
-    alg = T.alg
-    src, tgt, f = T.d.realize()
-    img_rows = [f[v].rows for v in range(alg.n)]
-    Q, _ = quotient_rep(tgt.rep, img_rows)
-    return Q
+    """H^0(T) = coker(d) as a representation (computed once per object)."""
+    if T._h0 is None:
+        src, tgt, f = T.d.realize()
+        T._h0, _ = quotient_rep(tgt.rep, [f[v].rows for v in range(T.alg.n)])
+    return T._h0
 
 
 def complex_to_pair(T):
@@ -953,19 +961,21 @@ def complex_to_pair(T):
 
 # -- minimal approximations ------------------------------------------------
 
-def _end_radical_reps(R, end_hom):
-    """Representatives of rad End_K(R) as strict chain maps."""
-    dim = end_hom.dim
-    if dim == 0:
-        return []
-    table = {}
-    for i in range(dim):
-        for j in range(dim):
-            comp = end_hom.reps[i].compose(end_hom.reps[j])
-            table[(i, j)] = end_hom.chain_map_class(comp)
-    rad_coeff = splitting.radical_from_mult_table(R.alg.field, table, dim)
-    return [_combine(R, R, ((c, end_hom.reps[k]) for k, c in row.items()))
+def _end_radical_reps(end_hom):
+    """Representatives of rad End_K(R) as strict chain maps, where end_hom
+    is Hom(R, R); computed once per Hom object."""
+    if end_hom.radical is None:
+        R, dim, reps = end_hom.T, end_hom.dim, end_hom.reps
+        table = {}
+        for i in range(dim):
+            for j in range(dim):
+                table[(i, j)] = end_hom.chain_map_class(reps[i].compose(reps[j]))
+        rad_coeff = (splitting.radical_from_mult_table(R.alg.field, table, dim)
+                     if dim else [])
+        end_hom.radical = [
+            _combine(R, R, ((c, reps[k]) for k, c in row.items()))
             for row in rad_coeff]
+    return end_hom.radical
 
 
 def _approximation_summands(X, targets, left):
@@ -975,8 +985,7 @@ def _approximation_summands(X, targets, left):
     With left=False every Hom space and composite is read in the opposite
     category, which yields the minimal right approximation: maps
     targets[j] -> X.  In both directions the Hom requests go out in the
-    order X-to-targets, cross terms, endomorphisms; the hits of the FIFO
-    Hom cache depend on that order.
+    order X-to-targets, cross terms, endomorphisms.
     """
     def hom(A, B):
         return hom_homotopy(A, B, 0) if left else hom_homotopy(B, A, 0)
@@ -1003,7 +1012,7 @@ def _approximation_summands(X, targets, left):
         wall = []
         for l in range(len(targets)):
             if l == j:
-                radical = _end_radical_reps(R, ends[j])
+                radical = _end_radical_reps(ends[j])
             else:
                 radical = cross[(l, j)].reps
             if not radical:

@@ -280,3 +280,45 @@ def test_h0_round_trip_on_corpus(kA2, kx2):
             M2, proj2 = tt.complex_to_pair(T)
             assert proj2 == proj
             assert mr.modules_isomorphic(M2, M)
+
+
+def test_registry_rejects_non_isomorphic_summands_of_one_g_vector():
+    # P2 -a-> P1 and P2 -b-> P1 over the Kronecker algebra share the
+    # g-vector (1, -1) but are not isomorphic (their cokernels differ).
+    alg = parse_algebra(
+        'field = "Q"\nvertices = ["1", "2"]\n'
+        'arrow = { name = "a", source = "1", target = "2" }\n'
+        'arrow = { name = "b", source = "1", target = "2" }')
+
+    def arrow_complex(name):
+        d = tt.AlgMatrix(alg, (0,), (1,), {(0, 0): alg.arrow_element(name)})
+        return tt.TwoTermComplex(alg, (1,), (0,), d)
+
+    first = arrow_complex("a")
+    assert st.intern_summand(first) is first
+    assert st.intern_summand(arrow_complex("a")) is first
+    with pytest.raises(st.InvariantViolation, match=r"\(1, -1\)"):
+        st.intern_summand(arrow_complex("b"))
+
+
+def test_second_enumeration_builds_no_hom(monkeypatch):
+    alg = parse_algebra(
+        'field = "Q"\nvertices = ["1", "2", "3", "4", "5"]\n'
+        + "".join(f'arrow = {{ name = "a{i}", source = "{i}", '
+                  f'target = "{i + 1}" }}\n' for i in range(1, 5)))
+    builds = []
+    init = tt.HomotopyHom.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tt.HomotopyHom, "__init__", counted)
+    first = st.enumerate_sttilt(alg)
+    assert first.complete and first.node_count() == 132  # Catalan(6)
+    assert builds
+    builds.clear()
+    second = st.enumerate_sttilt(alg)
+    assert [p.key() for p in second.nodes] == [p.key() for p in first.nodes]
+    assert second.edges == first.edges
+    assert builds == []

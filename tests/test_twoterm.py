@@ -230,11 +230,25 @@ def test_euler_form_ties_the_shifts(request, name, max_nodes):
     def proj_hom(src, tgt):
         return sum(len(alg.corner_basis(w, v)) for v in src for w in tgt)
 
+    def round_trips(grid):
+        # every coordinate of the grid is one basis path of one corner
+        one = alg.field.one
+        for k in range(grid.offset, grid.end):
+            m = grid.vec_to_matrix({k: one})
+            assert len(m.entries) == 1
+            assert grid.matrix_to_vec(m, {}) == {k: one}
+        # coordinates outside the grid are not read
+        assert not grid.vec_to_matrix({grid.offset - 1: one, grid.end: one}
+                                      ).entries
+
     nonzero = {shift: 0 for shift in (-1, 0, 1)}
     for T in summands.values():
         for U in summands.values():
-            dims = {shift: tt.hom_homotopy(T, U, shift).dim
+            homs = {shift: tt.hom_homotopy(T, U, shift)
                     for shift in (-1, 0, 1)}
+            for grid in (homs[0].c1, homs[0].c0, homs[1].c, homs[-1].c):
+                round_trips(grid)
+            dims = {shift: hs.dim for shift, hs in homs.items()}
             euler = (proj_hom(T.p1, U.p1) + proj_hom(T.p0, U.p0)
                      - proj_hom(T.p1, U.p0) - proj_hom(T.p0, U.p1))
             assert dims[0] - dims[1] - dims[-1] == euler, (T, U, dims)
