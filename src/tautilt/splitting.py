@@ -1,17 +1,18 @@
 """Idempotent search in matrix algebras over Q.
 
-Used by the Krull-Schmidt decompositions of modules and of two-term
-complexes.  Both hand in a basis of an endomorphism algebra realized as
-square matrices on a total space; we look for a nontrivial idempotent by
-factoring minimal polynomials of candidate elements.  If the minimal
-polynomial of x splits into two coprime parts f, g, the Bezout identity
-s f + t g = 1 gives the exact idempotent (t g)(x) (identity on the
-f-primary part, zero on the rest), no lifting needed.
+Used by the Krull-Schmidt decomposition of modules (`modrep.decompose`);
+two-term complexes are split through their H^0.  It hands in a basis of
+an endomorphism algebra realized as square matrices on the total space;
+we look for a nontrivial idempotent by factoring minimal polynomials of
+candidate elements.  If the minimal polynomial of x splits into two
+coprime parts f, g, the Bezout identity s f + t g = 1 gives the exact
+idempotent (t g)(x) (identity on the f-primary part, zero on the rest),
+no lifting needed.
 
 The candidate sweep (basis elements, pairwise sums, seeded small random
 combinations, small exhaustive fallback) is deterministic for a fixed
-seed.  Returning None means "no splitting found", which the callers
-treat as "indecomposable"; for the module sizes this package targets the
+seed.  Returning None means "no splitting found", which the caller
+treats as "indecomposable"; for the module sizes this package targets the
 sweep is reliable because the solved echelon bases of End contain
 projection-like elements whenever the object is decomposable.
 """

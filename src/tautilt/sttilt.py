@@ -42,13 +42,6 @@ class InvariantViolation(RuntimeError):
     """A certified internal invariant failed; enumeration aborts."""
 
 
-def _multiplicities(alg, verts):
-    mults = [0] * alg.n
-    for v in verts:
-        mults[v] += 1
-    return tuple(mults)
-
-
 def intern_summand(T, seed=0):
     """The canonical object of the algebra's summand registry for the
     indecomposable presilting complex T.
@@ -71,10 +64,10 @@ def intern_summand(T, seed=0):
     elif not tt.complexes_isomorphic(canon, T, seed=seed):
         raise InvariantViolation(
             f"summands with g-vector {g} are not isomorphic: "
-            f"P^-1 {_multiplicities(alg, canon.p1)} -> "
-            f"P^0 {_multiplicities(alg, canon.p0)} and "
-            f"P^-1 {_multiplicities(alg, T.p1)} -> "
-            f"P^0 {_multiplicities(alg, T.p0)}")
+            f"P^-1 {tt.multiplicities(alg, canon.p1)} -> "
+            f"P^0 {tt.multiplicities(alg, canon.p0)} and "
+            f"P^-1 {tt.multiplicities(alg, T.p1)} -> "
+            f"P^0 {tt.multiplicities(alg, T.p0)}")
     forms[ser] = canon
     return canon
 
@@ -120,7 +113,7 @@ class TauRigidPair:
     def projective_part(self):
         """Multiplicity vector of the shifted summands Q[1]."""
         if self._proj is None:
-            self._proj = _multiplicities(
+            self._proj = tt.multiplicities(
                 self.alg, [v for c in self.summands if not c.p0 for v in c.p1])
         return self._proj
 

@@ -9,9 +9,14 @@ Every Hom space between two-term complexes is read off sparse linear
 systems written by one routine, `_add_products`: the block matrix of
 X -> X.d or X -> d.X between two grids of corner spaces.  Strict chain
 maps are the kernel of (f1, f0) -> f0 d_T - d_U f1, homotopies the image
-of h -> (h d_T, d_U h), and the shifts +-1 and the strict endomorphisms
-that `decompose_complex` splits along are the same products between
+of h -> (h d_T, d_U h), and the shifts +-1 are the same products between
 other grids.
+
+Krull-Schmidt splitting and isomorphism go through H^0: a stripped
+complex is the minimal presentation of H^0(T) plus shifted projectives
+Q[1] (Adachi-Iyama-Reiten, "tau-tilting theory", 2014, Thm 3.2), so
+`decompose_complex` and `complexes_isomorphic` hand H^0 to the module
+layer (`modrep.decompose`, `modrep.modules_isomorphic`).
 
 Everything mutation-shaped runs through mapping cones of minimal
 approximations.  The approximation is written once, in its left form;
@@ -23,13 +28,11 @@ whether the extreme degree empties is exactly the test for the mutation
 direction staying two-term (`approximation_cone`).
 """
 
-import random
 from bisect import bisect_right
 
 from .algebra import AlgebraError
-from .linalg import ExactMatrix, RowSpace, kernel_via_presolve
-from .modrep import (ProjSum, minimal_projective_presentation,
-                     quotient_rep)
+from .linalg import RowSpace, kernel_via_presolve
+from . import modrep as mr
 from . import splitting
 
 
@@ -117,8 +120,8 @@ class AlgMatrix:
 
     def realize(self):
         """Vertex matrices (ProjSum(col) -> ProjSum(row)) of this map."""
-        src = ProjSum(self.alg, self.col_verts)
-        tgt = ProjSum(self.alg, self.row_verts)
+        src = mr.ProjSum(self.alg, self.col_verts)
+        tgt = mr.ProjSum(self.alg, self.row_verts)
         f = src.realize_alg_map(tgt, self.entries)
         return src, tgt, f
 
@@ -187,6 +190,14 @@ def direct_sum_complex(summands):
     return TwoTermComplex(alg, tuple(p1), tuple(p0), d)
 
 
+def multiplicities(alg, verts):
+    """How often each vertex occurs in verts."""
+    mults = [0] * alg.n
+    for v in verts:
+        mults[v] += 1
+    return tuple(mults)
+
+
 def g_vector(T):
     """[P^0] - [P^-1] in the projective basis of K_0."""
     g = [0] * T.alg.n
@@ -228,81 +239,64 @@ class Chain3:
     def strip(self):
         """Remove all contractible pairs; leaves the minimal chain."""
         while True:
-            hit = self._find_unit(self.d_low, self.mid, self.low)
-            if hit is not None:
-                self._strip_low(*hit)
-                continue
-            hit = self._find_unit(self.d_high, self.high, self.mid)
-            if hit is not None:
-                self._strip_high(*hit)
-                continue
-            break
-        return self
+            for low in (True, False):
+                table, rows, cols = ((self.d_low, self.mid, self.low) if low
+                                     else (self.d_high, self.high, self.mid))
+                hit = self._find_unit(table, rows, cols)
+                if hit is not None:
+                    self._cancel(low, *hit)
+                    break
+            else:
+                return self
 
-    def _strip_low(self, m0, l0):
+    def _cancel(self, low, i0, j0):
+        """Cancel the unit entry (i0, j0) of d_low (low) or of d_high.
+
+        Gaussian elimination on that table: entry (i, j) gains
+        -d[i, j0] . c^-1 . d[i0, j].  The cancelled mid summand (row i0 of
+        d_low, column j0 of d_high) is then cut off from the other table
+        by the chain condition, which is checked; for d_high that check
+        is the d_low one read in the opposite category.
+        """
         alg = self.alg
-        v = self.mid[m0]
-        c = self.d_low[(m0, l0)]
-        cinv = alg.local_inverse(c, v)
-        row_m0 = {l: e for (m, l), e in self.d_low.items() if m == m0 and l != l0}
-        col_l0 = {m: e for (m, l), e in self.d_low.items() if l == l0 and m != m0}
-        # d_low corrections: new[m][l] -= d[m][l0] . c^-1 . d[m0][l]
-        for m, a in col_l0.items():
+        table = self.d_low if low else self.d_high
+        cinv = alg.local_inverse(table[(i0, j0)],
+                                 (self.mid if low else self.high)[i0])
+        row = {j: e for (i, j), e in table.items() if i == i0 and j != j0}
+        col = {i: e for (i, j), e in table.items() if j == j0 and i != i0}
+        for i, a in col.items():
             fac = alg.elem_mul(a, cinv)
-            for l, b in row_m0.items():
+            for j, b in row.items():
                 delta = alg.elem_mul(fac, b)
                 if delta:
-                    cur = self.d_low.get((m, l), {})
-                    nv = alg.elem_add(cur, alg.elem_neg(delta))
+                    nv = alg.elem_add(table.get((i, j), {}),
+                                      alg.elem_neg(delta))
                     if nv:
-                        self.d_low[(m, l)] = nv
+                        table[(i, j)] = nv
                     else:
-                        self.d_low.pop((m, l), None)
-        # d_high: transformed column m0 must vanish by the chain condition
-        for h in range(len(self.high)):
-            e0 = self.d_high.get((h, m0), {})
-            acc = dict(e0)
-            for m, a in col_l0.items():
-                eh = self.d_high.get((h, m), {})
-                if eh:
-                    acc = alg.elem_add(acc, alg.elem_mul(
-                        eh, alg.elem_mul(a, cinv)))
-            if acc:
-                raise AssertionError("strip: residual differential into "
-                                     "a cancelled mid summand")
-        self._delete(mid=m0, low=l0)
+                        table.pop((i, j), None)
+        other = self.d_high if low else self.d_low
+        m0, link, far = (i0, col, self.high) if low else (j0, row, self.low)
 
-    def _strip_high(self, h0, m0):
-        alg = self.alg
-        v = self.high[h0]
-        c = self.d_high[(h0, m0)]
-        cinv = alg.local_inverse(c, v)
-        row_h0 = {m: e for (h, m), e in self.d_high.items() if h == h0 and m != m0}
-        col_m0 = {h: e for (h, m), e in self.d_high.items() if m == m0 and h != h0}
-        for h, a in col_m0.items():
-            fac = alg.elem_mul(a, cinv)
-            for m, b in row_h0.items():
-                delta = alg.elem_mul(fac, b)
-                if delta:
-                    cur = self.d_high.get((h, m), {})
-                    nv = alg.elem_add(cur, alg.elem_neg(delta))
-                    if nv:
-                        self.d_high[(h, m)] = nv
-                    else:
-                        self.d_high.pop((h, m), None)
-        # d_low: transformed row m0 must vanish by the chain condition
-        for l in range(len(self.low)):
-            e0 = self.d_low.get((m0, l), {})
-            acc = dict(e0)
-            for m, b in row_h0.items():
-                el = self.d_low.get((m, l), {})
-                if el:
-                    acc = alg.elem_add(acc, alg.elem_mul(
-                        alg.elem_mul(cinv, b), el))
+        def at(m, k):
+            return other.get((k, m) if low else (m, k), {})
+
+        def mul(x, y):
+            return alg.elem_mul(x, y) if low else alg.elem_mul(y, x)
+
+        for k in range(len(far)):
+            acc = dict(at(m0, k))
+            for m, a in link.items():
+                e = at(m, k)
+                if e:
+                    acc = alg.elem_add(acc, mul(e, mul(a, cinv)))
             if acc:
-                raise AssertionError("strip: residual differential out of "
-                                     "a cancelled mid summand")
-        self._delete(high=h0, mid=m0)
+                raise AssertionError("strip: residual differential at a "
+                                     "cancelled mid summand")
+        if low:
+            self._delete(mid=i0, low=j0)
+        else:
+            self._delete(high=i0, mid=j0)
 
     def _delete(self, low=None, mid=None, high=None):
         def drop(verts, idx):
@@ -682,235 +676,35 @@ def is_two_term_silting(T, seed=0):
     return len(decompose_complex(T, seed=seed)) == T.alg.n
 
 
-# -- strict decomposition --------------------------------------------------
-
-def _realize_endo_total(T, cm):
-    """Strict chain endo as one block-diagonal matrix on the total space."""
-    F = T.alg.field
-    src1, _, m1 = cm.f1.realize()
-    src0, _, m0 = cm.f0.realize()
-    blocks = list(m1) + list(m0)
-    total = sum(b.nrows for b in blocks)
-    rows = [{} for _ in range(total)]
-    off = 0
-    for b in blocks:
-        for i in range(b.nrows):
-            for j, v in b.rows[i].items():
-                rows[off + i][off + j] = v
-        off += b.nrows
-    return ExactMatrix(F, total, total, rows)
-
-
-def _scalar_part_matrix(alg, m):
-    """Vertex-diagonal scalar parts of an AlgMatrix as an ExactMatrix."""
-    F = alg.field
-    rows = [{} for _ in range(len(m.row_verts))]
-    for (i, j), e in m.entries.items():
-        if m.row_verts[i] == m.col_verts[j]:
-            c = alg.elem_scalar_part(e, m.row_verts[i])
-            if c != 0:
-                rows[i][j] = c
-    return ExactMatrix(F, len(m.row_verts), len(m.col_verts), rows)
-
-
-def _scalar_to_alg(alg, verts_r, verts_c, m):
-    out = AlgMatrix(alg, verts_r, verts_c)
-    for i, row in enumerate(m.rows):
-        for j, c in row.items():
-            if verts_r[i] != verts_c[j]:
-                raise AssertionError("scalar base change must preserve vertices")
-            out.entries[(i, j)] = alg.elem_scale(c, alg.idempotent_elem(verts_r[i]))
-    return out
-
-
-def _diagonalize_scalar_idempotent(field, S, verts):
-    """P, Pinv, diag for an idempotent scalar matrix, vertex blocks only.
-
-    Pinv columns are an image basis then a kernel basis of S, computed
-    per vertex group so the base change respects the grading.
-    """
-    n = S.nrows
-    groups = {}
-    for i, v in enumerate(verts):
-        groups.setdefault(v, []).append(i)
-    diag = [0] * n
-    pinv_rows = [{} for _ in range(n)]
-    for v, idxs in sorted(groups.items()):
-        sub = ExactMatrix.from_rows(
-            field, [[S.entry(i, j) for j in idxs] for i in idxs],
-            ncols=len(idxs))
-        # S acts on columns: image = column space, kernel = right kernel
-        img = sub.transpose().row_space_rows()
-        ker = sub.right_kernel_basis().transpose()
-        local_cols = [dict(r) for r in img.rows] + [dict(r) for r in ker.rows]
-        if len(local_cols) != len(idxs):
-            raise AssertionError("idempotent diagonalization rank mismatch")
-        # the group's new basis vectors stay at the group's own index
-        # positions, keeping the base change vertex-homogeneous
-        for k, col in enumerate(local_cols):
-            for local_i, val in col.items():
-                pinv_rows[idxs[local_i]][idxs[k]] = val
-            diag[idxs[k]] = 1 if k < img.nrows else 0
-    Pinv = ExactMatrix(field, n, n, pinv_rows)
-    P = Pinv.inverse()
-    if P is None:
-        raise AssertionError("idempotent diagonalization produced a "
-                             "singular base change")
-    return P, Pinv, diag
-
-
-def _alg_matrix_inverse_unipotent(alg, m):
-    """Inverse of an AlgMatrix congruent to the identity modulo the radical.
-
-    m = I - N with radical entries N, so the inverse is the finite
-    geometric series sum N^k.
-    """
-    ident = AlgMatrix.identity(alg, m.row_verts)
-    N = ident.sub(m)
-    out = ident
-    term = ident
-    for _ in range(len(m.row_verts) * (alg.dim + 1) + 1):
-        term = N.matmul(term)
-        if term.is_zero():
-            return out
-        out = out.add(term)
-    raise AssertionError("matrix is not unipotent")
-
-
-
-def _split_by_idempotent(T, e1, e0):
-    """Split T along a strict idempotent chain endomorphism.
-
-    Conjugates (e1, e0) degree-wise to a 0/1 diagonal: first a scalar
-    base change diagonalizing the scalar part, then the standard unit
-    u = e'D + (1-e')(1-D), whose conjugation takes e' exactly to D.  The
-    transported differential then has vanishing cross blocks and the two
-    diagonal blocks are the summands.
-    """
-    alg = T.alg
-    F = alg.field
-    degree_data = []
-    for verts, e in (((T.p1), e1), ((T.p0), e0)):
-        S = _scalar_part_matrix(alg, e)
-        P, Pinv, diag = _diagonalize_scalar_idempotent(F, S, verts)
-        P_a = _scalar_to_alg(alg, verts, verts, P)
-        Pinv_a = _scalar_to_alg(alg, verts, verts, Pinv)
-        e_prime = P_a.matmul(e).matmul(Pinv_a)
-        D = AlgMatrix(alg, verts, verts)
-        for i, dv in enumerate(diag):
-            if dv:
-                D.entries[(i, i)] = alg.idempotent_elem(verts[i])
-        ident = AlgMatrix.identity(alg, verts)
-        u = e_prime.matmul(D).add(
-            ident.sub(e_prime).matmul(ident.sub(D)))
-        uinv = _alg_matrix_inverse_unipotent(alg, u)
-        check = uinv.matmul(e_prime).matmul(u)
-        if check.serialize() != D.serialize():
-            raise AssertionError("idempotent conjugation failed")
-        # total base change Q with Q e Q^-1 = D:  Q = u^-1 P
-        Q = uinv.matmul(P_a)
-        Qinv = Pinv_a.matmul(u)
-        degree_data.append((verts, diag, Q, Qinv))
-    (v1, diag1, Q1, Q1inv), (v0, diag0, Q0, Q0inv) = degree_data
-    d_new = Q0.matmul(T.d).matmul(Q1inv)
-    for (i, j), e in d_new.entries.items():
-        if diag0[i] != diag1[j] and e:
-            raise AssertionError("differential does not respect the split")
-    out = []
-    for keep in (1, 0):
-        idx1 = [j for j, dv in enumerate(diag1) if dv == keep]
-        idx0 = [i for i, dv in enumerate(diag0) if dv == keep]
-        sub_p1 = tuple(v1[j] for j in idx1)
-        sub_p0 = tuple(v0[i] for i in idx0)
-        pos1 = {j: k for k, j in enumerate(idx1)}
-        pos0 = {i: k for k, i in enumerate(idx0)}
-        entries = {}
-        for (i, j), e in d_new.entries.items():
-            if i in pos0 and j in pos1:
-                entries[(pos0[i], pos1[j])] = e
-        d = AlgMatrix(alg, sub_p0, sub_p1, entries)
-        out.append(TwoTermComplex(alg, sub_p1, sub_p0, d))
-    return out
-
+# -- decomposition and isomorphism through H^0 ------------------------------
 
 def decompose_complex(T, seed=0):
     """Indecomposable summands of T in the homotopy category.
 
-    Strips contractibles, then splits along strict idempotents: for
-    minimal complexes, strict and homotopy-category decompositions agree.
+    Stripped, T is the minimal presentation of M = H^0(T) plus the
+    shifted projectives `complex_to_pair` counts: d lies in the radical,
+    so P^0 -> M is a projective cover, and P^-1 -> im d is the cover of
+    the kernel plus a summand mapping to zero.  The summands are the
+    presentations of the summands of M and one P_v[1] per multiplicity.
     """
-    if T.alg.field.characteristic != 0:
-        raise AlgebraError("decompose_complex requires the rationals")
-    T = strip_contractible(T)
-    if T.is_zero():
-        return []
-    c1, c0, vecs = _chain_maps(T, T, _ProductCache(T.alg))
-    basis = [_chain_map(T, T, c1, c0, v) for v in vecs]
-    if len(basis) == 1:
-        return [T]
-    mats = [_realize_endo_total(T, cm) for cm in basis]
-    total = mats[0].nrows if mats else 0
-    e = splitting.find_idempotent(T.alg.field, mats, total, seed=seed)
-    if e is None:
-        return [T]
-    # express the found idempotent over the strict basis to get its
-    # algebra-entry form
-    flat = []
-    for m in mats:
-        vec = {}
-        n = m.ncols
-        for i, row in enumerate(m.rows):
-            for j, v in row.items():
-                vec[i * n + j] = v
-        flat.append(vec)
-    stacked = ExactMatrix.from_row_dicts(
-        T.alg.field, len(flat), total * total, flat)
-    evec = {}
-    for i, row in enumerate(e.rows):
-        for j, v in row.items():
-            evec[i * total + j] = v
-    target = ExactMatrix.from_row_dicts(T.alg.field, 1, total * total, [evec])
-    sol = stacked.solve_left(target)
-    if sol is None:
-        raise AssertionError("idempotent escaped the strict endomorphism algebra")
-    idem = _combine(T, T, ((c, basis[k])
-                           for k, c in sorted(sol.rows[0].items())))
-    out = []
-    for part in _split_by_idempotent(T, idem.f1, idem.f0):
-        out.extend(decompose_complex(part, seed=seed + 1))
+    alg = T.alg
+    M, shifted = complex_to_pair(T)
+    out = [presentation_complex(m) for m in mr.decompose(M, seed=seed)]
+    out.extend(stalk_complex(alg, (v,), 1)
+               for v in range(alg.n) for _ in range(shifted[v]))
     out.sort(key=lambda c: (g_vector(c), c.serialize()))
     return out
 
 
 def complexes_isomorphic(T, U, seed=0):
-    """Homotopy-equivalence test: some map has a cone that strips to zero."""
-    T = strip_contractible(T)
-    U = strip_contractible(U)
-    if g_vector(T) != g_vector(U):
-        return False
-    if (tuple(sorted(T.p0)), tuple(sorted(T.p1))) != \
-       (tuple(sorted(U.p0)), tuple(sorted(U.p1))):
-        return False
-    hs = hom_homotopy(T, U, 0)
-    if hs.dim == 0:
-        return T.is_zero() and U.is_zero()
+    """Homotopy equivalence: equal g-vectors and isomorphic H^0.
 
-    def contractible_cone(cm):
-        ch = mapping_cone_chain(cm)
-        ch.strip()
-        return not ch.low and not ch.mid and not ch.high
-
-    for cm in hs.reps:
-        if contractible_cone(cm):
-            return True
-    F = T.alg.field
-    rng = random.Random(seed)
-    for _ in range(60):
-        coeffs = [F.from_int(rng.randint(-2, 2)) for _ in hs.reps]
-        if any(c != 0 for c in coeffs) and contractible_cone(
-                _combine(T, U, zip(coeffs, hs.reps))):
-            return True
-    return False
+    By `decompose_complex`, T is the presentation of H^0(T) plus Q[1],
+    and [Q] is the g-vector of that presentation minus g(T), so H^0 and
+    the g-vector determine T; neither needs stripping.
+    """
+    return g_vector(T) == g_vector(U) and mr.modules_isomorphic(
+        complex_h0(T), complex_h0(U), seed=seed)
 
 
 # -- translation between pairs and complexes ------------------------------
@@ -918,7 +712,7 @@ def complexes_isomorphic(T, U, seed=0):
 def presentation_complex(M):
     """Two-term complex of a minimal projective presentation of M."""
     alg = M.alg
-    pres = minimal_projective_presentation(M)
+    pres = mr.minimal_projective_presentation(M)
     d = AlgMatrix(alg, pres.P0.verts, pres.P1.verts,
                   {(t, s): e for (t, s), e in pres.entries.items()})
     return TwoTermComplex(alg, pres.P1.verts, pres.P0.verts, d)
@@ -938,25 +732,29 @@ def complex_h0(T):
     """H^0(T) = coker(d) as a representation (computed once per object)."""
     if T._h0 is None:
         src, tgt, f = T.d.realize()
-        T._h0, _ = quotient_rep(tgt.rep, [f[v].rows for v in range(T.alg.n)])
+        T._h0, _ = mr.quotient_rep(tgt.rep,
+                                   [f[v].rows for v in range(T.alg.n)])
     return T._h0
 
 
 def complex_to_pair(T):
-    """(M, P-multiplicities) with M = H^0(T), P the shifted summand."""
+    """(M, P-multiplicities) with M = H^0(T), P the shifted summand.
+
+    Stripped, P^-1 is the P^-1 of the minimal presentation of M plus P
+    (see `decompose_complex`), whether or not T is presilting.
+    """
     alg = T.alg
     T = strip_contractible(T)
     M = complex_h0(T)
-    pres = minimal_projective_presentation(M)
-    counts = [0] * alg.n
-    for v in T.p1:
-        counts[v] += 1
-    for v in pres.P1.verts:
-        counts[v] -= 1
+    have = multiplicities(alg, T.p1)
+    pres = multiplicities(
+        alg, mr.minimal_projective_presentation(M).P1.verts)
+    counts = tuple(a - b for a, b in zip(have, pres))
     if any(c < 0 for c in counts):
-        raise AlgebraError("complex is not presilting: H^0 presentation "
-                           "does not split off")
-    return M, tuple(counts)
+        raise AlgebraError(
+            "invariant failed: the stripped complex has P^-1 multiplicities "
+            f"{have}, fewer than the {pres} of its H^0 presentation")
+    return M, counts
 
 
 # -- minimal approximations ------------------------------------------------
@@ -1122,12 +920,6 @@ def complex_to_json_dict(T):
     summands."""
     alg = T.alg
     F = alg.field
-    p1 = [0] * alg.n
-    for v in T.p1:
-        p1[v] += 1
-    p0 = [0] * alg.n
-    for v in T.p0:
-        p0[v] += 1
     d = []
     for j in range(len(T.p1)):
         row = []
@@ -1136,4 +928,5 @@ def complex_to_json_dict(T):
             row.append([F.to_string(e.get(b, F.zero))
                         for b in range(alg.dim)])
         d.append(row)
-    return {"p_minus1": p1, "p_zero": p0, "d": d}
+    return {"p_minus1": list(multiplicities(alg, T.p1)),
+            "p_zero": list(multiplicities(alg, T.p0)), "d": d}

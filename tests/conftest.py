@@ -45,6 +45,11 @@ def preproj_a2():
 
 
 @pytest.fixture(scope="session")
+def preproj_a3():
+    return read_algebra("preproj_a3.alg")
+
+
+@pytest.fixture(scope="session")
 def kronecker():
     return read_algebra("kronecker.alg")
 

@@ -173,6 +173,74 @@ def test_complexes_isomorphic_negative(kA2, s1_complex):
         s1_complex, tt.stalk_complex(kA2, (0,), 0))
     assert not tt.complexes_isomorphic(
         tt.stalk_complex(kA2, (0,), 0), tt.stalk_complex(kA2, (1,), 0))
+    # equal H^0 (the simple S1), different shifted part
+    with_shift = tt.direct_sum_complex(
+        [s1_complex, tt.stalk_complex(kA2, (1,), 1)])
+    assert mr.modules_isomorphic(tt.complex_h0(with_shift),
+                                 tt.complex_h0(s1_complex))
+    assert not tt.complexes_isomorphic(with_shift, s1_complex)
+    assert not tt.complexes_isomorphic(s1_complex, with_shift)
+
+
+def _mix(T):
+    """T under a unipotent base change in both degrees: every later
+    summand at a vertex gets a multiple of the first one there."""
+    alg = T.alg
+    d = T.d
+    for verts, degree0 in ((T.p0, True), (T.p1, False)):
+        g = tt.AlgMatrix.identity(alg, verts)
+        first = {}
+        for j, v in enumerate(verts):
+            i = first.setdefault(v, j)
+            if i != j:
+                c = alg.elem_scale(alg.field.from_int(1 + j % 2),
+                                   alg.idempotent_elem(v))
+                # row j of d gains c times row i; column j likewise
+                g.set(*((j, i) if degree0 else (i, j)), c)
+        d = g.matmul(d) if degree0 else d.matmul(g)
+    return tt.TwoTermComplex(alg, T.p1, T.p0, d)
+
+
+def _assert_summands(parts, expected):
+    assert sorted(tt.g_matrix(parts)) == sorted(tt.g_matrix(expected))
+    for part in parts:
+        assert any(tt.complexes_isomorphic(part, c) for c in expected), part
+
+
+@pytest.mark.parametrize("name,max_nodes,min_mixed", [
+    ("a4", 10 ** 6, 26), ("preproj_a3", 10 ** 6, 17), ("loop2", 10 ** 6, 0),
+    ("kronecker", 12, 9)],
+    ids=["a4", "preproj_a3", "loop2", "kronecker-12"])
+def test_decompose_complex_mixed_sums(request, name, max_nodes, min_mixed):
+    # Sums that are not block-diagonal: the whole complex of a pair and
+    # two stalks P_v[1], mixed by a base change, then a contractible
+    # P_v -> P_v mixed into every summand at v.  The pair's summands and
+    # the two stalks come back.
+    from tautilt.sttilt import enumerate_sttilt
+    alg = request.getfixturevalue(name)
+    graph = enumerate_sttilt(alg, max_nodes=max_nodes)
+    still_mixed = 0
+    for pair in graph.nodes:
+        T = pair.whole_complex()
+        v = (T.p1 or T.p0)[0]
+        unit = tt.AlgMatrix(alg, (v,), (v,))
+        unit.set(0, 0, alg.idempotent_elem(v))
+        contractible = tt.TwoTermComplex(alg, (v,), (v,), unit)
+        stalk = tt.stalk_complex(alg, (v,), 1)
+        plain = tt.direct_sum_complex([T, stalk, stalk])
+        inner = _mix(plain)
+        mixed = _mix(tt.direct_sum_complex([contractible, inner]))
+        assert mixed.serialize() != tt.direct_sum_complex(
+            [contractible, plain]).serialize()
+        # stripping undoes the contractible's mixing, not the inner one
+        still_mixed += (tt.strip_contractible(mixed).serialize()
+                        != plain.serialize())
+        parts = tt.decompose_complex(mixed)
+        _assert_summands(parts, list(pair.summands) + [stalk, stalk])
+        assert sum(p.serialize() == stalk.serialize() for p in parts) \
+            == pair.projective_part()[v] + 2
+    # one vertex leaves nothing to mix the pair's summands with
+    assert still_mixed >= min_mixed
 
 
 def test_preprojective_loops():
