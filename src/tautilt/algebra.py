@@ -192,10 +192,7 @@ def parse_quiver_spec(text):
     for rtext in relations_text:
         terms = _parse_relation_text(rtext)
         relations.append([(field.from_string(c), names) for c, names in terms])
-    try:
-        return QuiverSpec(field, vertices, arrows, relations, bound)
-    except AlgebraError:
-        raise
+    return QuiverSpec(field, vertices, arrows, relations, bound)
 
 
 def parse_algebra(text):
@@ -374,7 +371,6 @@ class BoundQuiverAlgebra:
         by_source = {}
         for i, a in enumerate(self.arrows):
             by_source.setdefault(a.source, []).append(i)
-        layer = [()] * 0
         basis = [((), v) for v in range(self.n)]  # (path, source-vertex)
         layer = list(basis)
         length = 0

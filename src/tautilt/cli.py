@@ -97,18 +97,7 @@ def _build_module(alg, dims, mats, origin="input"):
     return mr.Representation(alg, dims, maps)
 
 
-def module_to_json(M):
-    F = M.alg.field
-    arrows = {}
-    for ai, arrow in enumerate(M.alg.arrows):
-        mat = M.maps[ai]
-        arrows[arrow.name] = [
-            [F.to_string(mat.entry(i, j)) for j in range(mat.ncols)]
-            for i in range(mat.nrows)]
-    return {"dim_vector": list(M.dims), "arrows": arrows}
-
-
-def load_pair(alg, path, seed=0):
+def load_pair(alg, path):
     text = _read_file(path)
     try:
         data = json.loads(text)
@@ -123,13 +112,12 @@ def load_pair(alg, path, seed=0):
     if len(proj) != alg.n:
         raise UsageError(f"{path}: projective_part length != vertices")
     M = mr.direct_sum(alg, mods)
-    return st.pair_from_module_data(alg, M, tuple(int(x) for x in proj),
-                                    seed=seed)
+    return st.pair_from_module_data(alg, M, tuple(int(x) for x in proj))
 
 
 def pair_to_json(pair):
     return {
-        "modules": [module_to_json(m) for m in pair.module_summands()],
+        "modules": [st.module_to_json(m) for m in pair.module_summands()],
         "projective_part": list(pair.projective_part()),
         "g_matrix": [list(col) for col in pair.g_matrix()],
     }
@@ -170,7 +158,7 @@ def cmd_tau(args, out):
     M = load_module(alg, args.module)
     tm = mr.tau(M)
     if args.format == "json":
-        _emit(out, json.dumps(module_to_json(tm), indent=2, sort_keys=True))
+        _emit(out, json.dumps(st.module_to_json(tm), indent=2, sort_keys=True))
     else:
         _emit(out, f"dim_vector: {list(tm.dims)}")
         for ai, arrow in enumerate(alg.arrows):
@@ -184,7 +172,7 @@ def cmd_tau(args, out):
 
 def cmd_enumerate(args, out):
     alg = load_algebra(args.algebra)
-    graph = st.enumerate_sttilt(alg, max_nodes=args.max_nodes, seed=args.seed)
+    graph = st.enumerate_sttilt(alg, max_nodes=args.max_nodes)
     if args.format == "json":
         _emit(out, graph.to_json())
     elif args.format == "dot":
@@ -196,8 +184,8 @@ def cmd_enumerate(args, out):
 
 def cmd_mutate(args, out):
     alg = load_algebra(args.algebra)
-    pair = load_pair(alg, args.pair, seed=args.seed)
-    new, direction = st.mutate(pair, args.index, seed=args.seed)
+    pair = load_pair(alg, args.pair)
+    new, direction = st.mutate(pair, args.index)
     _emit(out, json.dumps({"pair": pair_to_json(new),
                            "direction": direction},
                           indent=2, sort_keys=True))
@@ -206,23 +194,23 @@ def cmd_mutate(args, out):
 
 def cmd_bongartz(args, out):
     alg = load_algebra(args.algebra)
-    pair = load_pair(alg, args.pair, seed=args.seed)
-    done = st.bongartz_completion(pair, seed=args.seed)
+    pair = load_pair(alg, args.pair)
+    done = st.bongartz_completion(pair)
     _emit(out, json.dumps(pair_to_json(done), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_cocompletion(args, out):
     alg = load_algebra(args.algebra)
-    pair = load_pair(alg, args.pair, seed=args.seed)
-    done = st.minimal_completion(pair, seed=args.seed)
+    pair = load_pair(alg, args.pair)
+    done = st.minimal_completion(pair)
     _emit(out, json.dumps(pair_to_json(done), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_gvectors(args, out):
     alg = load_algebra(args.algebra)
-    pair = load_pair(alg, args.pair, seed=args.seed)
+    pair = load_pair(alg, args.pair)
     _emit(out, json.dumps({"g_matrix": [list(c) for c in pair.g_matrix()]},
                           indent=2, sort_keys=True))
     return 0
@@ -244,7 +232,7 @@ def cmd_oracle(args, out):
 def cmd_tilting(args, out):
     alg = load_algebra(args.algebra)
     M = load_module(alg, args.module)
-    verdict = st.is_classical_tilting(M, seed=args.seed)
+    verdict = st.is_classical_tilting(M)
     _emit(out, f"classical-tilting: {str(verdict).lower()}")
     return 0
 
@@ -257,7 +245,6 @@ def build_parser():
 
     def common(p, module=False, pair=False, index=False, fmt=("table", "json")):
         p.add_argument("--algebra", required=True, metavar="FILE")
-        p.add_argument("--seed", type=int, default=0)
         if module:
             p.add_argument("--module", required=True, metavar="FILE")
         if pair:

@@ -13,16 +13,10 @@ injective sums, which is what the Auslander-Reiten translation kernel
 is computed from.
 """
 
-import itertools
-import random
-
 from .algebra import AlgebraError
 from .linalg import ExactMatrix, RowSpace
 from . import splitting
-
-
-class DecompositionError(RuntimeError):
-    """Idempotent splitting failed to converge; signals a bug, not data."""
+from .splitting import DecompositionError  # re-exported for callers
 
 
 class Representation:
@@ -468,11 +462,10 @@ def projective_cover(M):
     return P, cover
 
 
-def kernel_subrep(alg, M, f, N):
+def kernel_subrep(alg, M, f):
     """Kernel of f: M -> N as (K, inclusion row matrices K_v -> M_v)."""
     K_rows = [f[v].left_kernel_rows() for v in range(alg.n)]
-    K, basis_mats = subrep_from_rows(M, [m.rows for m in K_rows])
-    return K, basis_mats
+    return subrep_from_rows(M, [m.rows for m in K_rows])
 
 
 class Presentation:
@@ -492,7 +485,7 @@ def minimal_projective_presentation(M):
     """Projective cover of M and of the kernel of the cover."""
     alg = M.alg
     P0, cover = projective_cover(M)
-    K, incl = kernel_subrep(alg, P0.rep, cover, M)
+    K, incl = kernel_subrep(alg, P0.rep, cover)
     P1, cover1 = projective_cover(K)
     f = tuple(cover1[v].mul(incl[v]) for v in range(alg.n))
     entries = P1.extract_alg_entries(P0, f)
@@ -533,7 +526,7 @@ def tau(M):
     """Auslander-Reiten translation: kernel of nu(P1) -> nu(P0)."""
     pres = minimal_projective_presentation(M)
     I1, I0, nf = nakayama_map(M.alg, pres.P1, pres.P0, pres.entries)
-    K, _ = kernel_subrep(M.alg, I1.rep, nf, I0.rep)
+    K, _ = kernel_subrep(M.alg, I1.rep, nf)
     return K
 
 
@@ -541,7 +534,7 @@ def ext1_dim(M, N):
     """dim Ext^1(M, N) from 0 -> K -> P0 -> M -> 0."""
     alg = M.alg
     P0, cover = projective_cover(M)
-    K, incl = kernel_subrep(alg, P0.rep, cover, M)
+    K, incl = kernel_subrep(alg, P0.rep, cover)
     homKN = hom_space(K, N)
     homP0N = hom_space(P0.rep, N)
     restricted = [tuple(incl[v].mul(g[v]) for v in range(alg.n)) for g in homP0N]
@@ -672,11 +665,13 @@ def _endo_total_matrix(alg, M, f):
     return ExactMatrix(F, total, total, rows)
 
 
-def decompose(M, seed=0):
+def decompose(M):
     """Indecomposable direct summands of M (with repetition), recursively.
 
-    Needs the rationals: splitting searches factor minimal polynomials
-    over Q and takes exact CRT idempotents in End(M).
+    Needs the rationals: splitting factors minimal polynomials over Q,
+    takes exact Bezout idempotents in End(M) and certifies a summand
+    indecomposable by its local End (see `splitting`).  Raises
+    DecompositionError when End(M) is neither split nor certified local.
     """
     alg = M.alg
     if alg.field.characteristic != 0:
@@ -687,7 +682,7 @@ def decompose(M, seed=0):
     if len(ends) == 1:
         return [M]
     mats = [_endo_total_matrix(alg, M, f) for f in ends]
-    e = splitting.find_idempotent(alg.field, mats, M.total_dim, seed=seed)
+    e = splitting.find_idempotent(alg.field, mats, M.total_dim)
     if e is None:
         return [M]
     emorph = _total_to_vertexwise(alg, M, e)
@@ -697,7 +692,7 @@ def decompose(M, seed=0):
         sub, _ = subrep_from_rows(M, rows)
         if sub.total_dim == 0 or sub.total_dim == M.total_dim:
             raise DecompositionError("idempotent produced a trivial split")
-        out.extend(decompose(sub, seed=seed + 1))
+        out.extend(decompose(sub))
     out.sort(key=lambda r: (r.total_dim, r.dims))
     return out
 
@@ -722,12 +717,13 @@ def _complement(alg, M, emorph):
         for v in range(alg.n))
 
 
-def group_by_iso(reps, seed=0):
-    """Group a list of representations into iso classes with multiplicity."""
+def group_by_iso(reps):
+    """Group a list of indecomposable representations into iso classes
+    with multiplicity."""
     groups = []
     for r in reps:
         for g in groups:
-            if modules_isomorphic(g[0], r, seed=seed):
+            if _indecomposables_isomorphic(g[0], r):
                 g[1] += 1
                 break
         else:
@@ -735,48 +731,40 @@ def group_by_iso(reps, seed=0):
     return [(g[0], g[1]) for g in groups]
 
 
-def modules_isomorphic(M, N, seed=0):
-    """Exact isomorphism test via invertible elements of Hom(M, N)."""
+def modules_isomorphic(M, N):
+    """Exact isomorphism test: a Krull-Schmidt match of the indecomposable
+    summands of M and N."""
     if M.dims != N.dims:
         return False
-    if M.total_dim == 0:
-        return True
-    alg = M.alg
-    F = alg.field
-    homs = hom_space(M, N)
-    if not homs:
-        return False
-    if len(hom_space(N, M)) != len(homs):
-        return False
+    unmatched = decompose(N)
+    for X in decompose(M):
+        for i, Y in enumerate(unmatched):
+            if _indecomposables_isomorphic(X, Y):
+                del unmatched[i]
+                break
+        else:
+            return False
+    return not unmatched
 
-    def invertible(f):
-        for v in range(alg.n):
-            if M.dims[v] and f[v].rank() != M.dims[v]:
-                return False
-        return True
 
-    for f in homs:
-        if invertible(f):
-            return True
-    rng = random.Random(seed)
-    for _ in range(120):
-        coeffs = [F.from_int(rng.randint(-2, 2)) for _ in homs]
-        f = None
-        for c, h in zip(coeffs, homs):
-            if c == 0:
-                continue
-            term = morphism_scale(c, h)
-            f = term if f is None else morphism_add(f, term)
-        if f is not None and invertible(f):
-            return True
-    if len(homs) <= 5:
-        for coeffs in itertools.product(range(-2, 3), repeat=len(homs)):
-            f = None
-            for c, h in zip(coeffs, homs):
-                if c == 0:
-                    continue
-                term = morphism_scale(F.from_int(c), h)
-                f = term if f is None else morphism_add(f, term)
-            if f is not None and invertible(f):
+def _indecomposables_isomorphic(X, Y):
+    """Isomorphism of indecomposable X and Y: some composite g.f of basis
+    maps f: X -> Y, g: Y -> X is invertible.
+
+    End X is local, so its non-units form the subspace rad End X.  An
+    isomorphism puts the identity in the span of the composites, so they
+    are not all non-units; conversely an invertible g.f makes X a summand
+    of the indecomposable Y.
+    """
+    if X.dims != Y.dims:
+        return False
+    alg = X.alg
+    back = hom_space(Y, X)
+    if not back:
+        return False
+    for f in hom_space(X, Y):
+        for g in back:
+            fg = morphism_compose(alg, f, g)
+            if all(fg[v].rank() == X.dims[v] for v in range(alg.n)):
                 return True
     return False

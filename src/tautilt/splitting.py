@@ -1,27 +1,31 @@
-"""Idempotent search in matrix algebras over Q.
+"""Certified idempotent splitting of matrix algebras over Q.
 
 Used by the Krull-Schmidt decomposition of modules (`modrep.decompose`);
 two-term complexes are split through their H^0.  It hands in a basis of
-an endomorphism algebra realized as square matrices on the total space;
-we look for a nontrivial idempotent by factoring minimal polynomials of
-candidate elements.  If the minimal polynomial of x splits into two
-coprime parts f, g, the Bezout identity s f + t g = 1 gives the exact
-idempotent (t g)(x) (identity on the f-primary part, zero on the rest),
-no lifting needed.
+an endomorphism algebra E realized as square matrices on the total space;
+each candidate x is decided by the factors of its minimal polynomial.
 
-The candidate sweep (basis elements, pairwise sums, seeded small random
-combinations, small exhaustive fallback) is deterministic for a fixed
-seed.  Returning None means "no splitting found", which the caller
-treats as "indecomposable"; for the module sizes this package targets the
-sweep is reliable because the solved echelon bases of End contain
-projection-like elements whenever the object is decomposable.
+- Two or more coprime primary factors f, g: the Bezout identity
+  s f + t g = 1 gives the exact idempotent (t g)(x) (identity on the
+  f-primary part, zero on the rest), no lifting needed.
+- One primary factor p^k with deg p = dim E/rad E: the image y of x in
+  the semisimple E/rad E has minimal polynomial p, so Q[y] is a subfield
+  of E/rad E of full dimension.  Then E/rad E is a field, E is local and
+  the object is indecomposable.
+
+The candidates are the basis elements, then their pairwise sums.  Returning
+None certifies a local algebra; when no candidate decides (E/rad E a
+noncommutative division algebra, say) `find_idempotent` raises
+DecompositionError rather than guess.
 """
 
 import itertools
-import random
-from fractions import Fraction
 
 from .linalg import ExactMatrix, RowSpace
+
+
+class DecompositionError(RuntimeError):
+    """No candidate splits the endomorphism algebra or certifies it local."""
 
 
 def _flatten(mat):
@@ -69,98 +73,53 @@ def _eval_poly(field, coeffs, mat):
     return acc
 
 
-def _split_idempotent_from_minpoly(field, mat, coeffs):
-    """Exact idempotent from a coprime factor split of the minimal polynomial."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x, domain="QQ")
-    factors = sympy.factor_list(poly)[1]
-    if len(factors) < 2:
-        return None
+def _bezout_idempotent(field, mat, factors):
+    """(t g)(mat) for s f + t g = 1, f the first primary factor and g the
+    product of the others."""
     f = factors[0][0] ** factors[0][1]
-    g = sympy.Poly(1, x, domain="QQ")
+    g = f.one
     for base, mult in factors[1:]:
-        g = g * base ** mult
-    s, t, h = sympy.gcdex(f.as_expr(), g.as_expr(), x)
-    if sympy.simplify(h) != 1:
-        return None
-    tg = sympy.Poly(sympy.expand(t * g.as_expr()), x, domain="QQ")
-    cs = [Fraction(str(c)) for c in reversed(tg.all_coeffs())]
-    e = _eval_poly(field, [field.from_string(str(c)) for c in cs], mat)
-    n = mat.nrows
+        g *= base ** mult
+    _, t, _ = f.gcdex(g)
+    tg = t * g
+    e = _eval_poly(field, [field.from_string(str(c))
+                           for c in reversed(tg.all_coeffs())], mat)
     if e.mul(e) != e:
-        # defensive polish; with the true minimal polynomial this is a no-op
-        for _ in range(20):
-            e2 = e.mul(e)
-            e = e2.scale(field.from_int(3)).sub(e2.mul(e).scale(field.from_int(2)))
-            if e.mul(e) == e:
-                break
-        else:
-            return None
-    if e.is_zero() or e == ExactMatrix.identity(field, n):
-        return None
+        raise DecompositionError("Bezout element is not idempotent")
     return e
 
 
-def find_idempotent(field, basis_mats, total_dim, seed=0, random_trials=80):
-    """Nontrivial idempotent in the span of basis_mats, or None.
+def find_idempotent(field, basis_mats, total_dim):
+    """Nontrivial idempotent in the span of basis_mats, or None when the
+    span is a local algebra.
 
     basis_mats must be closed under multiplication up to span (an algebra
-    basis) and contain the identity in their span.
+    basis) and contain the identity in their span.  Raises
+    DecompositionError when no candidate decides.
     """
-    if total_dim == 0 or len(basis_mats) <= 1:
-        return None
+    import sympy
 
-    def try_candidate(mat):
+    k = len(basis_mats)
+    if k == 1:
+        return None  # the span of the identity: Q itself
+    pairs = (basis_mats[i].add(basis_mats[j])
+             for i in range(k) for j in range(i + 1, k))
+    top_dim = None
+    x = sympy.Symbol("x")
+    for mat in itertools.chain(basis_mats, pairs):
         coeffs = minimal_polynomial(field, mat)
-        if len(coeffs) <= 2:
-            return None  # scalar-ish element, no split
-        return _split_idempotent_from_minpoly(field, mat, coeffs)
-
-    for mat in basis_mats:
-        e = try_candidate(mat)
-        if e is not None:
-            return e
-    npairs = 0
-    for i in range(len(basis_mats)):
-        for j in range(i + 1, len(basis_mats)):
-            e = try_candidate(basis_mats[i].add(basis_mats[j]))
-            if e is not None:
-                return e
-            npairs += 1
-            if npairs >= 60:
-                break
-        if npairs >= 60:
-            break
-    rng = random.Random(seed)
-    for _ in range(random_trials):
-        acc = None
-        for m in basis_mats:
-            c = rng.randint(-2, 2)
-            if c == 0:
-                continue
-            term = m.scale(field.from_int(c))
-            acc = term if acc is None else acc.add(term)
-        if acc is None:
-            continue
-        e = try_candidate(acc)
-        if e is not None:
-            return e
-    if len(basis_mats) <= 4:
-        for coeffs in itertools.product(range(-2, 3), repeat=len(basis_mats)):
-            acc = None
-            for c, m in zip(coeffs, basis_mats):
-                if c == 0:
-                    continue
-                term = m.scale(field.from_int(c))
-                acc = term if acc is None else acc.add(term)
-            if acc is None:
-                continue
-            e = try_candidate(acc)
-            if e is not None:
-                return e
-    return None
+        poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x,
+                          domain="QQ")
+        factors = poly.factor_list()[1]
+        if len(factors) > 1:
+            return _bezout_idempotent(field, mat, factors)
+        if top_dim is None:
+            top_dim = k - len(radical_from_trace(field, basis_mats, total_dim))
+        if factors[0][0].degree() == top_dim:
+            return None
+    raise DecompositionError(
+        f"no basis element or pairwise sum splits the {k}-dimensional "
+        f"endomorphism algebra or certifies it local")
 
 
 def radical_from_trace(field, basis_mats, total_dim):

@@ -42,7 +42,7 @@ class InvariantViolation(RuntimeError):
     """A certified internal invariant failed; enumeration aborts."""
 
 
-def intern_summand(T, seed=0):
+def intern_summand(T):
     """The canonical object of the algebra's summand registry for the
     indecomposable presilting complex T.
 
@@ -61,7 +61,7 @@ def intern_summand(T, seed=0):
     canon = alg.summands.get(g)
     if canon is None:
         canon = alg.summands[g] = T
-    elif not tt.complexes_isomorphic(canon, T, seed=seed):
+    elif not tt.complexes_isomorphic(canon, T):
         raise InvariantViolation(
             f"summands with g-vector {g} are not isomorphic: "
             f"P^-1 {tt.multiplicities(alg, canon.p1)} -> "
@@ -129,7 +129,7 @@ class TauRigidPair:
         return f"TauRigidPair({list(self.summands)!r})"
 
 
-def pair_from_module_data(alg, M, proj_mults, seed=0, check=True):
+def pair_from_module_data(alg, M, proj_mults, check=True):
     """Build a basic pair from a module and projective multiplicities.
 
     Decomposes M, drops duplicate summands (basic closure), validates
@@ -137,7 +137,7 @@ def pair_from_module_data(alg, M, proj_mults, seed=0, check=True):
     interned.
     """
     summands = []
-    groups = mr.group_by_iso(mr.decompose(M, seed=seed), seed=seed)
+    groups = mr.group_by_iso(mr.decompose(M))
     basic = [g[0] for g in groups]
     for part in basic:
         summands.append(tt.strip_contractible(tt.presentation_complex(part)))
@@ -147,7 +147,7 @@ def pair_from_module_data(alg, M, proj_mults, seed=0, check=True):
     if check:
         if not is_tau_rigid_pair(M, proj_mults):
             raise NotTauRigidError("pair is not tau-rigid")
-        summands = [intern_summand(c, seed=seed) for c in summands]
+        summands = [intern_summand(c) for c in summands]
     return TauRigidPair(alg, summands)
 
 
@@ -172,7 +172,7 @@ def tau_tilting_pair_from_summands(alg, summands):
     return pair
 
 
-def pairs_isomorphic(p, q, seed=0):
+def pairs_isomorphic(p, q):
     """Isomorphism of pairs: equal projective parts, matched module summands."""
     if p.alg is not q.alg or p.size != q.size:
         return False
@@ -185,7 +185,7 @@ def pairs_isomorphic(p, q, seed=0):
     used = [False] * len(mods_q)
     for mp in mods_p:
         for i, mq in enumerate(mods_q):
-            if not used[i] and mr.modules_isomorphic(mp, mq, seed=seed):
+            if not used[i] and mr.modules_isomorphic(mp, mq):
                 used[i] = True
                 break
         else:
@@ -195,30 +195,30 @@ def pairs_isomorphic(p, q, seed=0):
 
 # -- completions ------------------------------------------------------------
 
-def _completion(pair, left, seed):
+def _completion(pair, left):
     """The completion whose new summands come from the (co)cone of the
     minimal left approximation of A, or the right one of A[1]."""
     alg = pair.alg
     _require_tau_rigid(pair)
     X = tt.algebra_stalk(alg, 0 if left else 1)
-    targets = tt.basic_summands(pair.summands, seed=seed)
+    targets = tt.basic_summands(pair.summands)
     Z = tt.approximation_cone(X, targets, left)
     if Z is None:
         raise AssertionError("completion cone failed to stay two-term")
     summands = tt.basic_summands(
-        list(pair.summands) + tt.decompose_complex(Z, seed=seed), seed=seed)
+        list(pair.summands) + tt.decompose_complex(Z))
     return tau_tilting_pair_from_summands(
-        alg, [intern_summand(c, seed=seed) for c in summands])
+        alg, [intern_summand(c) for c in summands])
 
 
-def bongartz_completion(pair, seed=0):
+def bongartz_completion(pair):
     """Maximum completion: cocone of the minimal right approximation of A[1]."""
-    return _completion(pair, False, seed)
+    return _completion(pair, False)
 
 
-def minimal_completion(pair, seed=0):
+def minimal_completion(pair):
     """Minimum completion: cone of the minimal left approximation of A."""
-    return _completion(pair, True, seed)
+    return _completion(pair, True)
 
 
 def _require_tau_rigid(pair):
@@ -229,7 +229,7 @@ def _require_tau_rigid(pair):
 
 # -- mutation ----------------------------------------------------------------
 
-def _mutate_summands(summands, index, seed=0):
+def _mutate_summands(summands, index):
     """Exchange summand index (0-based); returns (new_summand, direction)
     with the new summand interned."""
     X = summands[index]
@@ -245,10 +245,10 @@ def _mutate_summands(summands, index, seed=0):
         raise InvariantViolation(
             f"pair {tuple(sorted(tt.g_matrix(summands)))}, summand "
             f"{index + 1}: {what}")
-    return intern_summand(new, seed=seed), direction
+    return intern_summand(new), direction
 
 
-def mutate(pair, index, seed=0):
+def mutate(pair, index):
     """Replace summand `index` (1-based) by the other completion.
 
     Returns (pair, direction), direction "down" when the result is
@@ -258,15 +258,14 @@ def mutate(pair, index, seed=0):
         raise AlgebraError(f"summand index {index} out of range")
     if pair.size != pair.alg.n:
         raise NotTauRigidError("mutation needs a tau-tilting pair")
-    new, direction = _mutate_summands(
-        list(pair.summands), index - 1, seed=seed)
+    new, direction = _mutate_summands(list(pair.summands), index - 1)
     rest = [c for k, c in enumerate(pair.summands) if k != index - 1]
     return TauRigidPair(pair.alg, rest + [new]), direction
 
 
 # -- order -------------------------------------------------------------------
 
-def leq(U, T, seed=0):
+def leq(U, T):
     """U <= T in the support tau-tilting order: Fac(M_U) inside Fac(M_T)."""
     MT = T.module()
     for s in U.module_summands():
@@ -285,7 +284,7 @@ def silting_leq(U, T):
 class HasseGraph:
     """Nodes, labeled edges and flags of the enumerated mutation quiver."""
 
-    def __init__(self, alg, pairs, edges, complete, seed=0):
+    def __init__(self, alg, pairs, edges, complete):
         self.alg = alg
         order = sorted(range(len(pairs)), key=lambda i: pairs[i].key())
         relabel = {old: new for new, old in enumerate(order)}
@@ -309,15 +308,14 @@ class HasseGraph:
     def node_count(self):
         return len(self.nodes)
 
-    def to_json_dict(self, include_matrices=True):
+    def to_json_dict(self):
         nodes = []
         for i, p in enumerate(self.nodes):
             entry = {
                 "id": i,
                 "g_matrix": [list(col) for col in p.g_matrix()],
                 "module_summands": [
-                    _module_json(m, include_matrices)
-                    for m in p.module_summands()],
+                    module_to_json(m) for m in p.module_summands()],
                 "projective_part": list(p.projective_part()),
             }
             nodes.append(entry)
@@ -328,9 +326,8 @@ class HasseGraph:
             "flags": {"complete": self.complete},
         }
 
-    def to_json(self, include_matrices=True):
-        return json.dumps(self.to_json_dict(include_matrices),
-                          indent=2, sort_keys=True)
+    def to_json(self):
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_dot(self):
         lines = ["digraph sttilt {"]
@@ -344,21 +341,19 @@ class HasseGraph:
         return "\n".join(lines) + "\n"
 
 
-def _module_json(M, include_matrices=True):
-    out = {"dim_vector": list(M.dims)}
-    if include_matrices:
-        arrows = {}
-        F = M.alg.field
-        for ai, arrow in enumerate(M.alg.arrows):
-            mat = M.maps[ai]
-            arrows[arrow.name] = [
-                [F.to_string(mat.entry(i, j)) for j in range(mat.ncols)]
-                for i in range(mat.nrows)]
-        out["arrows"] = arrows
-    return out
+def module_to_json(M):
+    """JSON form of a module: its dimension vector and each arrow's matrix."""
+    F = M.alg.field
+    arrows = {}
+    for ai, arrow in enumerate(M.alg.arrows):
+        mat = M.maps[ai]
+        arrows[arrow.name] = [
+            [F.to_string(mat.entry(i, j)) for j in range(mat.ncols)]
+            for i in range(mat.nrows)]
+    return {"dim_vector": list(M.dims), "arrows": arrows}
 
 
-def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None, seed=0):
+def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     """BFS of the Hasse quiver by down mutations from the pair (A, 0).
 
     Nodes are deduplicated by the column-sorted g-matrix.  Every summand
@@ -369,7 +364,7 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None, seed=0):
     the complete Hasse quiver.
     """
     top = TauRigidPair(alg, [
-        intern_summand(tt.stalk_complex(alg, (v,), 0), seed=seed)
+        intern_summand(tt.stalk_complex(alg, (v,), 0))
         for v in range(alg.n)])
     pairs = [top]
     ids = {top.key(): 0}
@@ -388,8 +383,7 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None, seed=0):
         for i in range(alg.n):
             if i == skip:
                 continue
-            new, direction = _mutate_summands(
-                list(pair.summands), i, seed=seed)
+            new, direction = _mutate_summands(list(pair.summands), i)
             if direction != "down":
                 continue  # the up edge is discovered from the other end
             rest = [c for k, c in enumerate(pair.summands) if k != i]
@@ -407,7 +401,7 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None, seed=0):
                                if c is new)
                 queue.append((known, depth + 1, born_at))
             edges.append((node_id, known, i))
-    return HasseGraph(alg, pairs, edges, complete, seed=seed)
+    return HasseGraph(alg, pairs, edges, complete)
 
 
 class FinitenessResult:
@@ -422,9 +416,9 @@ class FinitenessResult:
         return "Unknown(bound exceeded)"
 
 
-def is_tau_tilting_finite(alg, max_nodes=10 ** 6, seed=0):
+def is_tau_tilting_finite(alg, max_nodes=10 ** 6):
     """Finite(count) when the enumeration completes, Unknown otherwise."""
-    graph = enumerate_sttilt(alg, max_nodes=max_nodes, seed=seed)
+    graph = enumerate_sttilt(alg, max_nodes=max_nodes)
     if graph.complete:
         return FinitenessResult("finite", graph.node_count(), graph)
     return FinitenessResult("unknown", graph=graph)
@@ -456,7 +450,7 @@ def annihilator_dim(M):
     return mat.left_kernel_rows().nrows
 
 
-def is_classical_tilting(M, seed=0):
+def is_classical_tilting(M):
     """Faithful tau-tilting module test."""
     alg = M.alg
     if M.total_dim == 0:
@@ -465,5 +459,5 @@ def is_classical_tilting(M, seed=0):
         return False
     if not is_tau_rigid_pair(M, (0,) * alg.n):
         return False
-    groups = mr.group_by_iso(mr.decompose(M, seed=seed), seed=seed)
+    groups = mr.group_by_iso(mr.decompose(M))
     return len(groups) == alg.n

@@ -670,15 +670,15 @@ def is_presilting(T):
     return hom_homotopy(T, T, 1).dim == 0
 
 
-def is_two_term_silting(T, seed=0):
+def is_two_term_silting(T):
     if not is_presilting(T):
         return False
-    return len(decompose_complex(T, seed=seed)) == T.alg.n
+    return len(decompose_complex(T)) == T.alg.n
 
 
 # -- decomposition and isomorphism through H^0 ------------------------------
 
-def decompose_complex(T, seed=0):
+def decompose_complex(T):
     """Indecomposable summands of T in the homotopy category.
 
     Stripped, T is the minimal presentation of M = H^0(T) plus the
@@ -689,14 +689,14 @@ def decompose_complex(T, seed=0):
     """
     alg = T.alg
     M, shifted = complex_to_pair(T)
-    out = [presentation_complex(m) for m in mr.decompose(M, seed=seed)]
+    out = [presentation_complex(m) for m in mr.decompose(M)]
     out.extend(stalk_complex(alg, (v,), 1)
                for v in range(alg.n) for _ in range(shifted[v]))
     out.sort(key=lambda c: (g_vector(c), c.serialize()))
     return out
 
 
-def complexes_isomorphic(T, U, seed=0):
+def complexes_isomorphic(T, U):
     """Homotopy equivalence: equal g-vectors and isomorphic H^0.
 
     By `decompose_complex`, T is the presentation of H^0(T) plus Q[1],
@@ -704,7 +704,7 @@ def complexes_isomorphic(T, U, seed=0):
     the g-vector determine T; neither needs stripping.
     """
     return g_vector(T) == g_vector(U) and mr.modules_isomorphic(
-        complex_h0(T), complex_h0(U), seed=seed)
+        complex_h0(T), complex_h0(U))
 
 
 # -- translation between pairs and complexes ------------------------------
@@ -888,18 +888,18 @@ def approximation_cone(X, targets, left):
     return _two_term_cone(f, left)
 
 
-def basic_summands(complexes, seed=0):
+def basic_summands(complexes):
     """One representative per isomorphism class, in first-seen order."""
     out = []
     for c in complexes:
-        if not any(complexes_isomorphic(c, d, seed=seed) for d in out):
+        if not any(complexes_isomorphic(c, d) for d in out):
             out.append(c)
     return out
 
 
-def minimal_left_approximation(X, T, seed=0):
+def minimal_left_approximation(X, T):
     """Minimal left add(T)-approximation of X, as a chain map X -> T'."""
-    targets = basic_summands(decompose_complex(T, seed=seed), seed=seed)
+    targets = basic_summands(decompose_complex(T))
     chosen = minimal_left_approximation_summands(X, targets)
     return assemble_left_approximation(X, targets, chosen)
 

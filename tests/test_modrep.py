@@ -202,3 +202,67 @@ def test_tau_zero_iff_projective_summands(kA2, kx2):
     t = mr.tau(M)
     assert mr.modules_isomorphic(t, mr.tau(S1))
     assert mr.tau(mr.direct_sum(kx2, [std(kx2, 0, "projective")])).total_dim == 0
+
+
+# -- certified Krull-Schmidt ---------------------------------------------
+
+def _rep(alg, dims, arrow_rows):
+    from tautilt.linalg import ExactMatrix
+    F = alg.field
+    maps = {ai: ExactMatrix.from_rows(
+                F, [[F.from_int(v) for v in row] for row in rows],
+                ncols=dims[alg.arrows[ai].target])
+            for ai, rows in enumerate(arrow_rows)}
+    return mr.Representation(alg, dims, maps)
+
+
+def test_local_end_is_certified_without_a_search(kx2, monkeypatch):
+    # End(A) = k[x]/(x^2): one candidate has minimal polynomial (x - c)^k
+    # with deg 1 = dim End/rad End, which certifies End local
+    from tautilt import splitting
+    calls = []
+    original = splitting.minimal_polynomial
+
+    def counted(field, mat):
+        calls.append(mat)
+        return original(field, mat)
+
+    monkeypatch.setattr(splitting, "minimal_polynomial", counted)
+    P = std(kx2, 0, "projective")
+    assert len(mr.hom_space(P, P)) == 2
+    assert [p.dims for p in mr.decompose(P)] == [(2,)]
+    assert len(calls) <= 2
+
+
+def test_end_a_quadratic_field_is_local(kronecker):
+    # a = I, b^2 = 2I: End is the centralizer Q[b] = Q(sqrt 2), a field of
+    # dimension 2, certified by a candidate with minimal polynomial x^2 - 2
+    M = _rep(kronecker, (2, 2), [[[1, 0], [0, 1]], [[0, 2], [1, 0]]])
+    assert len(mr.hom_space(M, M)) == 2
+    parts = mr.decompose(M)
+    assert len(parts) == 1 and parts[0] is M
+    scaled = _rep(kronecker, (2, 2), [[[2, 0], [0, 2]], [[0, 4], [2, 0]]])
+    assert mr.modules_isomorphic(M, scaled)
+    assert mr.modules_isomorphic(mr.direct_sum(kronecker, [M, scaled]),
+                                 mr.direct_sum(kronecker, [scaled, M]))
+    other = _rep(kronecker, (2, 2), [[[1, 0], [0, 1]], [[0, 3], [1, 0]]])
+    assert not mr.modules_isomorphic(M, other)
+
+
+def test_end_a_quaternion_algebra_raises():
+    # arrows 1, L_i, L_j on H = Q^4: End is the commutant of H, a
+    # noncommutative division algebra of dimension 4 whose elements all
+    # have minimal polynomial of degree at most 2, so no candidate
+    # splits it or certifies it local
+    alg = parse_algebra(
+        'field = "Q"\nvertices = ["1", "2"]\n'
+        'arrow = { name = "a", source = "1", target = "2" }\n'
+        'arrow = { name = "b", source = "1", target = "2" }\n'
+        'arrow = { name = "c", source = "1", target = "2" }')
+    one = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    left_i = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    left_j = [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]]
+    M = _rep(alg, (4, 4), [one, left_i, left_j])
+    assert len(mr.hom_space(M, M)) == 4
+    with pytest.raises(mr.DecompositionError):
+        mr.decompose(M)
