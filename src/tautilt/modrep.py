@@ -723,7 +723,7 @@ def group_by_iso(reps):
     groups = []
     for r in reps:
         for g in groups:
-            if _indecomposables_isomorphic(g[0], r):
+            if indecomposables_isomorphic(g[0], r):
                 g[1] += 1
                 break
         else:
@@ -733,13 +733,17 @@ def group_by_iso(reps):
 
 def modules_isomorphic(M, N):
     """Exact isomorphism test: a Krull-Schmidt match of the indecomposable
-    summands of M and N."""
-    if M.dims != N.dims:
-        return False
-    unmatched = decompose(N)
-    for X in decompose(M):
+    summands of M and N (so, like `decompose`, over the rationals)."""
+    return M.dims == N.dims and summands_match(decompose(M), decompose(N))
+
+
+def summands_match(xs, ys):
+    """Whether two lists of indecomposables agree up to isomorphism and
+    order."""
+    unmatched = list(ys)
+    for X in xs:
         for i, Y in enumerate(unmatched):
-            if _indecomposables_isomorphic(X, Y):
+            if indecomposables_isomorphic(X, Y):
                 del unmatched[i]
                 break
         else:
@@ -747,9 +751,9 @@ def modules_isomorphic(M, N):
     return not unmatched
 
 
-def _indecomposables_isomorphic(X, Y):
-    """Isomorphism of indecomposable X and Y: some composite g.f of basis
-    maps f: X -> Y, g: Y -> X is invertible.
+def indecomposables_isomorphic(X, Y):
+    """Isomorphism of X and Y, each indecomposable or zero, over any field:
+    some composite g.f of basis maps f: X -> Y, g: Y -> X is invertible.
 
     End X is local, so its non-units form the subspace rad End X.  An
     isomorphism puts the identity in the span of the composites, so they
@@ -758,6 +762,8 @@ def _indecomposables_isomorphic(X, Y):
     """
     if X.dims != Y.dims:
         return False
+    if X.total_dim == 0:
+        return True
     alg = X.alg
     back = hom_space(Y, X)
     if not back:

@@ -48,8 +48,9 @@ def intern_summand(T):
 
     The first complex seen with a g-vector becomes canonical.  Each other
     serialization of that g-vector is checked against it once with
-    `complexes_isomorphic` and then recorded as an alias; a failed check
-    contradicts the g-vector theorem and raises InvariantViolation.
+    `twoterm.indecomposables_isomorphic` and then recorded as an alias;
+    a failed check contradicts the g-vector theorem and raises
+    InvariantViolation.
     """
     alg = T.alg
     forms = alg.summand_forms
@@ -61,7 +62,7 @@ def intern_summand(T):
     canon = alg.summands.get(g)
     if canon is None:
         canon = alg.summands[g] = T
-    elif not tt.complexes_isomorphic(canon, T):
+    elif not tt.indecomposables_isomorphic(canon, T):
         raise InvariantViolation(
             f"summands with g-vector {g} are not isomorphic: "
             f"P^-1 {tt.multiplicities(alg, canon.p1)} -> "
@@ -174,23 +175,9 @@ def tau_tilting_pair_from_summands(alg, summands):
 
 def pairs_isomorphic(p, q):
     """Isomorphism of pairs: equal projective parts, matched module summands."""
-    if p.alg is not q.alg or p.size != q.size:
-        return False
-    if p.projective_part() != q.projective_part():
-        return False
-    mods_p = list(p.module_summands())
-    mods_q = list(q.module_summands())
-    if len(mods_p) != len(mods_q):
-        return False
-    used = [False] * len(mods_q)
-    for mp in mods_p:
-        for i, mq in enumerate(mods_q):
-            if not used[i] and mr.modules_isomorphic(mp, mq):
-                used[i] = True
-                break
-        else:
-            return False
-    return True
+    return (p.alg is q.alg and p.size == q.size
+            and p.projective_part() == q.projective_part()
+            and mr.summands_match(p.module_summands(), q.module_summands()))
 
 
 # -- completions ------------------------------------------------------------

@@ -16,7 +16,9 @@ Krull-Schmidt splitting and isomorphism go through H^0: a stripped
 complex is the minimal presentation of H^0(T) plus shifted projectives
 Q[1] (Adachi-Iyama-Reiten, "tau-tilting theory", 2014, Thm 3.2), so
 `decompose_complex` and `complexes_isomorphic` hand H^0 to the module
-layer (`modrep.decompose`, `modrep.modules_isomorphic`).
+layer (`modrep.decompose`, `modrep.modules_isomorphic`).  The engine
+only compares indecomposable summands, with `indecomposables_isomorphic`,
+which needs no decomposition and so works over any field.
 
 Everything mutation-shaped runs through mapping cones of minimal
 approximations.  The approximation is written once, in its left form;
@@ -707,6 +709,16 @@ def complexes_isomorphic(T, U):
         complex_h0(T), complex_h0(U))
 
 
+def indecomposables_isomorphic(T, U):
+    """`complexes_isomorphic` for indecomposable T and U, over any field.
+
+    Each H^0 is then indecomposable or zero (zero for P_v[1]), so the
+    direct test of `modrep.indecomposables_isomorphic` applies.
+    """
+    return g_vector(T) == g_vector(U) and mr.indecomposables_isomorphic(
+        complex_h0(T), complex_h0(U))
+
+
 # -- translation between pairs and complexes ------------------------------
 
 def presentation_complex(M):
@@ -889,10 +901,11 @@ def approximation_cone(X, targets, left):
 
 
 def basic_summands(complexes):
-    """One representative per isomorphism class, in first-seen order."""
+    """One representative per isomorphism class of indecomposable
+    complexes, in first-seen order."""
     out = []
     for c in complexes:
-        if not any(complexes_isomorphic(c, d) for d in out):
+        if not any(indecomposables_isomorphic(c, d) for d in out):
             out.append(c)
     return out
 

@@ -194,6 +194,25 @@ def test_modules_isomorphic(kA2):
     assert mr.modules_isomorphic(std(kA2, 0, "projective"), twisted)
 
 
+def test_indecomposables_isomorphic_over_a_prime_field():
+    alg = parse_algebra(
+        'field = "Fp:3"\nvertices = ["1", "2"]\n'
+        'arrow = { name = "a", source = "1", target = "2" }')
+    F = alg.field
+    from tautilt.linalg import ExactMatrix
+    twisted = mr.Representation(
+        alg, (1, 1), {0: ExactMatrix.from_rows(F, [[F.from_int(2)]])})
+    assert mr.indecomposables_isomorphic(std(alg, 0, "projective"), twisted)
+    assert mr.indecomposables_isomorphic(std(alg, 1, "projective"),
+                                         std(alg, 1, "simple"))
+    assert not mr.indecomposables_isomorphic(std(alg, 0, "simple"),
+                                             std(alg, 1, "simple"))
+    assert mr.indecomposables_isomorphic(mr.zero_rep(alg), mr.zero_rep(alg))
+    # the general test decomposes, which needs the rationals
+    with pytest.raises(AlgebraError):
+        mr.modules_isomorphic(twisted, twisted)
+
+
 def test_tau_zero_iff_projective_summands(kA2, kx2):
     # tau kills exactly the projective part
     P1 = std(kA2, 0, "projective")

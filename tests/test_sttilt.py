@@ -301,6 +301,19 @@ def test_registry_rejects_non_isomorphic_summands_of_one_g_vector():
         st.intern_summand(arrow_complex("b"))
 
 
+def test_enumerate_over_a_prime_field_checks_registry_aliases():
+    # over F_3 the A4 summands come back in more than one serialization
+    # per g-vector, so interning runs registry checks; they compare
+    # indecomposables directly and need no decomposition over Q
+    alg = parse_algebra(
+        'field = "Fp:3"\nvertices = ["1", "2", "3", "4"]\n'
+        + "".join(f'arrow = {{ name = "a{i}", source = "{i}", '
+                  f'target = "{i + 1}" }}\n' for i in range(1, 4)))
+    graph = st.enumerate_sttilt(alg)
+    assert graph.complete and graph.node_count() == 42  # Catalan(5)
+    assert len(alg.summand_forms) > len(alg.summands) == 14
+
+
 def test_second_enumeration_builds_no_hom(monkeypatch):
     alg = parse_algebra(
         'field = "Q"\nvertices = ["1", "2", "3", "4", "5"]\n'
