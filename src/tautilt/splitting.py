@@ -123,11 +123,20 @@ def find_idempotent(field, basis_mats, total_dim):
 
 
 def radical_from_trace(field, basis_mats, total_dim):
-    """Radical of the matrix algebra spanned by basis_mats (char 0 only).
+    """Radical of the algebra spanned by the total_dim x total_dim
+    matrices basis_mats.
 
     Returns coefficient vectors over the given basis: the left kernel of
-    the Gram matrix G[i][j] = trace(b_i b_j).
+    the Gram matrix G[i][j] = trace(b_i b_j).  That kernel is the radical
+    in characteristic 0 and in characteristic p > total_dim, where by
+    Newton's identities a subspace of trace-zero powers is nil (Dickson);
+    for smaller p it can be too large, so DecompositionError is raised.
     """
+    p = field.characteristic
+    if 0 < p <= total_dim:
+        raise DecompositionError(
+            f"the trace form decides the radical only in characteristic 0 "
+            f"or p > dim; here p = {p} and dim = {total_dim}")
     k = len(basis_mats)
     gram = []
     for i in range(k):

@@ -12,12 +12,13 @@ is sound because a tau-rigid pair is determined by its g-vectors
 equal keys therefore carry identical summand tuples, and the Hom spaces
 memoized on the algebra are built once per summand pair.
 
-Mutation runs on the complex side.  Removing one summand and forming the
-cone over the minimal left approximation into the rest gives the down
-mutation whenever that cone strips back to two terms; otherwise the
-other completion lies upward and is reached through the dual cocone.
-Exactly one of the two directions stays two-term, which orients every
-exchange without any order computation.
+Mutation runs on the complex side.  With G holding one g-vector per row,
+the c-vectors are the columns of G^-1; they are sign-coherent, and the
+mutation at summand i goes down exactly when c_i >= 0 (Fu, "c-vectors
+via tau-tilting theory", J. Algebra 473, 2017; Treffinger, "On
+sign-coherence of c-vectors", JPAA 223, 2019).  So each exchange builds
+one cone: over the minimal left approximation into the rest going down,
+the dual cocone going up.
 
 Enumeration is a BFS through down mutations from the pair (A, 0); in the
 tau-tilting finite case a finite connected component is the whole poset,
@@ -29,6 +30,7 @@ import json
 from collections import deque
 
 from .algebra import AlgebraError
+from .fields import QQ
 from .linalg import ExactMatrix
 from . import modrep as mr
 from . import twoterm as tt
@@ -191,7 +193,8 @@ def _completion(pair, left):
     targets = tt.basic_summands(pair.summands)
     Z = tt.approximation_cone(X, targets, left)
     if Z is None:
-        raise AssertionError("completion cone failed to stay two-term")
+        raise InvariantViolation(
+            f"pair {pair.key()}: completion cone failed to stay two-term")
     summands = tt.basic_summands(
         list(pair.summands) + tt.decompose_complex(Z))
     return tau_tilting_pair_from_summands(
@@ -216,23 +219,41 @@ def _require_tau_rigid(pair):
 
 # -- mutation ----------------------------------------------------------------
 
-def _mutate_summands(summands, index):
-    """Exchange summand index (0-based); returns (new_summand, direction)
-    with the new summand interned."""
-    X = summands[index]
-    rest = [c for k, c in enumerate(summands) if k != index]
-    # down: cone over the minimal left approximation into add(rest)
-    new, direction = tt.approximation_cone(X, rest, True), "down"
-    if new is None:
-        # up: cocone over the minimal right approximation from add(rest)
-        new, direction = tt.approximation_cone(X, rest, False), "up"
+def _mutation_directions(pair):
+    """Per summand, True when its mutation goes down: its c-vector, a
+    column of G^-1 for G with one g-vector per row, is >= 0.  Certifies
+    that G is invertible over Z and every c-vector is sign-coherent."""
+    n = pair.size
+    inv = ExactMatrix.from_rows(
+        QQ, [[QQ.from_int(x) for x in g] for g in pair.g_matrix()], n).inverse()
+    if inv is None or any(v.denominator != 1
+                          for row in inv.rows for v in row.values()):
+        raise InvariantViolation(
+            f"pair {pair.key()}: the g-vectors are not a Z-basis")
+    downs = []
+    for i in range(n):
+        signs = {row[i] > 0 for row in inv.rows if i in row}
+        if len(signs) != 1:
+            raise InvariantViolation(
+                f"pair {pair.key()}, summand {i + 1}: "
+                f"c-vector is not sign-coherent")
+        downs.append(True in signs)
+    return downs
+
+
+def _mutation(pair, index, down):
+    """The pair with summand index (0-based) exchanged through the cone
+    over its minimal left add(rest)-approximation (down), or the cocone
+    over its minimal right one (up)."""
+    rest = [c for k, c in enumerate(pair.summands) if k != index]
+    new = tt.approximation_cone(pair.summands[index], rest, down)
     if new is None or new.is_zero():
-        what = ("neither mutation direction stayed two-term" if new is None
+        what = (f"the predicted {'down' if down else 'up'} mutation did not "
+                f"stay two-term" if new is None
                 else "mutation produced a zero summand")
         raise InvariantViolation(
-            f"pair {tuple(sorted(tt.g_matrix(summands)))}, summand "
-            f"{index + 1}: {what}")
-    return intern_summand(new), direction
+            f"pair {pair.key()}, summand {index + 1}: {what}")
+    return TauRigidPair(pair.alg, rest + [intern_summand(new)])
 
 
 def mutate(pair, index):
@@ -245,9 +266,8 @@ def mutate(pair, index):
         raise AlgebraError(f"summand index {index} out of range")
     if pair.size != pair.alg.n:
         raise NotTauRigidError("mutation needs a tau-tilting pair")
-    new, direction = _mutate_summands(list(pair.summands), index - 1)
-    rest = [c for k, c in enumerate(pair.summands) if k != index - 1]
-    return TauRigidPair(pair.alg, rest + [new]), direction
+    down = _mutation_directions(pair)[index - 1]
+    return _mutation(pair, index - 1, down), "down" if down else "up"
 
 
 # -- order -------------------------------------------------------------------
@@ -343,10 +363,12 @@ def module_to_json(M):
 def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     """BFS of the Hasse quiver by down mutations from the pair (A, 0).
 
-    Nodes are deduplicated by the column-sorted g-matrix.  Every summand
-    is interned, so pairs with equal keys carry the same summand tuple;
-    the registry checks isomorphism once per new serialization of a
-    g-vector and aborts the run on a collision of non-isomorphic
+    A node is mutated only at the summands whose c-vector is >= 0, which
+    are its down exchanges (Fu 2017; Treffinger 2019), so every edge costs
+    one cone.  Nodes are deduplicated by the column-sorted g-matrix.  Every
+    summand is interned, so pairs with equal keys carry the same summand
+    tuple; the registry checks isomorphism once per new serialization of
+    a g-vector and aborts the run on a collision of non-isomorphic
     summands.  If the frontier exhausts within the limits, the graph is
     the complete Hasse quiver.
     """
@@ -356,37 +378,27 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     pairs = [top]
     ids = {top.key(): 0}
     edges = []
-    # queue entries carry the index of the summand created on arrival:
-    # mutating there provably returns the parent (an almost complete pair
-    # has exactly two completions), so that direction is skipped
-    queue = deque([(0, 0, None)])
+    queue = deque([(0, 0)])
     complete = True
     while queue:
-        node_id, depth, skip = queue.popleft()
+        node_id, depth = queue.popleft()
         if max_depth is not None and depth >= max_depth:
             complete = False
             continue
         pair = pairs[node_id]
-        for i in range(alg.n):
-            if i == skip:
-                continue
-            new, direction = _mutate_summands(list(pair.summands), i)
-            if direction != "down":
+        for i, down in enumerate(_mutation_directions(pair)):
+            if not down:
                 continue  # the up edge is discovered from the other end
-            rest = [c for k, c in enumerate(pair.summands) if k != i]
-            child = TauRigidPair(alg, rest + [new])
+            child = _mutation(pair, i, True)
             key = child.key()
             known = ids.get(key)
             if known is None:
                 if len(pairs) >= max_nodes:
                     complete = False
                     continue
-                ids[key] = len(pairs)
+                known = ids[key] = len(pairs)
                 pairs.append(child)
-                known = ids[key]
-                born_at = next(k for k, c in enumerate(child.summands)
-                               if c is new)
-                queue.append((known, depth + 1, born_at))
+                queue.append((known, depth + 1))
             edges.append((node_id, known, i))
     return HasseGraph(alg, pairs, edges, complete)
 

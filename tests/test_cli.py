@@ -2,6 +2,7 @@ import io
 import json
 import os
 
+from tautilt import twoterm
 from tautilt.cli import run
 
 from conftest import data_path
@@ -62,6 +63,23 @@ def test_domain_error_exit_code(tmp_path):
     code, _, err = invoke(["enumerate", "--algebra", str(bad)])
     assert code == 1
     assert "admissible" in err
+
+
+def test_small_characteristic_radical_is_an_error():
+    # End(P1) = F_2[x]/(x^2): the trace form cannot decide its radical
+    code, out, err = invoke(["enumerate", "--algebra",
+                             data_path("loop_arrow_f2.alg")])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "p > dim" in err
+
+
+def test_completion_failure_is_an_engine_error(monkeypatch):
+    monkeypatch.setattr(twoterm, "approximation_cone", lambda *args: None)
+    for command in ("bongartz", "cocompletion"):
+        code, _, err = invoke([command, "--algebra", data_path("a2.alg"),
+                               "--pair", data_path("s1_pair.json")])
+        assert code == 1
+        assert err.startswith("error:") and "two-term" in err
 
 
 def test_mutate_round_trip(tmp_path):

@@ -1,9 +1,13 @@
+import re
+
 import pytest
 
 from tautilt.algebra import parse_algebra
 from tautilt import modrep as mr
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
+
+from conftest import data_path, read_algebra
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +23,15 @@ def kx2():
         'field = "Q"\nvertices = ["1"]\n'
         'arrow = { name = "x", source = "1", target = "1" }\n'
         'relations = ["x*x"]')
+
+
+def linear(n, field="Q"):
+    """Path algebra of 1 -> 2 -> ... -> n."""
+    names = ", ".join(f'"{v}"' for v in range(1, n + 1))
+    return parse_algebra(
+        f'field = "{field}"\nvertices = [{names}]\n'
+        + "".join(f'arrow = {{ name = "a{i}", source = "{i}", '
+                  f'target = "{i + 1}" }}\n' for i in range(1, n)))
 
 
 def std(alg, v, flavor):
@@ -101,6 +114,62 @@ def test_mutation_involution(kA2):
                 back = dr
                 break
         assert back == "up"
+
+
+def test_mutate_certifies_c_vectors(kA2):
+    # P1 twice is not basic: its g-matrix ((1, 0), (1, 0)) has no inverse,
+    # so no c-vector can orient the mutation
+    P1 = tt.stalk_complex(kA2, (0,), 0)
+    pair = st.TauRigidPair(kA2, [P1, P1])
+    with pytest.raises(st.InvariantViolation,
+                       match=re.escape(str(pair.key())) + ".*Z-basis"):
+        st.mutate(pair, 1)
+
+
+def test_mutate_certifies_sign_coherence():
+    # three tau-rigid summands of preprojective A3 that lie in no common pair:
+    # G is unimodular but the first c-vector is (-1, 0, 1)
+    alg = read_algebra("preproj_a3.alg")
+    pool = {tt.g_vector(c): c
+            for p in st.enumerate_sttilt(alg).nodes for c in p.summands}
+    pair = st.TauRigidPair(
+        alg, [pool[(-1, 0, 0)], pool[(-1, 1, -1)], pool[(0, -1, 0)]])
+    with pytest.raises(st.InvariantViolation,
+                       match=re.escape(str(pair.key()))
+                       + ", summand 1: c-vector is not sign-coherent"):
+        st.mutate(pair, 3)
+
+
+@pytest.mark.parametrize("make, nodes", [
+    (lambda: linear(5), 132),
+    (lambda: read_algebra("preproj_a3.alg"), 24),
+], ids=["A5", "preprojective A3"])
+def test_enumeration_builds_one_cone_per_edge(make, nodes, monkeypatch):
+    alg = make()
+    cones = []
+    cone = tt.approximation_cone
+
+    def counted(*args):
+        cones.append(args)
+        return cone(*args)
+
+    monkeypatch.setattr(tt, "approximation_cone", counted)
+    graph = st.enumerate_sttilt(alg)
+    assert graph.complete and graph.node_count() == nodes
+    assert len(cones) == len(graph.edges)
+
+
+def test_trace_form_radical_refuses_small_characteristic():
+    # a loop x with x^2 = 0 at the source of an arrow: End(P1) has
+    # dimension 2, so over F_2 the trace form cannot decide its radical;
+    # over F_3 it can
+    with open(data_path("loop_arrow_f2.alg"), encoding="utf-8") as fh:
+        text = fh.read()
+    with pytest.raises(mr.DecompositionError,
+                       match=r"characteristic 0 or p > dim"):
+        st.enumerate_sttilt(parse_algebra(text))
+    graph = st.enumerate_sttilt(parse_algebra(text.replace("Fp:2", "Fp:3")))
+    assert graph.complete and graph.node_count() == 6
 
 
 def test_mutate_index_range(kA2):
@@ -305,20 +374,14 @@ def test_enumerate_over_a_prime_field_checks_registry_aliases():
     # over F_3 the A4 summands come back in more than one serialization
     # per g-vector, so interning runs registry checks; they compare
     # indecomposables directly and need no decomposition over Q
-    alg = parse_algebra(
-        'field = "Fp:3"\nvertices = ["1", "2", "3", "4"]\n'
-        + "".join(f'arrow = {{ name = "a{i}", source = "{i}", '
-                  f'target = "{i + 1}" }}\n' for i in range(1, 4)))
+    alg = linear(4, "Fp:3")
     graph = st.enumerate_sttilt(alg)
     assert graph.complete and graph.node_count() == 42  # Catalan(5)
     assert len(alg.summand_forms) > len(alg.summands) == 14
 
 
 def test_second_enumeration_builds_no_hom(monkeypatch):
-    alg = parse_algebra(
-        'field = "Q"\nvertices = ["1", "2", "3", "4", "5"]\n'
-        + "".join(f'arrow = {{ name = "a{i}", source = "{i}", '
-                  f'target = "{i + 1}" }}\n' for i in range(1, 5)))
+    alg = linear(5)
     builds = []
     init = tt.HomotopyHom.__init__
 
