@@ -191,7 +191,11 @@ def parse_quiver_spec(text):
     relations = []
     for rtext in relations_text:
         terms = _parse_relation_text(rtext)
-        relations.append([(field.from_string(c), names) for c, names in terms])
+        try:
+            relations.append([(field.from_string(c), names)
+                              for c, names in terms])
+        except FieldError as exc:
+            raise AlgebraFileError(f"relation {rtext!r}: {exc}") from exc
     return QuiverSpec(field, vertices, arrows, relations, bound)
 
 

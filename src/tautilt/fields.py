@@ -1,12 +1,15 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
 Every computation in this package happens over one of these two fields.
-There is no floating point anywhere; rationals are Python Fractions
-(arbitrary precision, always normalized) and GF(p) elements are ints in
-range(p).
+There is no floating point anywhere.  A rational is a Python int when it
+is integral and a normalized Fraction otherwise, never a float; almost
+every scalar the engine meets is a small integer, so it stays on int
+arithmetic until a division needs a Fraction.  GF(p) elements are ints
+in range(p).
 """
 
 from fractions import Fraction
+from operator import index
 
 
 class FieldError(ValueError):
@@ -26,44 +29,62 @@ def _is_prime(p):
     return True
 
 
+def _rational(q):
+    """A Fraction as an int when its denominator is 1."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rationals:
-    """The field Q with Fraction scalars."""
+    """The field Q: ints when integral, Fraction otherwise, never float.
+
+    Every operation returns this normal form.  An int and a Fraction of
+    equal value compare and hash equal and print alike, so the form
+    never shows in keys or output.
+    """
 
     kind = "rationals"
     characteristic = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return index(n)
 
     def from_string(self, s):
         try:
-            return Fraction(s)
+            return _rational(Fraction(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {s!r}") from exc
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if c.__class__ is int else _rational(c)
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if c.__class__ is int else _rational(c)
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if c.__class__ is int else _rational(c)
 
     def div(self, a, b):
-        return a / b
+        if a.__class__ is int and b.__class__ is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _rational(a / b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return self.div(1, a)
 
     def bit_size(self, a):
         # pivot-selection weight: total bits of numerator and denominator
+        if a.__class__ is int:
+            return a.bit_length() + 1
         return a.numerator.bit_length() + a.denominator.bit_length()
 
     def to_string(self, a):
@@ -96,10 +117,14 @@ class PrimeField:
         return n % self.p
 
     def from_string(self, s):
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return self.div(self.from_int(int(num)), self.from_int(int(den)))
-        return self.from_int(int(s))
+        num, slash, den = s.partition("/")
+        try:
+            a, b = int(num), int(den) if slash else 1
+        except ValueError as exc:
+            raise FieldError(f"bad literal {s!r} for {self!r}") from exc
+        if b % self.p == 0:
+            raise FieldError(f"literal {s!r} divides by zero in {self!r}")
+        return self.div(self.from_int(a), self.from_int(b))
 
     def add(self, a, b):
         return (a + b) % self.p

@@ -30,7 +30,6 @@ import json
 from collections import deque
 
 from .algebra import AlgebraError
-from .fields import QQ
 from .linalg import ExactMatrix
 from . import modrep as mr
 from . import twoterm as tt
@@ -219,20 +218,54 @@ def _require_tau_rigid(pair):
 
 # -- mutation ----------------------------------------------------------------
 
+def _unimodular_inverse(g):
+    """G^-1 for a square integer matrix G with det G = +-1, else None.
+
+    Gauss-Jordan over Z on [G | I]: each column is cleared below its
+    pivot by Euclid's algorithm on the rows (repeated floor-division
+    steps with the smallest live entry as pivot), so every step is an
+    integer row operation and no Fraction arises.  The pivots multiply
+    to +-det G, so det G = +-1 exactly when each is +-1.
+    """
+    n = len(g)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    for c in range(n):
+        while True:
+            live = [r for r in range(c, n) if a[r][c]]
+            if not live:
+                return None
+            p = min(live, key=lambda r: abs(a[r][c]))
+            a[c], a[p] = a[p], a[c]
+            if len(live) == 1:
+                break
+            for r in range(c + 1, n):
+                q = a[r][c] // a[c][c]
+                if q:
+                    a[r] = [x - q * y for x, y in zip(a[r], a[c])]
+        if a[c][c] not in (1, -1):
+            return None
+        if a[c][c] == -1:
+            a[c] = [-x for x in a[c]]
+        for r in range(n):
+            q = a[r][c]
+            if r != c and q:
+                a[r] = [x - q * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
 def _mutation_directions(pair):
     """Per summand, True when its mutation goes down: its c-vector, a
-    column of G^-1 for G with one g-vector per row, is >= 0.  Certifies
-    that G is invertible over Z and every c-vector is sign-coherent."""
-    n = pair.size
-    inv = ExactMatrix.from_rows(
-        QQ, [[QQ.from_int(x) for x in g] for g in pair.g_matrix()], n).inverse()
-    if inv is None or any(v.denominator != 1
-                          for row in inv.rows for v in row.values()):
+    column of G^-1 for G with one g-vector per row, is >= 0.  G^-1 comes
+    from `_unimodular_inverse`, an integer Gauss-Jordan, which also
+    certifies that G is invertible over Z; each c-vector is then
+    certified sign-coherent."""
+    inv = _unimodular_inverse(pair.g_matrix())
+    if inv is None:
         raise InvariantViolation(
             f"pair {pair.key()}: the g-vectors are not a Z-basis")
     downs = []
-    for i in range(n):
-        signs = {row[i] > 0 for row in inv.rows if i in row}
+    for i in range(pair.size):
+        signs = {row[i] > 0 for row in inv if row[i]}
         if len(signs) != 1:
             raise InvariantViolation(
                 f"pair {pair.key()}, summand {i + 1}: "

@@ -2,6 +2,8 @@ import io
 import json
 import os
 
+import pytest
+
 from tautilt import twoterm
 from tautilt.cli import run
 
@@ -63,6 +65,36 @@ def test_domain_error_exit_code(tmp_path):
     code, _, err = invoke(["enumerate", "--algebra", str(bad)])
     assert code == 1
     assert "admissible" in err
+
+
+def _loop_algebra(tmp_path, field, relation):
+    path = tmp_path / "loop.alg"
+    path.write_text(f'field = "{field}"\nvertices = ["1"]\n'
+                    'arrow = { name = "x", source = "1", target = "1" }\n'
+                    f'relations = ["{relation}"]\n')
+    return str(path)
+
+
+@pytest.mark.parametrize("field, relation",
+                         [("Q", "1/0*x*x"), ("Fp:3", "1/3*x*x")])
+def test_bad_relation_coefficient_is_usage_error(tmp_path, field, relation):
+    code, out, err = invoke(["enumerate", "--algebra",
+                             _loop_algebra(tmp_path, field, relation)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and relation in err
+
+
+def test_bad_module_entry_is_usage_error(tmp_path):
+    alg = tmp_path / "a2.alg"
+    alg.write_text('field = "Fp:3"\nvertices = ["1", "2"]\n'
+                   'arrow = { name = "a", source = "1", target = "2" }\n')
+    mod = tmp_path / "bad.mod"
+    mod.write_text('dim_vector = [1, 1]\n'
+                   'arrow_matrix = { arrow = "a", rows = ["1/3"] }\n')
+    code, out, err = invoke(["tau", "--algebra", str(alg),
+                             "--module", str(mod)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "1/3" in err
 
 
 def test_small_characteristic_radical_is_an_error():

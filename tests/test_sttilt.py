@@ -1,8 +1,11 @@
+import random
 import re
 
 import pytest
 
 from tautilt.algebra import parse_algebra
+from tautilt.fields import QQ
+from tautilt.linalg import ExactMatrix
 from tautilt import modrep as mr
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
@@ -114,6 +117,34 @@ def test_mutation_involution(kA2):
                 back = dr
                 break
         assert back == "up"
+
+
+def test_unimodular_inverse_matches_the_field_inverse():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        g = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):  # elementary row operations of det +-1
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i == j:
+                g[i] = [-x for x in g[i]]
+            else:
+                c = rng.choice((-2, -1, 1, 2))
+                g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+        inv = st._unimodular_inverse(g)
+        assert inv is not None
+        assert ExactMatrix.from_rows(QQ, inv, n) == \
+            ExactMatrix.from_rows(QQ, g, n).inverse()
+    # no entry of the first column is a unit, so Euclid's steps are needed
+    assert st._unimodular_inverse([[2, 3], [3, 5]]) == [[5, -3], [-3, 2]]
+
+
+@pytest.mark.parametrize("g", [
+    [[2]], [[1, 1], [1, -1]], [[3, 1], [1, 1]],            # det +-2
+    [[0]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]],  # singular
+])
+def test_unimodular_inverse_rejects_other_determinants(g):
+    assert st._unimodular_inverse(g) is None
 
 
 def test_mutate_certifies_c_vectors(kA2):
