@@ -56,9 +56,10 @@ def load_module(alg, path):
         value = value.strip()
         if key == "dim_vector":
             try:
-                dims = tuple(int(x) for x in ast.literal_eval(value))
+                dims = ast.literal_eval(value)
             except (ValueError, SyntaxError) as exc:
                 raise UsageError(f"{path}:{lineno}: bad dim_vector") from exc
+            dims = _counts(dims, f"{path}:{lineno}: dim_vector")
         elif key == "arrow_matrix":
             m = arrow_re.match(value)
             if not m:
@@ -68,6 +69,8 @@ def load_module(alg, path):
                 rows = list(ast.literal_eval(m.group(2)))
             except (ValueError, SyntaxError) as exc:
                 raise UsageError(f"{path}:{lineno}: bad rows") from exc
+            if not all(isinstance(r, str) for r in rows):
+                raise UsageError(f"{path}:{lineno}: rows must be strings")
             mats[name] = [r.split() for r in rows]
         else:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
@@ -76,9 +79,20 @@ def load_module(alg, path):
     return _build_module(alg, dims, mats, origin=path)
 
 
+def _counts(value, what):
+    """A list of non-negative ints as a tuple; anything else is a UsageError."""
+    if not isinstance(value, (list, tuple)) or not all(
+            type(x) is int and x >= 0 for x in value):
+        raise UsageError(f"{what} must be a list of non-negative integers")
+    return tuple(value)
+
+
 def _build_module(alg, dims, mats, origin="input"):
     if len(dims) != alg.n:
         raise UsageError(f"{origin}: dim_vector length != number of vertices")
+    unknown = sorted(set(mats) - {arrow.name for arrow in alg.arrows})
+    if unknown:
+        raise UsageError(f"{origin}: the algebra has no arrow {unknown[0]!r}")
     F = alg.field
     maps = {}
     for ai, arrow in enumerate(alg.arrows):
@@ -103,16 +117,32 @@ def load_pair(alg, path):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: bad JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: a pair file holds a JSON object")
+    modules = data.get("modules", [])
+    if not isinstance(modules, list):
+        raise UsageError(f"{path}: modules must be a list")
     mods = []
-    for entry in data.get("modules", []):
-        dims = tuple(int(x) for x in entry["dim_vector"])
-        mats = {name: rows for name, rows in entry.get("arrows", {}).items()}
+    for k, entry in enumerate(modules):
+        where = f"{path}: module {k}"
+        if not isinstance(entry, dict) or "dim_vector" not in entry:
+            raise UsageError(f"{where}: expected an object with a dim_vector")
+        dims = _counts(entry["dim_vector"], f"{where}: dim_vector")
+        mats = entry.get("arrows", {})
+        if not isinstance(mats, dict) or not all(
+                isinstance(rows, list)
+                and all(isinstance(row, list) for row in rows)
+                and all(isinstance(v, str) for row in rows for v in row)
+                for rows in mats.values()):
+            raise UsageError(
+                f"{where}: arrows must map names to rows of string entries")
         mods.append(_build_module(alg, dims, mats, origin=path))
-    proj = data.get("projective_part", [0] * alg.n)
+    proj = _counts(data.get("projective_part", [0] * alg.n),
+                   f"{path}: projective_part")
     if len(proj) != alg.n:
         raise UsageError(f"{path}: projective_part length != vertices")
     M = mr.direct_sum(alg, mods)
-    return st.pair_from_module_data(alg, M, tuple(int(x) for x in proj))
+    return st.pair_from_module_data(alg, M, proj)
 
 
 def pair_to_json(pair):

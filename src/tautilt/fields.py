@@ -81,12 +81,6 @@ class Rationals:
     def inv(self, a):
         return self.div(1, a)
 
-    def bit_size(self, a):
-        # pivot-selection weight: total bits of numerator and denominator
-        if a.__class__ is int:
-            return a.bit_length() + 1
-        return a.numerator.bit_length() + a.denominator.bit_length()
-
     def to_string(self, a):
         return str(a)
 
@@ -147,10 +141,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverting zero in GF(p)")
         return pow(a, -1, self.p)
-
-    def bit_size(self, a):
-        # all nonzero residues are equally good pivots
-        return 1
 
     def to_string(self, a):
         return str(a)

@@ -1,17 +1,16 @@
 """Exact sparse linear algebra over Q or GF(p).
 
-Matrices are immutable-by-convention sparse row dicts.  The single
-elimination engine picks pivots by minimizing scalar bit-size (ties by
-(row, col) position) through a lazy heap, which keeps coefficient growth
-and fill-in low on the very sparse, mostly-unit systems this package
-produces.  All reduced outputs are canonicalized to the reduced row
-echelon form of the row space, so results do not depend on the pivot
-order.
+Matrices are immutable-by-convention sparse row dicts.  Every
+elimination goes through `RowSpace`, one incremental Gauss-Jordan that
+keeps the reduced row echelon form of the rows added so far.  The RREF
+of a row space is unique, so every reduced output (echelon bases,
+kernels, particular solutions) is a function of the row space alone,
+independent of the order the rows arrive in.
 
 0 x n and n x 0 matrices are legal and behave as empty maps.
 """
 
-import heapq
+from bisect import bisect
 
 
 class ExactMatrix:
@@ -179,35 +178,23 @@ class ExactMatrix:
     def rref(self):
         """Canonical reduced row echelon form of the row space.
 
-        Returns (pivot_cols, rows) with rows sorted by pivot column; this
-        is the unique RREF basis of the row space, independent of pivot
-        strategy.
+        Returns (pivot_cols, rows) with rows sorted by pivot column: the
+        unique RREF basis of the row space.
         """
-        pivots, rows, _ = _row_reduce(self.field, self.copy_rows())
-        return pivots, rows
+        space = RowSpace(self.field, self.ncols, self.rows)
+        return space.pivots, space.reduced
 
     def rank(self):
-        return len(self.rref()[0])
+        return RowSpace(self.field, self.ncols, self.rows).dim
 
     def right_kernel_basis(self):
         """Columns spanning {x : self . x = 0}; rank + kernel cols = ncols."""
-        pivots, rows = self.rref()
-        pivot_of = {c: r for r, c in enumerate(pivots)}
-        F = self.field
-        free = [j for j in range(self.ncols) if j not in pivot_of]
-        cols = []
-        for j in free:
-            vec = {j: F.one}
-            for c in pivots:
-                v = rows[pivot_of[c]].get(j)
-                if v is not None:
-                    vec[c] = F.neg(v)
-            cols.append(vec)
+        vecs = RowSpace(self.field, self.ncols, self.rows).kernel()
         out = [{} for _ in range(self.ncols)]
-        for k, vec in enumerate(cols):
+        for k, vec in enumerate(vecs):
             for i, v in vec.items():
                 out[i][k] = v
-        return ExactMatrix(F, self.ncols, len(cols), out)
+        return ExactMatrix(self.field, self.ncols, len(vecs), out)
 
     def left_kernel_rows(self):
         """Rows spanning {v : v . self = 0}."""
@@ -215,14 +202,13 @@ class ExactMatrix:
 
     def row_space_rows(self):
         """Canonical (RREF) basis of the row space as a matrix."""
-        pivots, rows = self.rref()
-        return ExactMatrix(self.field, len(rows), self.ncols, rows)
+        space = RowSpace(self.field, self.ncols, self.rows)
+        return ExactMatrix(self.field, space.dim, self.ncols, space.reduced)
 
     def solve_right(self, g):
         """One h with self . h = g (reduced-echelon particular solution) or None."""
         if g.nrows != self.nrows:
             raise ValueError("row counts incompatible in solve")
-        F = self.field
         r = self.ncols
         aug = []
         for i in range(self.nrows):
@@ -230,15 +216,15 @@ class ExactMatrix:
             for j, v in g.rows[i].items():
                 row[r + j] = v
             aug.append(row)
-        pivots, rows, leftover = _row_reduce(F, aug, pivot_limit=r)
-        if any(leftover):
-            return None  # a row with no coefficient support stayed nonzero
+        space = RowSpace(self.field, r + g.ncols, aug)
+        if space.pivots and space.pivots[-1] >= r:
+            return None  # the RREF of [self | g] has a row 0 = nonzero
         h_rows = [{} for _ in range(r)]
-        for pcol, row in zip(pivots, rows):
+        for pcol, row in zip(space.pivots, space.reduced):
             for j, v in row.items():
                 if j >= r:
                     h_rows[pcol][j - r] = v
-        return ExactMatrix(F, r, g.ncols, h_rows)
+        return ExactMatrix(self.field, r, g.ncols, h_rows)
 
     def solve_left(self, g):
         """One h with h . self = g, or None."""
@@ -264,188 +250,28 @@ def kernel_basis(m):
     return m.right_kernel_basis()
 
 
-def _row_reduce(field, rows, pivot_limit=None):
-    """Destructive sparse RREF engine.
-
-    Pivot selection: the live entry minimizing (bit_size, row, col),
-    through a lazy heap (stale entries are skipped).  Only columns below
-    `pivot_limit` are pivot-eligible (None: all).  Returns
-    (pivot_cols, pivot_rows, leftover_rows): pivot rows are the canonical
-    RREF of the pivotable part sorted by pivot column, leftovers are the
-    (reduced) rows supported entirely on non-eligible columns.
-    """
-    bit = field.bit_size
-    sub, mul, neg = field.sub, field.mul, field.neg
-    eligible = (lambda c: True) if pivot_limit is None else (lambda c: c < pivot_limit)
-
-    cols = {}  # col -> set of active row ids having an entry there
-    heap = []
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            cols.setdefault(j, set()).add(i)
-            if eligible(j):
-                heap.append((bit(v), i, j))
-    heapq.heapify(heap)
-
-    active = [bool(r) for r in rows]
-    pivot_seq = []  # (pivot_col, row dict) in retirement order
-
-    while heap:
-        b, i, j = heapq.heappop(heap)
-        if not active[i]:
-            continue
-        v = rows[i].get(j)
-        if v is None or bit(v) != b:
-            continue  # stale heap entry
-        # pivot at (i, j): normalize, eliminate the column, retire the row
-        row = rows[i]
-        if v != field.one:
-            inv = field.inv(v)
-            for c in list(row):
-                row[c] = mul(inv, row[c])
-        active[i] = False
-        for c in row:
-            s = cols.get(c)
-            if s is not None:
-                s.discard(i)
-        others = cols.get(j)
-        if others:
-            for k in list(others):
-                if not active[k]:
-                    others.discard(k)
-                    continue
-                rk = rows[k]
-                factor = rk.get(j)
-                if factor is None:
-                    others.discard(k)
-                    continue
-                for c, pv in row.items():
-                    delta = mul(factor, pv)
-                    cur = rk.get(c)
-                    if cur is None:
-                        nv = neg(delta)
-                        if nv != 0:
-                            rk[c] = nv
-                            cols.setdefault(c, set()).add(k)
-                            if eligible(c):
-                                heapq.heappush(heap, (bit(nv), k, c))
-                    else:
-                        nv = sub(cur, delta)
-                        if nv == 0:
-                            del rk[c]
-                            cs = cols.get(c)
-                            if cs is not None:
-                                cs.discard(k)
-                        else:
-                            rk[c] = nv
-                            if eligible(c):
-                                heapq.heappush(heap, (bit(nv), k, c))
-                if not rk:
-                    active[k] = False
-        pivot_seq.append((j, row))
-
-    # Canonicalization: the forward phase yields a low-fill basis of the
-    # pivotable row space; a leftmost-pivot ascending sweep turns it into
-    # the unique RREF, independent of the pivot order used above.  A live
-    # column index is required because eliminations move entries around;
-    # fill-in only lands at columns right of the current pivot, so one
-    # ascending sweep (with pushed fill-in columns) is exhaustive.
-    work = [r for _, r in pivot_seq]
-    nwork = len(work)
-    used = [False] * nwork
-    live = {}  # col -> set of unpivoted work-row ids currently having col
-    colheap = []
-    for idx, r in enumerate(work):
-        for c in r:
-            if eligible(c):
-                live.setdefault(c, set()).add(idx)
-    colheap = sorted(live)
-    heapq.heapify(colheap)
-    seen_cols = set(colheap)
-    done = []
-
-    while colheap:
-        c = heapq.heappop(colheap)
-        cand = sorted(i for i in live.get(c, ()) if not used[i] and c in work[i])
-        if not cand:
-            continue
-        i0 = cand[0]
-        row = work[i0]
-        used[i0] = True
-        for cc in row:
-            s = live.get(cc)
-            if s is not None:
-                s.discard(i0)
-        v = row[c]
-        if v != field.one:
-            inv = field.inv(v)
-            for cc in list(row):
-                row[cc] = mul(inv, row[cc])
-        for i in list(live.get(c, set())):
-            if used[i]:
-                live[c].discard(i)
-                continue
-            _eliminate(field, work[i], c, row, live, i, eligible, colheap, seen_cols)
-        for k in range(len(done)):
-            if c in done[k][1]:
-                _eliminate(field, done[k][1], c, row, None, None, eligible, None, None)
-        done.append((c, row))
-
-    leftover = [rows[i] for i in range(len(rows)) if active[i] and rows[i]]
-    for idx, r in enumerate(work):
-        if used[idx] or not r:
-            continue
-        if any(eligible(c) for c in r):
-            raise AssertionError("canonical pass missed an eligible row")
-        leftover.append(r)
-    done.sort(key=lambda t: t[0])
-    return [c for c, _ in done], [r for _, r in done], leftover
-
-
-def _eliminate(field, target, c, pivot_row, live, row_id, eligible, colheap, seen_cols):
-    """target -= target[c] * pivot_row, maintaining the live column index."""
-    factor = target.get(c)
-    if factor is None:
-        return
-    sub, mul, neg = field.sub, field.mul, field.neg
-    for cc, pv in pivot_row.items():
-        delta = mul(factor, pv)
-        cur = target.get(cc)
-        if cur is None:
-            nv = neg(delta)
-            if nv != 0:
-                target[cc] = nv
-                if live is not None and eligible(cc):
-                    live.setdefault(cc, set()).add(row_id)
-                    if cc not in seen_cols:
-                        seen_cols.add(cc)
-                        heapq.heappush(colheap, cc)
-        else:
-            nv = sub(cur, delta)
-            if nv == 0:
-                del target[cc]
-                if live is not None:
-                    s = live.get(cc)
-                    if s is not None:
-                        s.discard(row_id)
-            else:
-                target[cc] = nv
-
-
 class RowSpace:
-    """A subspace of k^n spanned by rows, with reduction and membership."""
+    """A subspace of k^n, kept as the reduced row echelon form of its rows.
+
+    This is the package's one elimination engine.  `add` reduces a vector
+    by the stored rows, normalizes the remainder at its leftmost column
+    and clears that column from the stored rows, so `pivots` (ascending)
+    and `reduced` are always the unique RREF basis of the span of the
+    rows added so far, whatever their order.  Vectors are {col: scalar}
+    dicts without zero entries; the space never keeps a caller's dict.
+    """
 
     def __init__(self, field, ambient, rows=()):
         self.field = field
         self.ambient = ambient
-        if isinstance(rows, ExactMatrix):
-            work = rows.copy_rows()
-        else:
-            work = [dict(r) for r in rows]
-        pivots, reduced, _ = _row_reduce(field, work)
-        self.pivots = pivots
-        self.pivot_of = {c: i for i, c in enumerate(pivots)}
-        self.reduced = reduced
+        self.pivots = []
+        self.reduced = []
+        self._row_at = {}   # pivot column -> its row
+        self._holders = {}  # free column -> pivot columns whose rows have it
+        # the RREF does not depend on the order of the rows, but the
+        # fill-in on the way does: add the sparsest rows first
+        for r in sorted(rows, key=len):
+            self.add(r)
 
     @property
     def dim(self):
@@ -454,26 +280,87 @@ class RowSpace:
     def reduce(self, vec):
         """Reduce a {col: val} vector modulo the subspace (canonical rep)."""
         F = self.field
+        sub, mul, neg = F.sub, F.mul, F.neg
+        row_at = self._row_at
         out = dict(vec)
-        for c in sorted(set(out) & set(self.pivot_of)):
-            factor = out.get(c)
-            if not factor:
-                continue
-            row = self.reduced[self.pivot_of[c]]
-            for cc, pv in row.items():
-                cur = out.get(cc, F.zero)
-                nv = F.sub(cur, F.mul(factor, pv))
-                if nv == 0:
-                    out.pop(cc, None)
+        # each stored row is zero at every other pivot, so the order of
+        # the subtractions does not matter
+        for c in [c for c in vec if c in row_at]:
+            factor = out.pop(c)
+            for cc, pv in row_at[c].items():
+                if cc == c:
+                    continue
+                cur = out.get(cc)
+                if cur is None:
+                    out[cc] = neg(mul(factor, pv))
                 else:
-                    out[cc] = nv
+                    nv = sub(cur, mul(factor, pv))
+                    if nv == 0:
+                        del out[cc]
+                    else:
+                        out[cc] = nv
         return out
 
     def contains(self, vec):
         return not self.reduce(vec)
 
+    def add(self, vec):
+        """Add vec to the span; return its new basis row, or {} if vec was
+        already in the span.  The returned row belongs to the space."""
+        red = self.reduce(vec)
+        if not red:
+            return red
+        F = self.field
+        sub, mul, neg = F.sub, F.mul, F.neg
+        c = min(red)
+        v = red[c]
+        if v != F.one:
+            inv = F.inv(v)
+            red = {cc: mul(inv, x) for cc, x in red.items()}
+        holders = self._holders
+        row_at = self._row_at
+        clear = holders.pop(c, ())
+        for cc in red:
+            if cc != c:
+                holders.setdefault(cc, set()).add(c)
+        for p in clear:
+            row = row_at[p]
+            factor = row.pop(c)
+            for cc, pv in red.items():
+                if cc == c:
+                    continue
+                cur = row.get(cc)
+                if cur is None:
+                    row[cc] = neg(mul(factor, pv))
+                    holders[cc].add(p)
+                else:
+                    nv = sub(cur, mul(factor, pv))
+                    if nv == 0:
+                        del row[cc]
+                        holders[cc].discard(p)
+                    else:
+                        row[cc] = nv
+        row_at[c] = red
+        i = bisect(self.pivots, c)
+        self.pivots.insert(i, c)
+        self.reduced.insert(i, red)
+        return red
+
     def free_cols(self):
-        return [j for j in range(self.ambient) if j not in self.pivot_of]
+        return [j for j in range(self.ambient) if j not in self._row_at]
+
+    def kernel(self):
+        """Vectors spanning {x : r . x = 0 for every row r}, one per free
+        column j: x_j = 1, x_p = -row_p[j] at each pivot p."""
+        F = self.field
+        row_at, holders = self._row_at, self._holders
+        out = []
+        for j in self.free_cols():
+            vec = {j: F.one}
+            for p in sorted(holders.get(j, ())):
+                vec[p] = F.neg(row_at[p][j])
+            out.append(vec)
+        return out
 
 
 def kernel_via_presolve(field, rows, ncols):
@@ -482,7 +369,7 @@ def kernel_via_presolve(field, rows, ncols):
     Rows with one or two entries pin variables to zero or identify them
     up to a scalar through a weighted union-find; longer rows are
     rewritten over the surviving class representatives and the (small)
-    residual system runs through the generic eliminator.  Built for the
+    residual system runs through `RowSpace`.  Built for the
     chain-map systems, which are almost entirely two-term unit equations.
 
     Returns a list of {col: val} kernel vectors, RREF-canonicalized.
@@ -602,17 +489,9 @@ def kernel_via_presolve(field, rows, ncols):
                 acc[pos] = nv
         if acc:
             res_rows.append(acc)
-    if res_rows:
-        res_mat = ExactMatrix.from_row_dicts(
-            field, len(res_rows), len(live_roots), res_rows)
-        ker = res_mat.right_kernel_basis()
-        root_solutions = []
-        for k in range(ker.ncols):
-            root_solutions.append(
-                {live_roots[i]: ker.rows[i][k]
-                 for i in range(len(live_roots)) if k in ker.rows[i]})
-    else:
-        root_solutions = [{r: field.one} for r in live_roots]
+    root_solutions = [
+        {live_roots[i]: v for i, v in vec.items()}
+        for vec in RowSpace(field, len(live_roots), res_rows).kernel()]
 
     # expand each root solution across its class members
     members = {}
@@ -632,5 +511,4 @@ def kernel_via_presolve(field, rows, ncols):
         if vec:
             vectors.append(vec)
     # canonical basis of the kernel space
-    pivots, reduced, _ = _row_reduce(field, [dict(v) for v in vectors])
-    return reduced
+    return RowSpace(field, ncols, vectors).reduced

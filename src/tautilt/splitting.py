@@ -43,22 +43,19 @@ def minimal_polynomial(field, mat):
     Returns [c0, c1, ..., 1] with sum c_k x^k = 0.
     """
     n = mat.nrows
-    powers = [ExactMatrix.identity(field, n)]
-    vecs = [_flatten(powers[0])]
-    while True:
-        space = RowSpace(field, n * n, vecs[:-1])
-        red = space.reduce(vecs[-1])
-        if not red:
-            # last power depends on the earlier ones: recover coefficients
-            k = len(vecs) - 1
-            stacked = ExactMatrix.from_row_dicts(field, k, n * n, vecs[:k])
-            target = ExactMatrix.from_row_dicts(field, 1, n * n, [vecs[-1]])
-            sol = stacked.solve_left(target)
-            coeffs = [field.neg(sol.rows[0].get(i, field.zero)) for i in range(k)]
-            coeffs.append(field.one)
-            return coeffs
-        powers.append(powers[-1].mul(mat))
-        vecs.append(_flatten(powers[-1]))
+    nn = n * n
+    space = RowSpace(field, nn + n + 1)
+    power = ExactMatrix.identity(field, n)
+    for k in itertools.count():
+        # the row [x^k | e_k]: once x^k reduces to zero in the first nn
+        # columns, the tail holds the monic relation sum c_i x^i = 0
+        vec = _flatten(power)
+        vec[nn + k] = field.one
+        red = space.reduce(vec)
+        if min(red) >= nn:
+            return [red.get(nn + i, field.zero) for i in range(k + 1)]
+        space.add(red)
+        power = power.mul(mat)
 
 
 def _eval_poly(field, coeffs, mat):

@@ -605,8 +605,7 @@ class HomotopyHom:
             h = _BlockCoords(alg, U.p1, T.p0)
             self.homotopies = RowSpace(F, nunk, _images(
                 h, ((self.c1, T.d, False), (self.c0, U.d, True)), nunk, cache))
-            reduced = [self.homotopies.reduce(v) for v in raw]
-            self.classes = RowSpace(F, nunk, [v for v in reduced if v])
+            self.classes = RowSpace(F, nunk, map(self.homotopies.reduce, raw))
             self.dim = self.classes.dim
             self.reps = [_chain_map(T, U, self.c1, self.c0, row)
                          for row in self.classes.reduced]
@@ -830,14 +829,13 @@ def _approximation_summands(X, targets, left):
             for u in homs[l].reps:
                 for v in radical:
                     wall.append(_class_vec(hs, then(v, u)))
-        covered = RowSpace(field, hs.classes.ambient, [w for w in wall if w])
+        covered = RowSpace(field, hs.classes.ambient, wall)
         for cand in hs.reps:
             if covered.contains(_class_vec(hs, cand)):
                 continue
             chosen.append((j, cand))
-            orbit = [_class_vec(hs, then(e, cand)) for e in ends[j].reps]
-            covered = RowSpace(field, hs.classes.ambient,
-                               list(covered.reduced) + [o for o in orbit if o])
+            for e in ends[j].reps:
+                covered.add(_class_vec(hs, then(e, cand)))
     return chosen
 
 
@@ -924,7 +922,7 @@ def factors_through(g, f):
     gvec = _class_vec(hs_xt, g)
     image = [_class_vec(hs_xt, r.compose(f)) for r in hs_tt.reps]
     return RowSpace(g.source.alg.field, hs_xt.classes.ambient,
-                    [v for v in image if v]).contains(gvec)
+                    image).contains(gvec)
 
 
 def complex_to_json_dict(T):

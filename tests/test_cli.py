@@ -97,6 +97,66 @@ def test_bad_module_entry_is_usage_error(tmp_path):
     assert err.startswith("error:") and "1/3" in err
 
 
+def _a2_fp3(tmp_path):
+    alg = tmp_path / "a2_fp3.alg"
+    alg.write_text('field = "Fp:3"\nvertices = ["1", "2"]\n'
+                   'arrow = { name = "a", source = "1", target = "2" }\n')
+    return str(alg)
+
+
+@pytest.mark.parametrize("field, pair, needle", [
+    ("Q", [], "JSON object"),
+    ("Q", {"modules": {}}, "modules"),
+    ("Q", {"modules": [{"arrows": {}}]}, "dim_vector"),
+    ("Q", {"modules": [{"dim_vector": [1, "x"]}]}, "dim_vector"),
+    ("Q", {"modules": [{"dim_vector": [1, 0.5]}]}, "dim_vector"),
+    ("Q", {"modules": [], "projective_part": [0, "x"]}, "projective_part"),
+    ("Q", {"modules": [], "projective_part": [0, -1]}, "projective_part"),
+    ("Fp:3", {"modules": [{"dim_vector": [1, 1], "arrows": {"a": [[1]]}}]},
+     "string entries"),
+])
+def test_malformed_pair_file_is_usage_error(tmp_path, field, pair, needle):
+    alg = data_path("a2.alg") if field == "Q" else _a2_fp3(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(pair))
+    code, out, err = invoke(["gvectors", "--algebra", alg,
+                             "--pair", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and needle in err
+
+
+def test_unknown_arrow_is_usage_error(tmp_path):
+    mod = tmp_path / "b.mod"
+    mod.write_text('dim_vector = [1, 1]\n'
+                   'arrow_matrix = { arrow = "b", rows = ["1"] }\n')
+    code, out, err = invoke(["check", "--algebra", data_path("a2.alg"),
+                             "--module", str(mod)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'b'" in err
+    pair = tmp_path / "b.json"
+    pair.write_text(json.dumps(
+        {"modules": [{"dim_vector": [1, 1], "arrows": {"b": [["1"]]}}]}))
+    code, out, err = invoke(["gvectors", "--algebra", data_path("a2.alg"),
+                             "--pair", str(pair)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'b'" in err
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('dim_vector = [1, -1]\n', "dim_vector"),
+    ('dim_vector = 1\n', "dim_vector"),
+    ('dim_vector = [1, 1]\narrow_matrix = { arrow = "a", rows = [1] }\n',
+     "rows"),
+])
+def test_malformed_module_file_is_usage_error(tmp_path, text, needle):
+    mod = tmp_path / "bad.mod"
+    mod.write_text(text)
+    code, out, err = invoke(["check", "--algebra", data_path("a2.alg"),
+                             "--module", str(mod)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and needle in err
+
+
 def test_small_characteristic_radical_is_an_error():
     # End(P1) = F_2[x]/(x^2): the trace form cannot decide its radical
     code, out, err = invoke(["enumerate", "--algebra",

@@ -48,12 +48,6 @@ def test_no_operation_leaves_the_normal_form():
         assert normal(QQ.from_string(s)) and QQ.from_string(s) == Fraction(s)
 
 
-def test_bit_size_ignores_the_representation():
-    for n in (0, 1, -1, 2, 255, -256, 10 ** 30):
-        assert QQ.bit_size(n) == QQ.bit_size(Fraction(n)) == n.bit_length() + 1
-    assert QQ.bit_size(Fraction(-3, 4)) == 2 + 3
-
-
 def test_ints_and_fractions_print_and_hash_alike():
     for n in (0, -1, 12):
         assert QQ.to_string(n) == QQ.to_string(Fraction(n)) == str(n)

@@ -105,15 +105,139 @@ def test_presolve_kernel_matches_generic():
                     if v:
                         row[j] = v
             rows.append(row)
-        mat = ExactMatrix.from_row_dicts(QQ, n, m, rows)
-        generic = mat.right_kernel_basis()
-        gvecs = [{i: generic.rows[i][k] for i in range(m)
-                  if k in generic.rows[i]} for k in range(generic.ncols)]
-        fast = kernel_via_presolve(QQ, rows, m)
-        span_a = RowSpace(QQ, m, gvecs)
-        span_b = RowSpace(QQ, m, fast)
-        assert span_a.dim == span_b.dim == len(fast)
-        assert all(span_a.contains(v) for v in fast)
+        expected = reference_rref(QQ, reference_kernel(QQ, rows, m), m)[1]
+        assert kernel_via_presolve(QQ, rows, m) == expected
+
+
+# -- differential test against a dense textbook Gauss-Jordan ----------------
+
+def reference_rref(field, rows, ncols):
+    """Dense Gauss-Jordan, column by column: (pivot columns, RREF rows)."""
+    mat = [[r.get(j, field.zero) for j in range(ncols)] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        below = [i for i in range(top, len(mat)) if mat[i][col] != 0]
+        if not below:
+            continue
+        mat[top], mat[below[0]] = mat[below[0]], mat[top]
+        inv = field.inv(mat[top][col])
+        mat[top] = [field.mul(inv, x) for x in mat[top]]
+        for i in range(len(mat)):
+            f = mat[i][col]
+            if i != top and f != 0:
+                mat[i] = [field.sub(x, field.mul(f, y))
+                          for x, y in zip(mat[i], mat[top])]
+        pivots.append(col)
+    return pivots, [{j: x for j, x in enumerate(mat[i]) if x != 0}
+                    for i in range(len(pivots))]
+
+
+def reference_kernel(field, rows, ncols):
+    """One kernel vector per free column of the reference RREF."""
+    pivots, reduced = reference_rref(field, rows, ncols)
+    out = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = {j: field.one}
+        for p, row in zip(pivots, reduced):
+            if j in row:
+                vec[p] = field.neg(row[j])
+        out.append(vec)
+    return out
+
+
+def random_scalar(field, rng):
+    if field == QQ:
+        return QQ.div(rng.choice([-5, -3, -2, -1, 1, 2, 3, 7]),
+                      rng.randint(1, 4))
+    return rng.randrange(1, field.p)
+
+
+def random_sparse_rows(field, rng, nrows, ncols):
+    """Sparse rows, some of them combinations of earlier ones."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            ca, cb = random_scalar(field, rng), random_scalar(field, rng)
+            row = {}
+            for j in set(a) | set(b):
+                v = field.add(field.mul(ca, a.get(j, field.zero)),
+                              field.mul(cb, b.get(j, field.zero)))
+                if v != 0:
+                    row[j] = v
+        else:
+            row = {j: random_scalar(field, rng) for j in range(ncols)
+                   if rng.random() < 0.35}
+        rows.append(row)
+    return rows
+
+
+def augmented(rows, g, m):
+    """Rows of [A | g] for A with m columns."""
+    return [{**r, **{m + j: v for j, v in gr.items()}}
+            for r, gr in zip(rows, g.rows)]
+
+
+def test_elimination_matches_dense_gauss_jordan():
+    rng = random.Random(2024)
+    for field in (QQ, GF(2), GF(5)):
+        for _ in range(100):
+            n, m = rng.randint(0, 8), rng.randint(0, 8)
+            rows = random_sparse_rows(field, rng, n, m)
+            pivots, reduced = reference_rref(field, rows, m)
+            mat = ExactMatrix.from_row_dicts(field, n, m, rows)
+            assert mat.rref() == (pivots, reduced)
+            assert mat.rank() == len(pivots)
+            assert mat.row_space_rows().rows == reduced
+
+            batch = RowSpace(field, m, rows)
+            assert (batch.pivots, batch.reduced) == (pivots, reduced)
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            grown = RowSpace(field, m)
+            for row in shuffled:
+                dim = grown.dim
+                assert bool(grown.add(row)) == (grown.dim == dim + 1)
+            assert (grown.pivots, grown.reduced) == (pivots, reduced)
+            assert grown.free_cols() == [j for j in range(m)
+                                         if j not in pivots]
+            probe = random_sparse_rows(field, rng, 1, m)[0]
+            in_span = reference_rref(field, rows + [probe], m)[0] == pivots
+            assert grown.contains(probe) == in_span
+
+            kernel = reference_kernel(field, rows, m)
+            assert grown.kernel() == kernel
+            basis = mat.right_kernel_basis()
+            assert [{i: basis.rows[i][k] for i in range(m)
+                     if k in basis.rows[i]} for k in range(basis.ncols)] \
+                == kernel
+            assert kernel_via_presolve(field, rows, m) \
+                == reference_rref(field, kernel, m)[1]
+
+            # consistent: g = mat . h for a random h; the solution is the
+            # reduced-echelon one read off the RREF of [mat | g]
+            k = rng.randint(1, 3)
+            h = ExactMatrix.from_row_dicts(
+                field, m, k, random_sparse_rows(field, rng, m, k))
+            g = mat.mul(h)
+            aug = augmented(rows, g, m)
+            aug_pivots, aug_rows = reference_rref(field, aug, m + k)
+            expected = [{} for _ in range(m)]
+            for p, row in zip(aug_pivots, aug_rows):
+                expected[p] = {j - m: v for j, v in row.items() if j >= m}
+            assert mat.solve_right(g).rows == expected
+            # inconsistent exactly when the RREF of [mat | g] pivots in g
+            g = ExactMatrix.from_row_dicts(
+                field, n, k, random_sparse_rows(field, rng, n, k))
+            aug = augmented(rows, g, m)
+            solvable = all(p < m for p in reference_rref(field, aug, m + k)[0])
+            sol = mat.solve_right(g)
+            assert (sol is not None) == solvable
+            if solvable:
+                assert mat.mul(sol) == g
 
 
 def test_rowspace_reduce_and_contains():
