@@ -346,12 +346,18 @@ class BoundQuiverAlgebra:
     The algebra also owns the memoized two-term data computed over it,
     which lives exactly as long as the algebra does:
 
+    * form_ids: every complex serialization seen, numbered by a small
+      int in first-seen order (``TwoTermComplex.form_id``); the memos
+      below are keyed by these ids, so equal keys mean equal data;
     * summands: the summand registry, one canonical indecomposable
       complex per g-vector (filled by ``sttilt.intern_summand``);
-    * summand_forms: every serialization seen for a registered summand,
-      mapped to its canonical complex;
+    * summand_forms: the form id of every complex seen for a registered
+      summand, mapped to its canonical complex;
     * hom_memo: Hom spaces in the homotopy category, keyed by
-      (shift, T.serialize(), U.serialize()) (``twoterm.hom_homotopy``).
+      (shift, T.form_id(), U.form_id()) (``twoterm.hom_homotopy``);
+    * compose_memo: composition Hom(B, C) x Hom(A, B) -> Hom(A, C) as
+      structure constants in class coordinates, keyed by the form-id
+      triple (A, B, C) (``twoterm.composition_table``).
     """
 
     def __init__(self, spec):
@@ -364,9 +370,11 @@ class BoundQuiverAlgebra:
         self._build_basis()
         self._build_structure()
         self._check_radical_nilpotent()
+        self.form_ids = {}
         self.summands = {}
         self.summand_forms = {}
         self.hom_memo = {}
+        self.compose_memo = {}
 
     # -- construction ----------------------------------------------------
 

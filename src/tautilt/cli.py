@@ -9,7 +9,8 @@ import json
 import sys
 
 from .algebra import AlgebraError, AlgebraFileError, parse_algebra
-from .fields import FieldError
+from .fields import FieldError, PrimeField
+from .jsontext import dumps
 from .linalg import ExactMatrix
 from . import modrep as mr
 from . import oracle as orc
@@ -188,7 +189,7 @@ def cmd_tau(args, out):
     M = load_module(alg, args.module)
     tm = mr.tau(M)
     if args.format == "json":
-        _emit(out, json.dumps(st.module_to_json(tm), indent=2, sort_keys=True))
+        _emit(out, dumps(st.module_to_json(tm)))
     else:
         _emit(out, f"dim_vector: {list(tm.dims)}")
         for ai, arrow in enumerate(alg.arrows):
@@ -201,6 +202,9 @@ def cmd_tau(args, out):
 
 
 def cmd_enumerate(args, out):
+    if args.max_nodes < 1:
+        raise UsageError(
+            f"--max-nodes must be at least 1, not {args.max_nodes}")
     alg = load_algebra(args.algebra)
     graph = st.enumerate_sttilt(alg, max_nodes=args.max_nodes)
     if args.format == "json":
@@ -216,9 +220,7 @@ def cmd_mutate(args, out):
     alg = load_algebra(args.algebra)
     pair = load_pair(alg, args.pair)
     new, direction = st.mutate(pair, args.index)
-    _emit(out, json.dumps({"pair": pair_to_json(new),
-                           "direction": direction},
-                          indent=2, sort_keys=True))
+    _emit(out, dumps({"pair": pair_to_json(new), "direction": direction}))
     return 0
 
 
@@ -226,7 +228,7 @@ def cmd_bongartz(args, out):
     alg = load_algebra(args.algebra)
     pair = load_pair(alg, args.pair)
     done = st.bongartz_completion(pair)
-    _emit(out, json.dumps(pair_to_json(done), indent=2, sort_keys=True))
+    _emit(out, dumps(pair_to_json(done)))
     return 0
 
 
@@ -234,15 +236,14 @@ def cmd_cocompletion(args, out):
     alg = load_algebra(args.algebra)
     pair = load_pair(alg, args.pair)
     done = st.minimal_completion(pair)
-    _emit(out, json.dumps(pair_to_json(done), indent=2, sort_keys=True))
+    _emit(out, dumps(pair_to_json(done)))
     return 0
 
 
 def cmd_gvectors(args, out):
     alg = load_algebra(args.algebra)
     pair = load_pair(alg, args.pair)
-    _emit(out, json.dumps({"g_matrix": [list(c) for c in pair.g_matrix()]},
-                          indent=2, sort_keys=True))
+    _emit(out, dumps({"g_matrix": [list(c) for c in pair.g_matrix()]}))
     return 0
 
 
@@ -254,6 +255,13 @@ def cmd_oracle(args, out):
         raise UsageError(f"bad --dim-bound: {args.dim_bound!r}") from exc
     if len(bound) != alg.n:
         raise UsageError("--dim-bound length != number of vertices")
+    if any(b < 0 for b in bound):
+        raise UsageError(f"--dim-bound entries must be non-negative: "
+                         f"{args.dim_bound!r}")
+    try:
+        PrimeField(args.prime)
+    except FieldError as exc:
+        raise UsageError(f"bad --prime: {exc}") from exc
     cfg = orc.OracleConfig(bound, p=args.prime)
     _emit(out, orc.oracle_graph_json_text(alg, cfg))
     return 0

@@ -13,10 +13,10 @@ basis, structure constants) is shared plumbing.
 """
 
 import itertools
-import json
 
 from .algebra import BoundQuiverAlgebra, QuiverSpec
 from .fields import PrimeField
+from .jsontext import dumps
 
 CANDIDATE_CEILING = 10 ** 8
 SEARCH_CEILING = 10 ** 6
@@ -731,4 +731,4 @@ def oracle_graph_json(alg_q, cfg):
 
 
 def oracle_graph_json_text(alg_q, cfg):
-    return json.dumps(oracle_graph_json(alg_q, cfg), indent=2, sort_keys=True)
+    return dumps(oracle_graph_json(alg_q, cfg))

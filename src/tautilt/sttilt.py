@@ -26,10 +26,10 @@ and every node is reachable downward from the maximum, so termination
 with an exhausted frontier certifies completeness.
 """
 
-import json
 from collections import deque
 
 from .algebra import AlgebraError
+from .jsontext import Fragment, dumps
 from .linalg import ExactMatrix
 from . import modrep as mr
 from . import twoterm as tt
@@ -48,15 +48,15 @@ def intern_summand(T):
     indecomposable presilting complex T.
 
     The first complex seen with a g-vector becomes canonical.  Each other
-    serialization of that g-vector is checked against it once with
-    `twoterm.indecomposables_isomorphic` and then recorded as an alias;
-    a failed check contradicts the g-vector theorem and raises
-    InvariantViolation.
+    serialization of that g-vector (named by its form id) is checked
+    against it once with `twoterm.indecomposables_isomorphic` and then
+    recorded as an alias; a failed check contradicts the g-vector theorem
+    and raises InvariantViolation.
     """
     alg = T.alg
     forms = alg.summand_forms
-    ser = T.serialize()
-    canon = forms.get(ser)
+    fid = T.form_id()
+    canon = forms.get(fid)
     if canon is not None:
         return canon
     g = tt.g_vector(T)
@@ -70,7 +70,7 @@ def intern_summand(T):
             f"P^0 {tt.multiplicities(alg, canon.p0)} and "
             f"P^-1 {tt.multiplicities(alg, T.p1)} -> "
             f"P^0 {tt.multiplicities(alg, T.p0)}")
-    forms[ser] = canon
+    forms[fid] = canon
     return canon
 
 
@@ -348,26 +348,29 @@ class HasseGraph:
     def node_count(self):
         return len(self.nodes)
 
-    def to_json_dict(self):
-        nodes = []
-        for i, p in enumerate(self.nodes):
-            entry = {
-                "id": i,
-                "g_matrix": [list(col) for col in p.g_matrix()],
-                "module_summands": [
-                    module_to_json(m) for m in p.module_summands()],
-                "projective_part": list(p.projective_part()),
-            }
-            nodes.append(entry)
-        return {
+    def to_json(self):
+        """The graph as JSON text.  Each distinct module summand is
+        encoded once per call and spliced into every node holding it."""
+        fragments = {}
+
+        def module_text(m):
+            frag = fragments.get(id(m))
+            if frag is None:
+                frag = fragments[id(m)] = Fragment(module_to_json(m))
+            return frag
+
+        nodes = [{
+            "id": i,
+            "g_matrix": [list(col) for col in p.g_matrix()],
+            "module_summands": [module_text(m) for m in p.module_summands()],
+            "projective_part": list(p.projective_part()),
+        } for i, p in enumerate(self.nodes)]
+        return dumps({
             "nodes": nodes,
             "edges": [{"src": s, "dst": d, "index": i + 1}
                       for (s, d, i) in self.edges],
             "flags": {"complete": self.complete},
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        })
 
     def to_dot(self):
         lines = ["digraph sttilt {"]
@@ -403,8 +406,11 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     tuple; the registry checks isomorphism once per new serialization of
     a g-vector and aborts the run on a collision of non-isomorphic
     summands.  If the frontier exhausts within the limits, the graph is
-    the complete Hasse quiver.
+    the complete Hasse quiver.  max_nodes must be at least 1 (the top
+    pair is always a node).
     """
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, not {max_nodes}")
     top = TauRigidPair(alg, [
         intern_summand(tt.stalk_complex(alg, (v,), 0))
         for v in range(alg.n)])

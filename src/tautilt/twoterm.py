@@ -23,7 +23,10 @@ which needs no decomposition and so works over any field.
 Everything mutation-shaped runs through mapping cones of minimal
 approximations.  The approximation is written once, in its left form;
 the right form is its dual, read in the opposite category: Hom(A, B)
-becomes Hom(B, A) and a.b becomes b.a.  A cone of a map of two-term
+becomes Hom(B, A) and a.b becomes b.a.  It works in class coordinates,
+on composition tables the algebra memoizes per triple of form ids
+(`composition_table`), so it composes no chain map once they are
+built.  A cone of a map of two-term
 complexes transiently occupies three degrees; stripping contractible
 pairs (unit entries between equal projectives) reduces it back, and
 whether the extreme degree empties is exactly the test for the mutation
@@ -131,7 +134,7 @@ class AlgMatrix:
 class TwoTermComplex:
     """P^{-1} -> P^0 with algebra-entry differential."""
 
-    __slots__ = ("alg", "p1", "p0", "d", "_ser", "_h0")
+    __slots__ = ("alg", "p1", "p0", "d", "_ser", "_fid", "_h0")
 
     def __init__(self, alg, p1, p0, d=None):
         self.alg = alg
@@ -143,6 +146,7 @@ class TwoTermComplex:
             raise AlgebraError("differential shape mismatch")
         self.d = d
         self._ser = None
+        self._fid = None
         self._h0 = None
 
     def is_zero(self):
@@ -152,6 +156,14 @@ class TwoTermComplex:
         if self._ser is None:
             self._ser = (self.p1, self.p0, self.d.serialize())
         return self._ser
+
+    def form_id(self):
+        """Small int naming this complex's serialization in the algebra's
+        form_ids numbering: equal ids mean equal serializations."""
+        if self._fid is None:
+            ids = self.alg.form_ids
+            self._fid = ids.setdefault(self.serialize(), len(ids))
+        return self._fid
 
     def __repr__(self):
         labels = self.alg.vertex_labels
@@ -559,22 +571,6 @@ def _chain_map(T, U, c1, c0, vec):
     return ChainMap(T, U, c1.vec_to_matrix(vec), c0.vec_to_matrix(vec))
 
 
-def _combine(T, U, terms):
-    """The chain map T -> U summing c * f over the (c, f) in terms."""
-    alg = T.alg
-    f1 = AlgMatrix(alg, U.p1, T.p1)
-    f0 = AlgMatrix(alg, U.p0, T.p0)
-    for c, f in terms:
-        for acc, part in ((f1, f.f1), (f0, f.f0)):
-            for key, e in part.entries.items():
-                s = alg.elem_add(acc.entries.get(key, {}), alg.elem_scale(c, e))
-                if s:
-                    acc.entries[key] = s
-                else:
-                    acc.entries.pop(key, None)
-    return ChainMap(T, U, f1, f0)
-
-
 class HomotopyHom:
     """Hom in the homotopy category between two-term complexes, one shift.
 
@@ -592,7 +588,7 @@ class HomotopyHom:
         self.alg = alg
         F = alg.field
         self.reps = []
-        self.radical = None  # rad End(T) for U = T, set on first use
+        self.radical = None  # for U = T: rad End(T) as rows over reps
         if abs(shift) >= 2:
             self.dim = 0
             return
@@ -633,37 +629,57 @@ class HomotopyHom:
             self.reps = [self.c.vec_to_matrix(v) for v in vecs]
 
     def chain_map_class(self, cm):
-        """Canonical class coordinates of a strict chain map."""
-        red = _class_vec(self, cm)
+        """Canonical class coordinates of a strict chain map: the {index:
+        coefficient} dict of its class over self.reps."""
+        vec = {}
+        self.c1.matrix_to_vec(cm.f1, vec)
+        self.c0.matrix_to_vec(cm.f0, vec)
+        red = self.homotopies.reduce(vec)
         if self.classes.reduce(red):
             raise AssertionError("chain map outside the computed Hom space")
         return {idx: red[pc] for idx, pc in enumerate(self.classes.pivots)
                 if red.get(pc)}
 
 
-def _class_vec(hs, cm):
-    vec = {}
-    hs.c1.matrix_to_vec(cm.f1, vec)
-    hs.c0.matrix_to_vec(cm.f0, vec)
-    return hs.homotopies.reduce(vec)
-
-
 def hom_homotopy(T, U, shift=0):
     """Hom_{K^b(proj)}(T, U[shift]) for two-term T, U.
 
     Memoized in T.alg.hom_memo, which the algebra owns: one build per
-    (shift, T.serialize(), U.serialize()) for as long as the algebra
-    lives.  Summands are interned by g-vector (``sttilt.intern_summand``),
-    so the mutations of an enumeration ask for a few distinct keys only.
+    (shift, T.form_id(), U.form_id()) for as long as the algebra lives.
+    Equal form ids mean equal serializations, so complexes that are
+    equal as data share one entry.  Summands are interned by g-vector
+    (``sttilt.intern_summand``), so the mutations of an enumeration ask
+    for a few distinct keys only.
     """
     if T.alg is not U.alg:
         raise AlgebraError("complexes over different algebras")
-    key = (shift, T.serialize(), U.serialize())
+    key = (shift, T.form_id(), U.form_id())
     memo = T.alg.hom_memo
     hs = memo.get(key)
     if hs is None:
         hs = memo[key] = HomotopyHom(T, U, shift)
     return hs
+
+
+def composition_table(A, B, C):
+    """Structure constants of composition Hom(B, C) x Hom(A, B) ->
+    Hom(A, C) in the homotopy category.
+
+    Entry [a][b] holds the class coordinates (`chain_map_class`) of
+    rep_b . rep_a in Hom(A, C), for rep_a in Hom(A, B) and rep_b in
+    Hom(B, C).  Memoized in A.alg.compose_memo, which the algebra owns,
+    per form-id triple; Hom(A, C) is only requested when both factors
+    are nonzero.
+    """
+    key = (A.form_id(), B.form_id(), C.form_id())
+    memo = A.alg.compose_memo
+    table = memo.get(key)
+    if table is None:
+        ab, bc = hom_homotopy(A, B), hom_homotopy(B, C)
+        ac = hom_homotopy(A, C) if ab.dim and bc.dim else None
+        table = memo[key] = [[ac.chain_map_class(b.compose(a))
+                              for b in bc.reps] for a in ab.reps]
+    return table
 
 
 def is_presilting(T):
@@ -770,21 +786,18 @@ def complex_to_pair(T):
 
 # -- minimal approximations ------------------------------------------------
 
-def _end_radical_reps(end_hom):
-    """Representatives of rad End_K(R) as strict chain maps, where end_hom
-    is Hom(R, R); computed once per Hom object."""
-    if end_hom.radical is None:
-        R, dim, reps = end_hom.T, end_hom.dim, end_hom.reps
-        table = {}
-        for i in range(dim):
-            for j in range(dim):
-                table[(i, j)] = end_hom.chain_map_class(reps[i].compose(reps[j]))
-        rad_coeff = (splitting.radical_from_mult_table(R.alg.field, table, dim)
-                     if dim else [])
-        end_hom.radical = [
-            _combine(R, R, ((c, reps[k]) for k, c in row.items()))
-            for row in rad_coeff]
-    return end_hom.radical
+def _end_radical(R):
+    """rad End_K(R) as coefficient rows over the representatives of
+    Hom(R, R); computed once per Hom object."""
+    end = hom_homotopy(R, R, 0)
+    if end.radical is None:
+        table = composition_table(R, R, R)
+        # b_i b_j = rep_i . rep_j, which the table holds at [j][i]
+        mult = {(i, j): table[j][i]
+                for i in range(end.dim) for j in range(end.dim)}
+        end.radical = (splitting.radical_from_mult_table(
+            R.alg.field, mult, end.dim) if end.dim else [])
+    return end.radical
 
 
 def _approximation_summands(X, targets, left):
@@ -793,49 +806,52 @@ def _approximation_summands(X, targets, left):
 
     With left=False every Hom space and composite is read in the opposite
     category, which yields the minimal right approximation: maps
-    targets[j] -> X.  In both directions the Hom requests go out in the
-    order X-to-targets, cross terms, endomorphisms.
+    targets[j] -> X.
+
+    Everything runs in class coordinates, through the memoized
+    `composition_table`: for each j the space F^{dim Hom(X, R_j)} of
+    classes is covered by the wall (maps factoring through a radical map
+    into R_j: through R_l for l != j, or through rad End(R_j)), and a
+    representative is chosen when its unit vector is not covered yet,
+    which then covers its End(R_j) orbit.
     """
-    def hom(A, B):
-        return hom_homotopy(A, B, 0) if left else hom_homotopy(B, A, 0)
+    def products(Y, Z):
+        # row u lists the coordinates in hom(X, Z) of each v . u, for u
+        # in hom(X, Y) and v in hom(Y, Z), read in the approximation's
+        # category
+        if left:
+            return composition_table(X, Y, Z)
+        return list(zip(*composition_table(Z, Y, X)))
 
-    def then(a, b):
-        # a after b, in the category the approximation is read in
-        return a.compose(b) if left else b.compose(a)
-
-    homs = [hom(X, R) for R in targets]
-    cross = {}
-    ends = {}
-    for j, R in enumerate(targets):
-        for l, Rl in enumerate(targets):
-            if l != j:
-                cross[(l, j)] = hom(Rl, R)
-        ends[j] = hom(R, R)
-    chosen = []
+    homs = [hom_homotopy(X, R, 0) if left else hom_homotopy(R, X, 0)
+            for R in targets]
     field = X.alg.field
+    chosen = []
     for j, R in enumerate(targets):
-        hs = homs[j]
-        if hs.dim == 0:
+        dim = homs[j].dim
+        if dim == 0:
             continue
-        # maps X -> R_j that factor through a radical map into R_j
         wall = []
-        for l in range(len(targets)):
-            if l == j:
-                radical = _end_radical_reps(ends[j])
-            else:
-                radical = cross[(l, j)].reps
-            if not radical:
-                continue
-            for u in homs[l].reps:
-                for v in radical:
-                    wall.append(_class_vec(hs, then(v, u)))
-        covered = RowSpace(field, hs.classes.ambient, wall)
-        for cand in hs.reps:
-            if covered.contains(_class_vec(hs, cand)):
+        for l, Rl in enumerate(targets):
+            if l != j and homs[l].dim:
+                for row in products(Rl, R):
+                    wall.extend(row)
+        orbit = products(R, R)
+        for row in orbit:
+            for rad in _end_radical(R):
+                vec = {}
+                for k, c in rad.items():
+                    for i, x in row[k].items():
+                        vec[i] = field.add(vec.get(i, field.zero),
+                                           field.mul(c, x))
+                wall.append({i: x for i, x in vec.items() if x != 0})
+        covered = RowSpace(field, dim, wall)
+        for i, cand in enumerate(homs[j].reps):
+            if covered.contains({i: field.one}):
                 continue
             chosen.append((j, cand))
-            for e in ends[j].reps:
-                covered.add(_class_vec(hs, then(e, cand)))
+            for vec in orbit[i]:
+                covered.add(vec)
     return chosen
 
 
@@ -919,10 +935,9 @@ def factors_through(g, f):
     """Whether g: X -> T'' factors through f: X -> T' in the homotopy category."""
     hs_tt = hom_homotopy(f.target, g.target, 0)
     hs_xt = hom_homotopy(g.source, g.target, 0)
-    gvec = _class_vec(hs_xt, g)
-    image = [_class_vec(hs_xt, r.compose(f)) for r in hs_tt.reps]
-    return RowSpace(g.source.alg.field, hs_xt.classes.ambient,
-                    image).contains(gvec)
+    image = [hs_xt.chain_map_class(r.compose(f)) for r in hs_tt.reps]
+    return RowSpace(g.source.alg.field, hs_xt.dim,
+                    image).contains(hs_xt.chain_map_class(g))
 
 
 def complex_to_json_dict(T):

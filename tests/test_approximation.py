@@ -1,0 +1,177 @@
+"""Minimal approximations in class coordinates against chain maps.
+
+The engine (`twoterm._approximation_summands`) reads the wall and the
+End orbit of each target off memoized composition tables.  The reference
+below is the chain-map algorithm it replaced: compose representatives,
+reduce each composite modulo homotopies and collect the results in a
+`RowSpace` over the ambient coordinates of the chain-map system.  Both
+must choose exactly the same (target index, representative) list on
+every approximation an enumeration or a completion asks for.
+"""
+
+import pytest
+
+from tautilt import splitting
+from tautilt import sttilt as st
+from tautilt import twoterm as tt
+from tautilt.algebra import parse_algebra
+from tautilt.linalg import RowSpace
+
+from conftest import data_path, read_algebra
+from test_preprojective_completions import _module, preproj_cases  # noqa: F401
+
+
+def _class_vec(hs, cm):
+    vec = {}
+    hs.c1.matrix_to_vec(cm.f1, vec)
+    hs.c0.matrix_to_vec(cm.f0, vec)
+    return hs.homotopies.reduce(vec)
+
+
+def _combine(T, U, terms):
+    """The chain map T -> U summing c * f over the (c, f) in terms."""
+    alg = T.alg
+    f1 = tt.AlgMatrix(alg, U.p1, T.p1)
+    f0 = tt.AlgMatrix(alg, U.p0, T.p0)
+    for c, f in terms:
+        for acc, part in ((f1, f.f1), (f0, f.f0)):
+            for key, e in part.entries.items():
+                s = alg.elem_add(acc.entries.get(key, {}),
+                                 alg.elem_scale(c, e))
+                if s:
+                    acc.entries[key] = s
+                else:
+                    acc.entries.pop(key, None)
+    return tt.ChainMap(T, U, f1, f0)
+
+
+def _radical_maps(end_hom):
+    """rad End(R) as strict chain maps R -> R."""
+    R, dim, reps = end_hom.T, end_hom.dim, end_hom.reps
+    table = {(i, j): end_hom.chain_map_class(reps[i].compose(reps[j]))
+             for i in range(dim) for j in range(dim)}
+    rows = (splitting.radical_from_mult_table(R.alg.field, table, dim)
+            if dim else [])
+    return [_combine(R, R, ((c, reps[k]) for k, c in row.items()))
+            for row in rows]
+
+
+def reference_approximation(X, targets, left):
+    """(chosen list, whether some End radical was nonzero)."""
+    def hom(A, B):
+        return tt.hom_homotopy(A, B, 0) if left else tt.hom_homotopy(B, A, 0)
+
+    def then(a, b):
+        return a.compose(b) if left else b.compose(a)
+
+    homs = [hom(X, R) for R in targets]
+    chosen = []
+    radical_seen = False
+    for j, R in enumerate(targets):
+        hs = homs[j]
+        if hs.dim == 0:
+            continue
+        end = hom(R, R)
+        wall = []
+        for l, Rl in enumerate(targets):
+            if l == j:
+                radical = _radical_maps(end)
+                radical_seen |= bool(radical)
+            else:
+                radical = hom(Rl, R).reps
+            for u in homs[l].reps:
+                for v in radical:
+                    wall.append(_class_vec(hs, then(v, u)))
+        covered = RowSpace(X.alg.field, hs.classes.ambient, wall)
+        for cand in hs.reps:
+            if covered.contains(_class_vec(hs, cand)):
+                continue
+            chosen.append((j, cand))
+            for e in end.reps:
+                covered.add(_class_vec(hs, then(e, cand)))
+    return chosen, radical_seen
+
+
+def _recorded_calls(monkeypatch, run):
+    """Every (X, targets, left, engine's choice) that run() asks for."""
+    calls = []
+    engine = tt._approximation_summands
+
+    def record(X, targets, left):
+        chosen = engine(X, targets, left)
+        calls.append((X, list(targets), left, chosen))
+        return chosen
+
+    monkeypatch.setattr(tt, "_approximation_summands", record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _check_against_reference(calls):
+    """Compare every call; return (left calls, right calls, calls
+    whose targets had a nonzero End radical)."""
+    counts = {True: 0, False: 0, "radical": 0}
+    for X, targets, left, chosen in calls:
+        expected, radical_seen = reference_approximation(X, targets, left)
+        assert [j for j, _ in chosen] == [j for j, _ in expected], (X, left)
+        assert all(a is b for (_, a), (_, b) in zip(chosen, expected))
+        counts[left] += 1
+        counts["radical"] += radical_seen
+    return counts[True], counts[False], counts["radical"]
+
+
+def _loop_arrow_over_q():
+    with open(data_path("loop_arrow_f2.alg"), encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_algebra(text.replace('field = "Fp:2"', 'field = "Q"'))
+
+
+@pytest.mark.parametrize("name,max_nodes,min_radical", [
+    ("a4", 10 ** 6, 0), ("preproj_a3", 10 ** 6, 1),
+    ("loop_arrow", 10 ** 6, 1), ("kronecker", 12, 0),
+    ("three_paths", 60, 0)],
+    ids=["a4", "preproj_a3", "loop_arrow_over_q", "kronecker-12",
+         "three_paths-60"])
+def test_enumeration_approximations_match_chain_maps(
+        monkeypatch, name, max_nodes, min_radical):
+    alg = (_loop_arrow_over_q() if name == "loop_arrow"
+           else read_algebra(f"{name}.alg"))
+    calls = _recorded_calls(
+        monkeypatch, lambda: st.enumerate_sttilt(alg, max_nodes=max_nodes))
+    left, right, radical = _check_against_reference(calls)
+    assert left and not right  # enumeration mutates down only
+    assert radical >= min_radical
+
+
+def test_completion_approximations_match_chain_maps(monkeypatch,
+                                                    preproj_cases):
+    # the Bongartz completion is the right approximation of A[1], the
+    # minimal one the left approximation of A
+    alg, cases = preproj_cases
+
+    def run():
+        for case in cases:
+            pair = st.pair_from_module_data(
+                alg, _module(alg, case.modules), case.proj)
+            st.bongartz_completion(pair)
+            st.minimal_completion(pair)
+
+    calls = _recorded_calls(monkeypatch, run)
+    left, right, radical = _check_against_reference(calls)
+    assert left == right == len(cases) == 50
+    assert radical
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_a_wall_off_the_unit_vectors_needs_the_orbit(left):
+    # Hom(P2, P1) has the classes of a*e and b*f; the only map through
+    # P3 is c*d = a*e + b*f, so the wall is their sum.  Choosing a*e
+    # covers b*f only through the End(P1) orbit of the choice.
+    alg = read_algebra("three_paths.alg")
+    P1, P2, P3 = (tt.stalk_complex(alg, (v,), 0) for v in range(3))
+    X, targets = (P2, [P1, P3]) if left else (P1, [P2, P3])
+    chosen = tt._approximation_summands(X, targets, left)
+    expected, _ = reference_approximation(X, targets, left)
+    assert [j for j, _ in chosen] == [j for j, _ in expected] == [0, 1]
+    assert all(a is b for (_, a), (_, b) in zip(chosen, expected))

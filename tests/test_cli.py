@@ -257,6 +257,38 @@ def test_oracle_command_matches_enumerate_keys():
     assert okeys == ekeys
 
 
+@pytest.mark.parametrize("prime", ["4", "1", "0"])
+def test_oracle_rejects_a_non_prime(prime):
+    code, out, err = invoke(["oracle", "--algebra", data_path("a2.alg"),
+                             "--dim-bound", "1,1", "--prime", prime])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "prime" in err
+
+
+@pytest.mark.parametrize("bound", ["-1,1", "1,-1"])
+def test_oracle_rejects_a_negative_dim_bound(bound):
+    code, out, err = invoke(["oracle", "--algebra", data_path("a2.alg"),
+                             f"--dim-bound={bound}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--dim-bound" in err
+
+
+@pytest.mark.parametrize("max_nodes", ["0", "-3"])
+def test_enumerate_rejects_max_nodes_below_one(max_nodes):
+    code, out, err = invoke(["enumerate", "--algebra", data_path("a2.alg"),
+                             f"--max-nodes={max_nodes}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--max-nodes" in err
+
+
+def test_enumerate_max_nodes_one():
+    code, out, _ = invoke(["enumerate", "--algebra", data_path("a2.alg"),
+                           "--max-nodes", "1", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["nodes"]) == 1 and data["flags"]["complete"] is False
+
+
 def golden(name):
     with open(os.path.join(GOLDENS, name), "r", encoding="utf-8") as fh:
         return fh.read()
@@ -270,6 +302,10 @@ def test_goldens_byte_identical():
          "a2_enumerate.dot"),
         (["oracle", "--algebra", data_path("a2.alg"), "--dim-bound", "1,1"],
          "a2_oracle.json"),
+        # many repeated module summands, some with a nonzero End radical
+        (["enumerate", "--algebra", data_path("preproj_a3.alg"),
+          "--format", "json"],
+         "preproj_a3_enumerate.json"),
     ]:
         code, out, _ = invoke(args)
         assert code == 0

@@ -364,6 +364,14 @@ def test_max_nodes_limit(kA2):
     assert not g.complete and g.node_count() == 3
 
 
+@pytest.mark.parametrize("max_nodes", [0, -1])
+def test_max_nodes_below_one_is_rejected(kA2, max_nodes):
+    with pytest.raises(ValueError, match="max_nodes"):
+        st.enumerate_sttilt(kA2, max_nodes=max_nodes)
+    with pytest.raises(ValueError, match="max_nodes"):
+        st.is_tau_tilting_finite(kA2, max_nodes=max_nodes)
+
+
 def test_h0_round_trip_on_corpus(kA2, kx2):
     from tautilt.algebra import parse_algebra
     preproj = parse_algebra(
@@ -412,20 +420,31 @@ def test_enumerate_over_a_prime_field_checks_registry_aliases():
 
 
 def test_second_enumeration_builds_no_hom(monkeypatch):
+    # the Hom spaces and the composition tables are memoized on the
+    # algebra, so a second enumeration neither builds a Hom space nor
+    # composes a chain map
     alg = linear(5)
     builds = []
+    composites = []
     init = tt.HomotopyHom.__init__
+    compose = tt.ChainMap.compose
 
     def counted(self, *args, **kwargs):
         builds.append(args)
         init(self, *args, **kwargs)
 
+    def counted_compose(self, other):
+        composites.append(other)
+        return compose(self, other)
+
     monkeypatch.setattr(tt.HomotopyHom, "__init__", counted)
+    monkeypatch.setattr(tt.ChainMap, "compose", counted_compose)
     first = st.enumerate_sttilt(alg)
     assert first.complete and first.node_count() == 132  # Catalan(6)
-    assert builds
+    assert builds and composites
     builds.clear()
+    composites.clear()
     second = st.enumerate_sttilt(alg)
     assert [p.key() for p in second.nodes] == [p.key() for p in first.nodes]
     assert second.edges == first.edges
-    assert builds == []
+    assert builds == [] and composites == []

@@ -35,6 +35,26 @@ def test_hom_homotopy_examples(kA2, s1_complex):
     assert tt.hom_homotopy(A0, A0, 0).dim == kA2.dim
 
 
+def test_equal_complexes_share_one_hom_entry(kA2):
+    # two distinct objects with equal serializations get one form id, so
+    # they share every memo entry keyed by it
+    def s1():
+        return tt.presentation_complex(mr.standard_module(kA2, 0, "simple"))
+
+    first, second = s1(), s1()
+    assert first is not second and first.serialize() == second.serialize()
+    assert first.form_id() == second.form_id()
+    A0 = tt.algebra_stalk(kA2, 0)
+    assert A0.form_id() != first.form_id()
+    entries = len(kA2.hom_memo)
+    hs = tt.hom_homotopy(first, A0, 0)
+    assert len(kA2.hom_memo) <= entries + 1
+    entries = len(kA2.hom_memo)
+    assert tt.hom_homotopy(second, A0, 0) is hs
+    assert tt.hom_homotopy(second, tt.algebra_stalk(kA2, 0), 0) is hs
+    assert len(kA2.hom_memo) == entries
+
+
 def test_high_shifts_vanish(kA2, s1_complex):
     A0 = tt.algebra_stalk(kA2, 0)
     for T in (s1_complex, A0):
