@@ -56,6 +56,9 @@ def load_module(alg, path):
         key = key.strip()
         value = value.strip()
         if key == "dim_vector":
+            if dims is not None:
+                raise UsageError(
+                    f"{path}:{lineno}: duplicate key 'dim_vector'")
             try:
                 dims = ast.literal_eval(value)
             except (ValueError, SyntaxError) as exc:
@@ -66,6 +69,9 @@ def load_module(alg, path):
             if not m:
                 raise UsageError(f"{path}:{lineno}: bad arrow_matrix")
             name = m.group(1)
+            if name in mats:
+                raise UsageError(f"{path}:{lineno}: duplicate arrow_matrix "
+                                 f"for arrow {name!r}")
             try:
                 rows = list(ast.literal_eval(m.group(2)))
             except (ValueError, SyntaxError) as exc:

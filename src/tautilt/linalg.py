@@ -64,9 +64,6 @@ class ExactMatrix:
     def is_zero(self):
         return all(not r for r in self.rows)
 
-    def copy_rows(self):
-        return [dict(r) for r in self.rows]
-
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols
@@ -142,20 +139,6 @@ class ExactMatrix:
         return ExactMatrix(self.field, self.ncols, self.nrows, rows)
 
     @staticmethod
-    def vstack(field, mats, ncols=None):
-        mats = list(mats)
-        if ncols is None:
-            if not mats:
-                raise ValueError("vstack of nothing needs ncols")
-            ncols = mats[0].ncols
-        rows = []
-        for m in mats:
-            if m.ncols != ncols:
-                raise ValueError("vstack width mismatch")
-            rows.extend(dict(r) for r in m.rows)
-        return ExactMatrix(field, len(rows), ncols, rows)
-
-    @staticmethod
     def hstack(field, mats, nrows=None):
         mats = list(mats)
         if nrows is None:
@@ -225,11 +208,6 @@ class ExactMatrix:
                 if j >= r:
                     h_rows[pcol][j - r] = v
         return ExactMatrix(self.field, r, g.ncols, h_rows)
-
-    def solve_left(self, g):
-        """One h with h . self = g, or None."""
-        ht = self.transpose().solve_right(g.transpose())
-        return None if ht is None else ht.transpose()
 
     def inverse(self):
         if self.nrows != self.ncols:

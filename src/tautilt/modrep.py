@@ -13,6 +13,8 @@ injective sums, which is what the Auslander-Reiten translation kernel
 is computed from.
 """
 
+from bisect import bisect_right
+
 from .algebra import AlgebraError
 from .linalg import ExactMatrix, RowSpace
 from . import splitting
@@ -85,22 +87,20 @@ def direct_sum(alg, reps):
     reps = list(reps)
     if not reps:
         return zero_rep(alg)
-    F = alg.field
     dims = tuple(sum(r.dims[v] for r in reps) for v in range(alg.n))
-    maps = {}
-    for ai, arrow in enumerate(alg.arrows):
-        s, t = arrow.source, arrow.target
-        rows = [{} for _ in range(dims[s])]
-        roff, coff = 0, 0
-        for r in reps:
-            m = r.maps[ai]
-            for i in range(m.nrows):
-                for j, v in m.rows[i].items():
-                    rows[roff + i][coff + j] = v
-            roff += r.dims[s]
-            coff += r.dims[t]
-        maps[ai] = ExactMatrix(F, dims[s], dims[t], rows)
+    maps = {ai: _block_diagonal(alg.field, [r.maps[ai] for r in reps])
+            for ai in range(len(alg.arrows))}
     return Representation(alg, dims, maps, validate=False)
+
+
+def _block_diagonal(F, mats):
+    """The block-diagonal matrix with the given blocks, in order."""
+    rows = []
+    ncols = 0
+    for m in mats:
+        rows.extend({ncols + j: v for j, v in r.items()} for r in m.rows)
+        ncols += m.ncols
+    return ExactMatrix(F, len(rows), ncols, rows)
 
 
 # -- morphisms ---------------------------------------------------------
@@ -118,36 +118,39 @@ def morphism_scale(c, f):
     return tuple(m.scale(c) for m in f)
 
 
-def _flatten_morphism(alg, M, N, f):
-    """Deterministic coordinates of a morphism inside prod_v k^(dM_v x dN_v)."""
-    vec = {}
+def _morphism_layout(M, N):
+    """Coordinates of prod_v k^(dM_v x dN_v): entry (i, j) of F_v is
+    coordinate offsets[v] + i * dN_v + j.  Returns (offsets, dimension)."""
+    offsets = []
     off = 0
+    for dm, dn in zip(M.dims, N.dims):
+        offsets.append(off)
+        off += dm * dn
+    return offsets, off
+
+
+def _flatten_morphism(alg, M, N, f):
+    """Coordinates of a morphism in the `_morphism_layout` of (M, N)."""
+    offsets, _ = _morphism_layout(M, N)
+    vec = {}
     for v in range(alg.n):
-        for i in range(M.dims[v]):
-            row = f[v].rows[i]
+        off, dn = offsets[v], N.dims[v]
+        for i, row in enumerate(f[v].rows):
             for j, val in row.items():
-                vec[off + i * N.dims[v] + j] = val
-        off += M.dims[v] * N.dims[v]
+                vec[off + i * dn + j] = val
     return vec
 
 
-def _morphism_space_dim(M, N):
-    return sum(dm * dn for dm, dn in zip(M.dims, N.dims))
-
-
 def _unflatten_morphism(alg, M, N, vec):
-    mats = []
-    off = 0
-    for v in range(alg.n):
-        rows = [{} for _ in range(M.dims[v])]
-        block = M.dims[v] * N.dims[v]
-        for k, val in vec.items():
-            if off <= k < off + block:
-                i, j = divmod(k - off, N.dims[v])
-                rows[i][j] = val
-        mats.append(ExactMatrix(alg.field, M.dims[v], N.dims[v], rows))
-        off += block
-    return tuple(mats)
+    offsets, _ = _morphism_layout(M, N)
+    rows = [[{} for _ in range(d)] for d in M.dims]
+    for k, val in vec.items():
+        # the last block starting at or before k (empty blocks share offsets)
+        v = bisect_right(offsets, k) - 1
+        i, j = divmod(k - offsets[v], N.dims[v])
+        rows[v][i][j] = val
+    return tuple(ExactMatrix(alg.field, M.dims[v], N.dims[v], rows[v])
+                 for v in range(alg.n))
 
 
 def hom_space(M, N):
@@ -156,49 +159,44 @@ def hom_space(M, N):
     if alg is not N.alg:
         raise AlgebraError("modules over different algebras")
     F = alg.field
-    nunk = _morphism_space_dim(M, N)
-    offsets = []
-    off = 0
-    for v in range(alg.n):
-        offsets.append(off)
-        off += M.dims[v] * N.dims[v]
-
-    def unk(v, i, j):
-        return offsets[v] + i * N.dims[v] + j
-
+    offsets, nunk = _morphism_layout(M, N)
     rows = []
     for ai, arrow in enumerate(alg.arrows):
         s, t = arrow.source, arrow.target
-        Ma, Na = M.maps[ai], N.maps[ai]
+        off_s, off_t, dn_s, dn_t = offsets[s], offsets[t], N.dims[s], N.dims[t]
+        na_cols = N.maps[ai].transpose().rows
         # M_a . F_t - F_s . N_a = 0, one equation per (i in M_s, j in N_t)
-        for i in range(M.dims[s]):
-            for j in range(N.dims[t]):
-                row = {}
-                for k, val in Ma.rows[i].items():
-                    row[unk(t, k, j)] = F.add(row.get(unk(t, k, j), F.zero), val)
-                # - F_s . N_a contribution: entries F_s[i, k] * N_a[k, j]
-                for k in range(N.dims[s]):
-                    nav = Na.rows[k].get(j)
-                    if nav is not None:
-                        key = unk(s, i, k)
-                        cur = row.get(key, F.zero)
-                        nv = F.sub(cur, nav)
-                        if nv == 0:
-                            row.pop(key, None)
-                        else:
-                            row[key] = nv
+        for i, ma_row in enumerate(M.maps[ai].rows):
+            for j in range(dn_t):
+                row = {off_t + k * dn_t + j: val for k, val in ma_row.items()}
+                for k, nav in na_cols[j].items():
+                    key = off_s + i * dn_s + k
+                    nv = F.sub(row.get(key, F.zero), nav)
+                    if nv == 0:
+                        del row[key]
+                    else:
+                        row[key] = nv
                 if row:
                     rows.append(row)
-    mat = ExactMatrix.from_row_dicts(F, len(rows), nunk, rows)
-    ker = mat.right_kernel_basis()
-    out = []
-    for k in range(ker.ncols):
-        vec = {i: ker.rows[i][k] for i in range(nunk) if k in ker.rows[i]}
-        out.append(_unflatten_morphism(alg, M, N, vec))
-    return out
+    return [_unflatten_morphism(alg, M, N, vec)
+            for vec in RowSpace(F, nunk, rows).kernel()]
 
 
 # -- standard modules ---------------------------------------------------
+
+def _path_layout(alg, verts, ends, places):
+    """Layout of a sum of path-basis modules, one summand per vertex in
+    verts: summand s holds the basis paths b with ends[b] == verts[s],
+    each at vertex places[b].  Returns (layout, pos): layout[v] lists the
+    (summand, path) pairs at v in order, pos[v] maps each to its index.
+    """
+    layout = [[] for _ in range(alg.n)]
+    for s, u in enumerate(verts):
+        for b in range(alg.dim):
+            if ends[b] == u:
+                layout[places[b]].append((s, b))
+    return layout, [{sb: i for i, sb in enumerate(lay)} for lay in layout]
+
 
 class ProjSum:
     """P = (+) e_{verts[s]} A with an explicit path-basis layout."""
@@ -206,15 +204,8 @@ class ProjSum:
     def __init__(self, alg, verts):
         self.alg = alg
         self.verts = tuple(verts)
-        self.layout = [[] for _ in range(alg.n)]  # vertex -> [(summand, basis idx)]
-        for s, u in enumerate(self.verts):
-            for b in range(alg.dim):
-                if alg.basis_source[b] == u:
-                    self.layout[alg.basis_target[b]].append((s, b))
-        for v in range(alg.n):
-            self.layout[v].sort()
-        self.pos = [
-            {sb: i for i, sb in enumerate(self.layout[v])} for v in range(alg.n)]
+        self.layout, self.pos = _path_layout(
+            alg, self.verts, alg.basis_source, alg.basis_target)
         self.rep = self._build_rep()
 
     def _build_rep(self):
@@ -285,15 +276,8 @@ class InjSum:
     def __init__(self, alg, verts):
         self.alg = alg
         self.verts = tuple(verts)
-        self.layout = [[] for _ in range(alg.n)]  # vertex -> [(summand, basis idx)]
-        for s, u in enumerate(self.verts):
-            for b in range(alg.dim):
-                if alg.basis_target[b] == u:
-                    self.layout[alg.basis_source[b]].append((s, b))
-        for v in range(alg.n):
-            self.layout[v].sort()
-        self.pos = [
-            {sb: i for i, sb in enumerate(self.layout[v])} for v in range(alg.n)]
+        self.layout, self.pos = _path_layout(
+            alg, self.verts, alg.basis_target, alg.basis_source)
         self.rep = self._build_rep()
 
     def _build_rep(self):
@@ -333,23 +317,28 @@ def standard_module(alg, vertex, flavor):
 # -- submodules, quotients, radical, socle -------------------------------
 
 def subrep_from_rows(M, rows_per_vertex):
-    """Subrepresentation spanned by given row vectors (must be closed)."""
+    """Subrepresentation spanned by given row vectors (must be closed).
+
+    Returns (S, inclusions) with inclusions[v] the RREF basis of S_v as
+    rows in M_v.  The RREF has an identity at its pivot columns, so a
+    member's coordinates over the basis are its entries there.
+    """
     alg = M.alg
     F = alg.field
     spaces = [RowSpace(F, M.dims[v], rows_per_vertex[v]) for v in range(alg.n)]
-    basis_mats = [
-        ExactMatrix.from_row_dicts(F, sp.dim, M.dims[v], sp.reduced)
-        for v, sp in enumerate(spaces)]
-    dims = tuple(sp.dim for sp in spaces)
+    basis_mats = [ExactMatrix(F, sp.dim, M.dims[v], sp.reduced)
+                  for v, sp in enumerate(spaces)]
     maps = {}
     for ai, arrow in enumerate(alg.arrows):
-        s, t = arrow.source, arrow.target
-        img = basis_mats[s].mul(M.maps[ai])
-        sol = basis_mats[t].solve_left(img)
-        if sol is None:
-            raise AlgebraError("rows do not span a subrepresentation")
-        maps[ai] = sol
-    sub = Representation(alg, dims, maps, validate=False)
+        target = spaces[arrow.target]
+        rows = []
+        for img in basis_mats[arrow.source].mul(M.maps[ai]).rows:
+            if not target.contains(img):
+                raise AlgebraError("rows do not span a subrepresentation")
+            rows.append({k: img[p] for k, p in enumerate(target.pivots)
+                         if p in img})
+        maps[ai] = ExactMatrix(F, len(rows), target.dim, rows)
+    sub = Representation(alg, (sp.dim for sp in spaces), maps, validate=False)
     return sub, tuple(basis_mats)
 
 
@@ -375,21 +364,9 @@ def quotient_rep(M, sub_rows):
     maps = {}
     for ai, arrow in enumerate(alg.arrows):
         s, t = arrow.source, arrow.target
-        rows = []
-        for c in free[s]:
-            # lift the free coordinate, push along the arrow, project
-            img_row = M.maps[ai].rows[c]
-            acc = {}
-            for j, val in img_row.items():
-                for k, pv in projs[t].rows[j].items():
-                    cur = acc.get(k, F.zero)
-                    nv = F.add(cur, F.mul(val, pv))
-                    if nv == 0:
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = nv
-            rows.append(acc)
-        maps[ai] = ExactMatrix(F, dims[s], dims[t], rows)
+        # lift the free coordinates, push along the arrow, project
+        lifted = [M.maps[ai].rows[c] for c in free[s]]
+        maps[ai] = ExactMatrix(F, dims[s], M.dims[t], lifted).mul(projs[t])
     return Representation(alg, dims, maps, validate=False), tuple(projs)
 
 
@@ -428,38 +405,21 @@ def projective_cover(M):
     alg = M.alg
     F = alg.field
     rad = radical_rows(M)
-    verts = []
-    gens = []  # (vertex, chosen generator row vector)
-    for v in range(alg.n):
-        sp = RowSpace(F, M.dims[v], rad[v])
-        for c in sp.free_cols():
-            verts.append(v)
-            gens.append((v, {c: F.one}))
-    P = ProjSum(alg, verts)
-    mats = []
-    for v in range(alg.n):
-        rows = [{} for _ in range(len(P.layout[v]))]
-        mats.append(rows)
-    for s, (u, gen) in enumerate(gens):
-        # generator e_u -> gen; basis path b: u -> w  ->  gen . (action of b)
-        for b in range(alg.dim):
-            if alg.basis_source[b] != u:
-                continue
-            w = alg.basis_target[b]
-            act = M.path_matrix(b)
-            img = {}
-            for i, val in gen.items():
-                for j, mv in act.rows[i].items():
-                    cur = img.get(j, F.zero)
-                    nv = F.add(cur, F.mul(val, mv))
-                    if nv == 0:
-                        img.pop(j, None)
-                    else:
-                        img[j] = nv
-            mats[w][P.pos[w][(s, b)]] = img
-    cover = tuple(
-        ExactMatrix(F, len(P.layout[v]), M.dims[v], mats[v]) for v in range(alg.n))
-    return P, cover
+    gens = [(v, c) for v in range(alg.n)
+            for c in RowSpace(F, M.dims[v], rad[v]).free_cols()]
+    P = ProjSum(alg, [v for v, _ in gens])
+    # summand s sends its generator e_u to the unit vector at gens[s][1],
+    # so it sends a basis path b from u to row gens[s][1] of M.path_matrix(b)
+    acts = {}
+    cover = []
+    for w, layout in enumerate(P.layout):
+        rows = []
+        for s, b in layout:
+            if b not in acts:
+                acts[b] = M.path_matrix(b)
+            rows.append(acts[b].rows[gens[s][1]])
+        cover.append(ExactMatrix(F, len(rows), M.dims[w], rows))
+    return P, tuple(cover)
 
 
 def kernel_subrep(alg, M, f):
@@ -471,14 +431,12 @@ def kernel_subrep(alg, M, f):
 class Presentation:
     """Minimal projective presentation P1 -> P0 -> M -> 0."""
 
-    __slots__ = ("P1", "P0", "entries", "f", "cover")
+    __slots__ = ("P1", "P0", "entries")
 
-    def __init__(self, P1, P0, entries, f, cover):
+    def __init__(self, P1, P0, entries):
         self.P1 = P1
         self.P0 = P0
         self.entries = entries  # algebra-entry matrix {(t, s): elem}
-        self.f = f              # realized morphism P1.rep -> P0.rep
-        self.cover = cover      # morphism P0.rep -> M
 
 
 def minimal_projective_presentation(M):
@@ -488,8 +446,7 @@ def minimal_projective_presentation(M):
     K, incl = kernel_subrep(alg, P0.rep, cover)
     P1, cover1 = projective_cover(K)
     f = tuple(cover1[v].mul(incl[v]) for v in range(alg.n))
-    entries = P1.extract_alg_entries(P0, f)
-    return Presentation(P1, P0, entries, f, cover)
+    return Presentation(P1, P0, P1.extract_alg_entries(P0, f))
 
 
 def nakayama_map(alg, P1, P0, entries):
@@ -539,7 +496,7 @@ def ext1_dim(M, N):
     homP0N = hom_space(P0.rep, N)
     restricted = [tuple(incl[v].mul(g[v]) for v in range(alg.n)) for g in homP0N]
     vecs = [_flatten_morphism(alg, K, N, r) for r in restricted]
-    rank = RowSpace(alg.field, _morphism_space_dim(K, N), vecs).dim
+    rank = RowSpace(alg.field, _morphism_layout(K, N)[1], vecs).dim
     return len(homKN) - rank
 
 
@@ -547,49 +504,26 @@ def injective_envelope(M):
     """(E: InjSum, embedding morphism M -> E.rep)."""
     alg = M.alg
     F = alg.field
-    soc = socle_rows(M)
-    soc_spaces = [RowSpace(F, M.dims[v], soc[v]) for v in range(alg.n)]
-    verts = []
-    gens = []  # (vertex, socle row index within the reduced socle basis)
-    for v in range(alg.n):
-        for k in range(soc_spaces[v].dim):
-            verts.append(v)
-            gens.append((v, k))
-    E = InjSum(alg, verts)
+    socs = [ExactMatrix(F, len(rows), M.dims[v], rows).row_space_rows()
+            for v, rows in enumerate(socle_rows(M))]
+    E = InjSum(alg, [v for v in range(alg.n) for _ in range(socs[v].nrows)])
     homs = hom_space(M, E.rep)
-    # conditions: k-th socle basis vector at v maps to the socle coordinate
-    # e_v^* of its own summand of E; solve for coefficients over the hom basis
-    conds = []
-    for s, (v, k) in enumerate(gens):
-        x = soc_spaces[v].reduced[k]
-        target_pos = E.pos[v][(s, alg.idempotent[v])]
-        conds.append((v, x, target_pos))
-    eqs = []
-    for (v, x, tpos) in conds:
-        # one equation per coordinate of E_v
-        img_per_h = []
-        for h in homs:
-            acc = {}
-            for i, val in x.items():
-                for j, hv in h[v].rows[i].items():
-                    cur = acc.get(j, F.zero)
-                    nv = F.add(cur, F.mul(val, hv))
-                    if nv == 0:
-                        acc.pop(j, None)
-                    else:
-                        acc[j] = nv
-            img_per_h.append(acc)
-        for col in range(E.rep.dims[v]):
-            row = {}
-            for ci, acc in enumerate(img_per_h):
-                if col in acc:
-                    row[ci] = acc[col]
-            want = F.one if col == tpos else F.zero
-            eqs.append((row, want))
-    A = ExactMatrix.from_row_dicts(F, len(eqs), len(homs), [r for r, _ in eqs])
-    b = ExactMatrix.from_row_dicts(
-        F, len(eqs), 1, [{0: w} if w != 0 else {} for _, w in eqs])
-    sol = A.solve_right(b)
+    # the k-th socle basis vector at v, summand s of E, must map to the
+    # socle coordinate e_v^* of summand s: one equation per coordinate of
+    # E_v in the coefficients over the hom basis
+    eqs, want = [], []
+    s = 0
+    for v, soc in enumerate(socs):
+        images = [soc.mul(h[v]).rows for h in homs]
+        for k in range(soc.nrows):
+            tpos = E.pos[v][(s, alg.idempotent[v])]
+            for col in range(E.rep.dims[v]):
+                eqs.append({ci: img[k][col] for ci, img in enumerate(images)
+                            if col in img[k]})
+                want.append({0: F.one} if col == tpos else {})
+            s += 1
+    sol = ExactMatrix(F, len(eqs), len(homs), eqs).solve_right(
+        ExactMatrix(F, len(eqs), 1, want))
     if sol is None:
         raise AssertionError("injective envelope embedding must exist")
     emb = None
@@ -622,7 +556,7 @@ def stable_hom_dim(M, N):
     for g in homEN:
         comp = morphism_compose(alg, emb, g)
         vecs.append(_flatten_morphism(alg, M, N, comp))
-    rank = RowSpace(alg.field, _morphism_space_dim(M, N), vecs).dim
+    rank = RowSpace(alg.field, _morphism_layout(M, N)[1], vecs).dim
     return len(homMN) - rank
 
 
@@ -651,20 +585,6 @@ def in_fac(X, M):
 
 # -- Krull-Schmidt decomposition -----------------------------------------
 
-def _endo_total_matrix(alg, M, f):
-    """Block-diagonal matrix of an endomorphism on the total space of M."""
-    F = alg.field
-    total = M.total_dim
-    rows = [{} for _ in range(total)]
-    off = 0
-    for v in range(alg.n):
-        for i in range(M.dims[v]):
-            for j, val in f[v].rows[i].items():
-                rows[off + i][off + j] = val
-        off += M.dims[v]
-    return ExactMatrix(F, total, total, rows)
-
-
 def decompose(M):
     """Indecomposable direct summands of M (with repetition), recursively.
 
@@ -681,15 +601,14 @@ def decompose(M):
     ends = hom_space(M, M)
     if len(ends) == 1:
         return [M]
-    mats = [_endo_total_matrix(alg, M, f) for f in ends]
+    # each endomorphism on the total space of M
+    mats = [_block_diagonal(alg.field, f) for f in ends]
     e = splitting.find_idempotent(alg.field, mats, M.total_dim)
     if e is None:
         return [M]
-    emorph = _total_to_vertexwise(alg, M, e)
     out = []
-    for part in (emorph, _complement(alg, M, emorph)):
-        rows = [part[v].row_space_rows().rows for v in range(alg.n)]
-        sub, _ = subrep_from_rows(M, rows)
+    for part in (e, ExactMatrix.identity(alg.field, M.total_dim).sub(e)):
+        sub, _ = subrep_from_rows(M, _vertex_rows(M, part))
         if sub.total_dim == 0 or sub.total_dim == M.total_dim:
             raise DecompositionError("idempotent produced a trivial split")
         out.extend(decompose(sub))
@@ -697,24 +616,15 @@ def decompose(M):
     return out
 
 
-def _total_to_vertexwise(alg, M, e):
-    mats = []
+def _vertex_rows(M, e):
+    """Rows of the vertex blocks of a block-diagonal total-space matrix."""
+    out = []
     off = 0
-    for v in range(alg.n):
-        d = M.dims[v]
-        rows = [{} for _ in range(d)]
-        for i in range(d):
-            for j, val in e.rows[off + i].items():
-                rows[i][j - off] = val
-        mats.append(ExactMatrix(alg.field, d, d, rows))
+    for d in M.dims:
+        out.append([{j - off: val for j, val in e.rows[off + i].items()}
+                    for i in range(d)])
         off += d
-    return tuple(mats)
-
-
-def _complement(alg, M, emorph):
-    return tuple(
-        ExactMatrix.identity(alg.field, M.dims[v]).sub(emorph[v])
-        for v in range(alg.n))
+    return out
 
 
 def group_by_iso(reps):

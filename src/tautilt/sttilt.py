@@ -30,7 +30,7 @@ from collections import deque
 
 from .algebra import AlgebraError
 from .jsontext import Fragment, dumps
-from .linalg import ExactMatrix
+from .linalg import RowSpace
 from . import modrep as mr
 from . import twoterm as tt
 
@@ -83,9 +83,12 @@ class TauRigidPair:
 
     def __init__(self, alg, summands):
         self.alg = alg
-        self.summands = tuple(sorted(
-            summands, key=lambda c: (tt.g_vector(c), c.serialize())))
-        self._gmat = None
+        summands = list(summands)
+        gs = [tt.g_vector(c) for c in summands]
+        order = sorted(range(len(summands)),
+                       key=lambda i: (gs[i], summands[i].serialize()))
+        self.summands = tuple(summands[i] for i in order)
+        self._gmat = tuple(gs[i] for i in order)
         self._modules = None
         self._proj = None
 
@@ -94,8 +97,7 @@ class TauRigidPair:
         return len(self.summands)
 
     def g_matrix(self):
-        if self._gmat is None:
-            self._gmat = tt.g_matrix(self.summands)
+        """Columns are the summand g-vectors, in summand order."""
         return self._gmat
 
     def key(self):
@@ -326,24 +328,18 @@ class HasseGraph:
 
     def __init__(self, alg, pairs, edges, complete):
         self.alg = alg
-        order = sorted(range(len(pairs)), key=lambda i: pairs[i].key())
+        keys = [p.key() for p in pairs]
+        order = sorted(range(len(pairs)), key=keys.__getitem__)
         relabel = {old: new for new, old in enumerate(order)}
         self.nodes = [pairs[i] for i in order]
         self.edges = sorted(
             (relabel[s], relabel[d], i) for (s, d, i) in edges)
         self.complete = complete
-        self.max_node = self._find_key(
-            TauRigidPair(alg, [tt.stalk_complex(alg, (v,), 0)
-                               for v in range(alg.n)]).key())
-        self.min_node = self._find_key(
-            TauRigidPair(alg, [tt.stalk_complex(alg, (v,), 1)
-                               for v in range(alg.n)]).key())
-
-    def _find_key(self, key):
-        for i, p in enumerate(self.nodes):
-            if p.key() == key:
-                return i
-        return None
+        node_of = {keys[old]: new for new, old in enumerate(order)}
+        self.max_node = node_of.get(TauRigidPair(
+            alg, [tt.stalk_complex(alg, (v,), 0) for v in range(alg.n)]).key())
+        self.min_node = node_of.get(TauRigidPair(
+            alg, [tt.stalk_complex(alg, (v,), 1) for v in range(alg.n)]).key())
 
     def node_count(self):
         return len(self.nodes)
@@ -465,27 +461,17 @@ def is_tau_tilting_finite(alg, max_nodes=10 ** 6):
 # -- classical tilting ---------------------------------------------------------
 
 def annihilator_dim(M):
-    """Dimension of the annihilator of M in A."""
+    """Dimension of the annihilator of M in A: dim A minus the rank of the
+    action of the basis paths, each flattened to its matrix entries."""
     alg = M.alg
-    F = alg.field
+    coords = {}  # (source, target, i, j) -> column
     rows = []
     for b in range(alg.dim):
-        act = M.path_matrix(b)
-        vec = {}
         s, t = alg.basis_source[b], alg.basis_target[b]
-        for i in range(act.nrows):
-            for j, v in act.rows[i].items():
-                vec[(s, t, i, j)] = v
-        rows.append(vec)
-    # re-key the sparse coordinates densely
-    keys = {}
-    for vec in rows:
-        for k in vec:
-            if k not in keys:
-                keys[k] = len(keys)
-    mat_rows = [{keys[k]: v for k, v in vec.items()} for vec in rows]
-    mat = ExactMatrix.from_row_dicts(F, alg.dim, len(keys), mat_rows)
-    return mat.left_kernel_rows().nrows
+        rows.append({coords.setdefault((s, t, i, j), len(coords)): v
+                     for i, r in enumerate(M.path_matrix(b).rows)
+                     for j, v in r.items()})
+    return alg.dim - RowSpace(alg.field, len(coords), rows).dim
 
 
 def is_classical_tilting(M):

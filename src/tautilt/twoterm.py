@@ -939,20 +939,3 @@ def factors_through(g, f):
     return RowSpace(g.source.alg.field, hs_xt.dim,
                     image).contains(hs_xt.chain_map_class(g))
 
-
-def complex_to_json_dict(T):
-    """JSON form: per-vertex multiplicities and the differential as
-    coefficient lists over the path basis, rows indexed by degree -1
-    summands."""
-    alg = T.alg
-    F = alg.field
-    d = []
-    for j in range(len(T.p1)):
-        row = []
-        for i in range(len(T.p0)):
-            e = T.d.get(i, j)
-            row.append([F.to_string(e.get(b, F.zero))
-                        for b in range(alg.dim)])
-        d.append(row)
-    return {"p_minus1": list(multiplicities(alg, T.p1)),
-            "p_zero": list(multiplicities(alg, T.p0)), "d": d}

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -147,6 +148,11 @@ def test_unknown_arrow_is_usage_error(tmp_path):
     ('dim_vector = 1\n', "dim_vector"),
     ('dim_vector = [1, 1]\narrow_matrix = { arrow = "a", rows = [1] }\n',
      "rows"),
+    ('dim_vector = [1, 1]\ndim_vector = [1, 0]\n',
+     "duplicate key 'dim_vector'"),
+    ('dim_vector = [1, 1]\narrow_matrix = { arrow = "a", rows = ["1"] }\n'
+     'arrow_matrix = { arrow = "a", rows = ["0"] }\n',
+     "duplicate arrow_matrix for arrow 'a'"),
 ])
 def test_malformed_module_file_is_usage_error(tmp_path, text, needle):
     mod = tmp_path / "bad.mod"
@@ -313,6 +319,31 @@ def test_goldens_byte_identical():
         # determinism: run twice
         code2, out2, _ = invoke(args)
         assert out2 == out
+
+
+# SHA-256 and size of `enumerate --format json` on linear A6 (429 pairs);
+# the field is not printed and every H^0 entry is 0 or 1, so Q and GF(3)
+# give the same text.  A new digest means the output changed: update it
+# only together with a deliberate change of the output.
+A6_JSON_SHA256 = \
+    "2ff97af114043d9fdbb8ac3b8b243d4b50a0a835b3113e27a4f52ac59c9ca01b"
+A6_JSON_BYTES = 1240007
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_a6_enumerate_json_is_byte_identical(tmp_path, field):
+    names = ", ".join(f'"{v}"' for v in range(1, 7))
+    arrows = "".join(
+        f'arrow = {{ name = "a{i}", source = "{i}", target = "{i + 1}" }}\n'
+        for i in range(1, 6))
+    path = tmp_path / "a6.alg"
+    path.write_text(f'field = "{field}"\nvertices = [{names}]\n' + arrows)
+    code, out, err = invoke(["enumerate", "--algebra", str(path),
+                             "--format", "json"])
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert len(data) == A6_JSON_BYTES
+    assert hashlib.sha256(data).hexdigest() == A6_JSON_SHA256
 
 
 def test_json_round_trip():

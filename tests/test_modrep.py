@@ -51,6 +51,27 @@ def test_hom_dims(kA2):
     assert len(mr.hom_space(P1, mr.zero_rep(kA2))) == 0
 
 
+def test_subrep_from_rows_reads_coordinates_off_the_rref(kA2):
+    from tautilt.linalg import ExactMatrix
+    F = kA2.field
+    # k -> k^2 sending e to (3, 6); the span of (2, 4) at vertex 2 has the
+    # RREF basis (1, 2), so the restricted arrow acts by 3
+    M = mr.Representation(kA2, (1, 2), {0: ExactMatrix.from_rows(
+        F, [[F.from_int(3), F.from_int(6)]])})
+    sub, incl = mr.subrep_from_rows(
+        M, [[{0: F.one}], [{0: F.from_int(2), 1: F.from_int(4)}]])
+    assert sub.dims == (1, 1)
+    assert sub.maps[0].to_lists() == [[F.from_int(3)]]
+    assert incl[1].to_lists() == [[F.one, F.from_int(2)]]
+
+
+def test_subrep_from_rows_rejects_rows_not_closed_under_arrows(kA2):
+    P1 = std(kA2, 0, "projective")
+    # the top of P1 without its image under the arrow at vertex 2
+    with pytest.raises(AlgebraError, match="subrepresentation"):
+        mr.subrep_from_rows(P1, [[{0: kA2.field.one}], []])
+
+
 def test_minimal_presentation_examples(kA2, kx2):
     S1 = std(kA2, 0, "simple")
     pres = mr.minimal_projective_presentation(S1)

@@ -288,16 +288,6 @@ def test_shift_minus_one(kA2):
     assert tt.hom_homotopy(s1, shifted, -1).dim == 0
 
 
-def test_complex_json_export(kA2, s1_complex):
-    data = tt.complex_to_json_dict(s1_complex)
-    assert data["p_minus1"] == [0, 1]
-    assert data["p_zero"] == [1, 0]
-    assert len(data["d"]) == 1 and len(data["d"][0]) == 1
-    coeffs = data["d"][0][0]
-    assert len(coeffs) == kA2.dim
-    assert coeffs.count("0") == kA2.dim - 1  # a single path coefficient
-
-
 @pytest.mark.parametrize("name,max_nodes", [
     ("a3", 10 ** 6), ("a4", 10 ** 6), ("preproj_a2", 10 ** 6),
     ("loop2", 10 ** 6), ("kronecker", 12)],
