@@ -16,9 +16,12 @@ Mutation runs on the complex side.  With G holding one g-vector per row,
 the c-vectors are the columns of G^-1; they are sign-coherent, and the
 mutation at summand i goes down exactly when c_i >= 0 (Fu, "c-vectors
 via tau-tilting theory", J. Algebra 473, 2017; Treffinger, "On
-sign-coherence of c-vectors", JPAA 223, 2019).  So each exchange builds
-one cone: over the minimal left approximation into the rest going down,
-the dual cocone going up.
+sign-coherence of c-vectors", JPAA 223, 2019).  So each exchange takes
+one approximation: the minimal left one into the rest going down, the
+dual right one going up.  Its (co)cone has the g-vector
+sum_j m_j g(R_j) - g(X) over the chosen maps, and a cone is built only
+when the registry does not hold that g-vector yet; every pair a
+mutation returns is certified by its c-vectors.
 
 Enumeration is a BFS through down mutations from the pair (A, 0); in the
 tau-tilting finite case a finite connected component is the whole poset,
@@ -276,19 +279,57 @@ def _mutation_directions(pair):
     return downs
 
 
+def _predicted_g_vector(pair, index, chosen):
+    """g of the (co)cone over the approximation of summand index (0-based)
+    by the chosen maps into the rest: sum_j m_j g(R_j) - g(X), since g is
+    additive on the exchange triangle (Adachi-Iyama-Reiten 2014, Sec. 2-3).
+    The same formula holds for the cone going down and the cocone going up.
+    """
+    gs = pair.g_matrix()
+    rest = [g for k, g in enumerate(gs) if k != index]
+    pred = [-x for x in gs[index]]
+    for j, _ in chosen:
+        pred = [a + b for a, b in zip(pred, rest[j])]
+    return tuple(pred)
+
+
 def _mutation(pair, index, down):
-    """The pair with summand index (0-based) exchanged through the cone
-    over its minimal left add(rest)-approximation (down), or the cocone
-    over its minimal right one (up)."""
+    """The pair with summand index (0-based) exchanged for the cone over
+    its minimal left add(rest)-approximation (down), or the cocone over
+    its minimal right one (up).
+
+    The new summand's g-vector is predicted from the chosen maps
+    (`_predicted_g_vector`).  A g-vector determines the presilting
+    indecomposable (AIR 2014, Thm 5.5), so when the registry already
+    holds the prediction, its summand is the answer and no cone is
+    built.  Otherwise the built cone must stay two-term, be nonzero and
+    have the predicted g-vector.
+    """
+    alg = pair.alg
+    X = pair.summands[index]
     rest = [c for k, c in enumerate(pair.summands) if k != index]
-    new = tt.approximation_cone(pair.summands[index], rest, down)
-    if new is None or new.is_zero():
+    if down:
+        chosen = tt.minimal_left_approximation_summands(X, rest)
+    else:
+        chosen = tt.minimal_right_approximation_summands(X, rest)
+    g = _predicted_g_vector(pair, index, chosen)
+    known = alg.summands.get(g)
+    if known is not None:
+        return TauRigidPair(alg, rest + [known])
+    assemble = (tt.assemble_left_approximation if down
+                else tt.assemble_right_approximation)
+    new = tt._two_term_cone(assemble(X, rest, chosen), down)
+    if new is None:
         what = (f"the predicted {'down' if down else 'up'} mutation did not "
-                f"stay two-term" if new is None
-                else "mutation produced a zero summand")
-        raise InvariantViolation(
-            f"pair {pair.key()}, summand {index + 1}: {what}")
-    return TauRigidPair(pair.alg, rest + [intern_summand(new)])
+                f"stay two-term")
+    elif new.is_zero():
+        what = "mutation produced a zero summand"
+    elif tt.g_vector(new) != g:
+        what = (f"the cone has g-vector {tt.g_vector(new)}, not the "
+                f"predicted {g}")
+    else:
+        return TauRigidPair(alg, rest + [intern_summand(new)])
+    raise InvariantViolation(f"pair {pair.key()}, summand {index + 1}: {what}")
 
 
 def mutate(pair, index):
@@ -302,7 +343,9 @@ def mutate(pair, index):
     if pair.size != pair.alg.n:
         raise NotTauRigidError("mutation needs a tau-tilting pair")
     down = _mutation_directions(pair)[index - 1]
-    return _mutation(pair, index - 1, down), "down" if down else "up"
+    child = _mutation(pair, index - 1, down)
+    _mutation_directions(child)  # a registry hit built no cone to check
+    return child, "down" if down else "up"
 
 
 # -- order -------------------------------------------------------------------
@@ -396,14 +439,16 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     """BFS of the Hasse quiver by down mutations from the pair (A, 0).
 
     A node is mutated only at the summands whose c-vector is >= 0, which
-    are its down exchanges (Fu 2017; Treffinger 2019), so every edge costs
-    one cone.  Nodes are deduplicated by the column-sorted g-matrix.  Every
-    summand is interned, so pairs with equal keys carry the same summand
-    tuple; the registry checks isomorphism once per new serialization of
-    a g-vector and aborts the run on a collision of non-isomorphic
-    summands.  If the frontier exhausts within the limits, the graph is
-    the complete Hasse quiver.  max_nodes must be at least 1 (the top
-    pair is always a node).
+    are its down exchanges (Fu 2017; Treffinger 2019).  Every edge costs
+    one approximation, and a cone only when its predicted g-vector is new
+    to the registry; every node, also one at max_depth, has its c-vectors
+    certified.  Nodes are deduplicated by the column-sorted g-matrix.
+    Every summand is interned, so pairs with equal keys carry the same
+    summand tuple; the registry checks isomorphism once per new
+    serialization of a g-vector and aborts the run on a collision of
+    non-isomorphic summands.  If the frontier exhausts within the limits,
+    the graph is the complete Hasse quiver.  max_nodes must be at least 1
+    (the top pair is always a node).
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, not {max_nodes}")
@@ -417,11 +462,14 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     complete = True
     while queue:
         node_id, depth = queue.popleft()
+        pair = pairs[node_id]
+        # certify every node, also one at the depth limit: a node reached
+        # through the registry had no cone to check it
+        downs = _mutation_directions(pair)
         if max_depth is not None and depth >= max_depth:
             complete = False
             continue
-        pair = pairs[node_id]
-        for i, down in enumerate(_mutation_directions(pair)):
+        for i, down in enumerate(downs):
             if not down:
                 continue  # the up edge is discovered from the other end
             child = _mutation(pair, i, True)

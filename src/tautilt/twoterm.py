@@ -30,7 +30,7 @@ built.  A cone of a map of two-term
 complexes transiently occupies three degrees; stripping contractible
 pairs (unit entries between equal projectives) reduces it back, and
 whether the extreme degree empties is exactly the test for the mutation
-direction staying two-term (`approximation_cone`).
+direction staying two-term (`_two_term_cone`).
 """
 
 from bisect import bisect_right

@@ -175,19 +175,51 @@ def test_mutate_certifies_sign_coherence():
     (lambda: linear(5), 132),
     (lambda: read_algebra("preproj_a3.alg"), 24),
 ], ids=["A5", "preprojective A3"])
-def test_enumeration_builds_one_cone_per_edge(make, nodes, monkeypatch):
+def test_enumeration_builds_one_cone_per_new_summand(make, nodes,
+                                                     monkeypatch):
+    # an edge whose predicted g-vector is in the registry builds no
+    # cone, so the cones built are exactly the summands beyond the
+    # projectives the enumeration starts from
     alg = make()
     cones = []
-    cone = tt.approximation_cone
+    cone = tt._two_term_cone
 
     def counted(*args):
         cones.append(args)
         return cone(*args)
 
-    monkeypatch.setattr(tt, "approximation_cone", counted)
+    monkeypatch.setattr(tt, "_two_term_cone", counted)
     graph = st.enumerate_sttilt(alg)
     assert graph.complete and graph.node_count() == nodes
-    assert len(cones) == len(graph.edges)
+    assert len(cones) == len(alg.summands) - alg.n < len(graph.edges)
+
+
+def _a2_with_a_corrupt_registry():
+    """kA2 with P1 registered under the g-vector (1, -1) of S1, the
+    summand that replaces P2 when the top pair mutates down at P2: a
+    mutation trusting the registry puts P1 in twice, and only the
+    certificate of the result can tell."""
+    alg = read_algebra("a2.alg")
+    alg.summands[(1, -1)] = tt.stalk_complex(alg, (0,), 0)
+    return alg
+
+
+def test_mutate_certifies_its_result():
+    alg = _a2_with_a_corrupt_registry()
+    top = st.TauRigidPair(alg, [tt.stalk_complex(alg, (v,), 0)
+                                for v in range(2)])
+    bad = st.TauRigidPair(alg, [tt.stalk_complex(alg, (0,), 0)] * 2)
+    with pytest.raises(st.InvariantViolation,
+                       match=re.escape(str(bad.key())) + ".*Z-basis"):
+        st.mutate(top, 1)
+
+
+def test_enumeration_certifies_the_nodes_at_the_depth_limit():
+    # the child (P1, P1) lies at depth 1, where the enumeration mutates
+    # no further
+    alg = _a2_with_a_corrupt_registry()
+    with pytest.raises(st.InvariantViolation, match="Z-basis"):
+        st.enumerate_sttilt(alg, max_depth=1)
 
 
 def test_trace_form_radical_refuses_small_characteristic():
@@ -407,16 +439,6 @@ def test_registry_rejects_non_isomorphic_summands_of_one_g_vector():
     assert st.intern_summand(arrow_complex("a")) is first
     with pytest.raises(st.InvariantViolation, match=r"\(1, -1\)"):
         st.intern_summand(arrow_complex("b"))
-
-
-def test_enumerate_over_a_prime_field_checks_registry_aliases():
-    # over F_3 the A4 summands come back in more than one serialization
-    # per g-vector, so interning runs registry checks; they compare
-    # indecomposables directly and need no decomposition over Q
-    alg = linear(4, "Fp:3")
-    graph = st.enumerate_sttilt(alg)
-    assert graph.complete and graph.node_count() == 42  # Catalan(5)
-    assert len(alg.summand_forms) > len(alg.summands) == 14
 
 
 def test_second_enumeration_builds_no_hom(monkeypatch):
