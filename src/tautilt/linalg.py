@@ -347,8 +347,9 @@ def kernel_via_presolve(field, rows, ncols):
     Rows with one or two entries pin variables to zero or identify them
     up to a scalar through a weighted union-find; longer rows are
     rewritten over the surviving class representatives and the (small)
-    residual system runs through `RowSpace`.  Built for the
-    chain-map systems, which are almost entirely two-term unit equations.
+    residual system runs through `RowSpace`.  Built for the differentials
+    of the Hom complexes (`twoterm.HomotopyHom`), which are almost
+    entirely two-term unit equations.
 
     Returns a list of {col: val} kernel vectors, RREF-canonicalized.
     """
@@ -404,25 +405,28 @@ def kernel_via_presolve(field, rows, ncols):
         if is_zero[rx]:
             is_zero[ry] = True
 
-    pending = [dict(r) for r in rows if r]
-    residual = []
+    def rewrite(row):
+        # the row over the class representatives, zero classes dropped
+        acc = {}
+        for x, c in row.items():
+            r, m = resolve(x)
+            if is_zero[r]:
+                continue
+            cm = c if m == one else field.mul(c, m)
+            cur = acc.get(r)
+            nv = cm if cur is None else field.add(cur, cm)
+            if nv == 0:
+                acc.pop(r, None)
+            else:
+                acc[r] = nv
+        return acc
+
+    pending = [r for r in rows if r]
     for _ in range(ncols + 2):
         nxt = []
         changed = False
         for row in pending:
-            # rewrite over representatives
-            acc = {}
-            for x, c in row.items():
-                r, m = resolve(x)
-                if is_zero[r]:
-                    continue
-                cm = c if m == one else field.mul(c, m)
-                cur = acc.get(r)
-                nv = cm if cur is None else field.add(cur, cm)
-                if nv == 0:
-                    acc.pop(r, None)
-                else:
-                    acc[r] = nv
+            acc = rewrite(row)
             if not acc:
                 continue
             if len(acc) == 1:
@@ -437,10 +441,7 @@ def kernel_via_presolve(field, rows, ncols):
                 nxt.append(acc)
         pending = nxt
         if not changed:
-            residual = pending
             break
-    else:
-        residual = pending
 
     # residual system over surviving roots
     live = set()
@@ -450,23 +451,8 @@ def kernel_via_presolve(field, rows, ncols):
             live.add(r)
     live_roots = sorted(live)
     root_pos = {r: i for i, r in enumerate(live_roots)}
-    res_rows = []
-    for row in residual:
-        acc = {}
-        for x, c in row.items():
-            r, m = resolve(x)
-            if is_zero[r]:
-                continue
-            cm = c if m == one else field.mul(c, m)
-            pos = root_pos[r]
-            cur = acc.get(pos)
-            nv = cm if cur is None else field.add(cur, cm)
-            if nv == 0:
-                acc.pop(pos, None)
-            else:
-                acc[pos] = nv
-        if acc:
-            res_rows.append(acc)
+    res_rows = [{root_pos[r]: c for r, c in acc.items()}
+                for acc in map(rewrite, pending) if acc]
     root_solutions = [
         {live_roots[i]: v for i, v in vec.items()}
         for vec in RowSpace(field, len(live_roots), res_rows).kernel()]

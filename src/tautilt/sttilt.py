@@ -147,7 +147,7 @@ def pair_from_module_data(alg, M, proj_mults, check=True):
     groups = mr.group_by_iso(mr.decompose(M))
     basic = [g[0] for g in groups]
     for part in basic:
-        summands.append(tt.strip_contractible(tt.presentation_complex(part)))
+        summands.append(tt.presentation_complex(part))
     for v in range(alg.n):
         if proj_mults[v] >= 1:
             summands.append(tt.stalk_complex(alg, (v,), shift=1))

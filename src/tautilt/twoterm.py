@@ -5,12 +5,13 @@ indecomposable projectives listed by vertex, with the differential as a
 matrix of algebra elements (entry (target t, source s) lies in
 e_{vt} A e_{vs}, acting by left multiplication).
 
-Every Hom space between two-term complexes is read off sparse linear
-systems written by one routine, `_add_products`: the block matrix of
-X -> X.d or X -> d.X between two grids of corner spaces.  Strict chain
-maps are the kernel of (f1, f0) -> f0 d_T - d_U f1, homotopies the image
-of h -> (h d_T, d_U h), and the shifts +-1 are the same products between
-other grids.
+Hom_K(T, U[s]) is H^s of one Hom complex, for every shift s.  Its
+degrees are grids of corner spaces: Hom^-1 = (U^-1, T^0), Hom^0 =
+(U^-1, T^-1) + (U^0, T^0) and Hom^1 = (U^0, T^-1), with differentials
+h -> (h d_T, d_U h) and (f1, f0) -> f0 d_T - d_U f1, both written by one
+routine, `_add_products` (the block matrix of X -> X.d or X -> d.X).  At
+shift 0 the kernel is the strict chain maps and the image the
+homotopies; at s = -1 nothing comes in and at s = 1 nothing goes out.
 
 Krull-Schmidt splitting and isomorphism go through H^0: a stripped
 complex is the minimal presentation of H^0(T) plus shifted projectives
@@ -469,35 +470,7 @@ class _BlockCoords:
         return m
 
 
-class _ProductCache:
-    """Memoized products of algebra basis elements with differential entries.
-
-    One cache serves one Hom computation between T and U, where right
-    factors are always entries of T.d and left factors entries of U.d, so
-    an entry is identified by its position and side.
-    """
-
-    def __init__(self, alg):
-        self.alg = alg
-        self.one = alg.field.one
-        self.memo = {}
-
-    def product(self, b, pos, e, d_left, neg):
-        """e.b when d_left, else b.e; negated when neg."""
-        key = (b, pos, d_left, neg)
-        r = self.memo.get(key)
-        if r is None:
-            if neg:
-                r = self.alg.elem_neg(self.product(b, pos, e, d_left, False))
-            elif d_left:
-                r = self.alg.elem_mul(e, {b: self.one})
-            else:
-                r = self.alg.elem_mul({b: self.one}, e)
-            self.memo[key] = r
-        return r
-
-
-def _add_products(rows, src, dst, d, d_left, cache, neg=False):
+def _add_products(rows, src, dst, d, d_left, neg=False):
     """Add the block matrix of X -> X.d, or X -> d.X when d_left, to rows.
 
     X ranges over the grid src and its product over the grid dst:
@@ -509,6 +482,7 @@ def _add_products(rows, src, dst, d, d_left, cache, neg=False):
     if not d.entries:
         return
     alg, F = src.alg, src.alg.field
+    one = F.one
     free = src.col_verts if d_left else src.row_verts
     inner = src.row_verts if d_left else src.col_verts
     groups = {}
@@ -516,12 +490,15 @@ def _add_products(rows, src, dst, d, d_left, cache, neg=False):
         groups.setdefault(v, []).append(t)
     sx, dx, cpos = src.start, dst.start, alg.corner_pos
     for pos, e in d.entries.items():
+        if neg:
+            e = alg.elem_neg(e)
         j, keep = (pos[1], pos[0]) if d_left else pos
         for v, ts in groups.items():
             corner = (alg.corner_basis(inner[j], v) if d_left
                       else alg.corner_basis(v, inner[j]))
             for b0 in corner:
-                prod = cache.product(b0, pos, e, d_left, neg)
+                prod = (alg.elem_mul(e, {b0: one}) if d_left
+                        else alg.elem_mul({b0: one}, e))
                 if not prod:
                     continue
                 for t in ts:
@@ -539,94 +516,66 @@ def _add_products(rows, src, dst, d, d_left, cache, neg=False):
                             row[col] = nv
 
 
-def _images(src, products, ndst, cache):
-    """Nonzero images of the basis of the grid src under the sum of the
-    products X -> X.d or d.X listed as (dst grid, d, d_left)."""
-    if not src.end:
-        return []
-    rows = [{} for _ in range(ndst)]
-    for dst, d, d_left in products:
-        _add_products(rows, src, dst, d, d_left, cache)
-    images = [{} for _ in range(src.end)]
-    for r, row in enumerate(rows):
-        for col, c in row.items():
-            images[col][r] = c
-    return [v for v in images if v]
-
-
-def _chain_maps(T, U, cache):
-    """Strict chain maps T -> U: the grids of f1 and f0, and a kernel basis
-    of (f1, f0) -> f0 d_T - d_U f1 in their joint coordinates."""
-    alg = T.alg
-    c1 = _BlockCoords(alg, U.p1, T.p1)
-    c0 = _BlockCoords(alg, U.p0, T.p0, offset=c1.end)
-    eq = _BlockCoords(alg, U.p0, T.p1)
-    rows = [{} for _ in range(eq.end)]
-    _add_products(rows, c0, eq, T.d, False, cache)
-    _add_products(rows, c1, eq, U.d, True, cache, neg=True)
-    return c1, c0, kernel_via_presolve(alg.field, rows, c0.end)
-
-
-def _chain_map(T, U, c1, c0, vec):
-    return ChainMap(T, U, c1.vec_to_matrix(vec), c0.vec_to_matrix(vec))
-
-
 class HomotopyHom:
-    """Hom in the homotopy category between two-term complexes, one shift.
+    """Hom_K(T, U[shift]) between two-term complexes: H^shift of the Hom
+    complex.
 
-    For shift 0 carries raw chain-map representatives and supports
-    composition through canonical class coordinates; for shifts +-1 only
-    dimensions and representatives are exposed.  Built through
-    `hom_homotopy`, which checks that T and U share their algebra.
+    The degrees of the Hom complex are grids: Hom^-1 = (U^-1, T^0),
+    Hom^0 = (U^-1, T^-1) + (U^0, T^0) and Hom^1 = (U^0, T^-1), with
+    differentials h -> (h d_T, d_U h) and (f1, f0) -> f0 d_T - d_U f1.
+    The classes are the kernel of the outgoing differential reduced
+    modulo `homotopies`, the image of the incoming one; `reps` holds one
+    representative per class.  At shift 0 these are strict chain maps
+    over the grids c1 and c0, with composition through canonical class
+    coordinates; at shifts +-1 they are matrices over the one grid c.
+    Built through `hom_homotopy`, which checks that T and U share their
+    algebra.
     """
 
     def __init__(self, T, U, shift=0):
         self.T = T
         self.U = U
         self.shift = shift
-        alg = T.alg
-        self.alg = alg
+        alg = self.alg = T.alg
         F = alg.field
-        self.reps = []
         self.radical = None  # for U = T: rad End(T) as rows over reps
-        if abs(shift) >= 2:
-            self.dim = 0
-            return
-        cache = _ProductCache(alg)
+        h = _BlockCoords(alg, U.p1, T.p0)
+        c1 = _BlockCoords(alg, U.p1, T.p1)
+        c0 = _BlockCoords(alg, U.p0, T.p0, offset=c1.end)
+        e = _BlockCoords(alg, U.p0, T.p1)
+        size = {-1: h.end, 0: c0.end, 1: e.end}
+        # the terms (src, dst, d, d_left, neg) of each differential
+        terms = {-1: ((h, c1, T.d, False, False), (h, c0, U.d, True, False)),
+                 0: ((c0, e, T.d, False, False), (c1, e, U.d, True, True))}
+
+        def differential(k):
+            # rows of Hom^k -> Hom^(k+1), one per coordinate of Hom^(k+1);
+            # a map from or to a zero space needs none
+            if not size.get(k) or not size.get(k + 1):
+                return []
+            rows = [{} for _ in range(size[k + 1])]
+            for term in terms[k]:
+                _add_products(rows, *term)
+            return rows
+
+        n = size.get(shift, 0)
+        cycles = kernel_via_presolve(F, differential(shift), n)
+        boundaries = [{} for _ in range(size.get(shift - 1, 0))]
+        for r, row in enumerate(differential(shift - 1)):
+            for col, c in row.items():
+                boundaries[col][r] = c
+        self.homotopies = RowSpace(F, n, boundaries)
+        self.classes = RowSpace(F, n, map(self.homotopies.reduce, cycles))
+        self.dim = self.classes.dim
         if shift == 0:
-            # chain maps (f1, f0) modulo f1 = h d_T, f0 = d_U h for
-            # h: T^0 -> U^{-1}
-            self.c1, self.c0, raw = _chain_maps(T, U, cache)
-            nunk = self.c0.end
-            h = _BlockCoords(alg, U.p1, T.p0)
-            self.homotopies = RowSpace(F, nunk, _images(
-                h, ((self.c1, T.d, False), (self.c0, U.d, True)), nunk, cache))
-            self.classes = RowSpace(F, nunk, map(self.homotopies.reduce, raw))
-            self.dim = self.classes.dim
-            self.reps = [_chain_map(T, U, self.c1, self.c0, row)
+            self.c1, self.c0 = c1, c0
+            self.reps = [ChainMap(T, U, c1.vec_to_matrix(row),
+                                  c0.vec_to_matrix(row))
                          for row in self.classes.reduced]
-        elif shift == 1:
-            # all maps T^{-1} -> U^0 modulo d_U h1 + h0 d_T
-            self.c = _BlockCoords(alg, U.p0, T.p1)
-            h1 = _BlockCoords(alg, U.p1, T.p1)
-            h0 = _BlockCoords(alg, U.p0, T.p0)
-            self.homotopies = RowSpace(F, self.c.end, (
-                _images(h1, ((self.c, U.d, True),), self.c.end, cache)
-                + _images(h0, ((self.c, T.d, False),), self.c.end, cache)))
-            self.dim = self.c.end - self.homotopies.dim
-            self.reps = [self.c.vec_to_matrix({col: F.one})
-                         for col in self.homotopies.free_cols()]
         else:
-            # maps T^0 -> U^{-1} with both composites zero, no homotopies
-            self.c = _BlockCoords(alg, U.p1, T.p0)
-            low = _BlockCoords(alg, U.p0, T.p0)    # d_U . psi
-            high = _BlockCoords(alg, U.p1, T.p1, offset=low.end)  # psi . d_T
-            rows = [{} for _ in range(high.end)]
-            _add_products(rows, self.c, low, U.d, True, cache)
-            _add_products(rows, self.c, high, T.d, False, cache)
-            vecs = kernel_via_presolve(F, rows, self.c.end)
-            self.dim = len(vecs)
-            self.reps = [self.c.vec_to_matrix(v) for v in vecs]
+            self.c = {-1: h, 1: e}.get(shift)
+            self.reps = [self.c.vec_to_matrix(row)
+                         for row in self.classes.reduced]
 
     def chain_map_class(self, cm):
         """Canonical class coordinates of a strict chain map: the {index:

@@ -74,7 +74,7 @@ def test_enumeration_scalars_stay_normal():
     assert st.enumerate_sttilt(alg).node_count() == 42
     seen = 0
     for hs in alg.hom_memo.values():
-        spaces = [hs.homotopies] + ([hs.classes] if hs.shift == 0 else [])
+        spaces = [hs.homotopies, hs.classes]
         for q in itertools.chain(
                 *(_scalars(rep) for rep in hs.reps),
                 *(row.values() for s in spaces for row in s.reduced)):

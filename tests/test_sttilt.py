@@ -417,6 +417,9 @@ def test_h0_round_trip_on_corpus(kA2, kx2):
             M = p.module()
             proj = p.projective_part()
             T = tt.pair_to_complex(M, proj)
+            # a minimal presentation has its differential in the radical,
+            # so there is nothing to strip
+            assert tt.strip_contractible(T).serialize() == T.serialize()
             M2, proj2 = tt.complex_to_pair(T)
             assert proj2 == proj
             assert mr.modules_isomorphic(M2, M)

@@ -319,9 +319,18 @@ def test_euler_form_ties_the_shifts(request, name, max_nodes):
         assert not grid.vec_to_matrix({grid.offset - 1: one, grid.end: one}
                                       ).entries
 
+    def kernel_of_d(U):
+        src, _, f = U.d.realize()
+        return mr.kernel_subrep(alg, src.rep, f)[0]
+
+    # the module-side data of each summand: H^0, tau H^0 and ker d
+    module = {key: (tt.complex_h0(T), mr.tau(tt.complex_h0(T)),
+                    kernel_of_d(T))
+              for key, T in summands.items()}
+
     nonzero = {shift: 0 for shift in (-1, 0, 1)}
-    for T in summands.values():
-        for U in summands.values():
+    for tkey, T in summands.items():
+        for ukey, U in summands.items():
             homs = {shift: tt.hom_homotopy(T, U, shift)
                     for shift in (-1, 0, 1)}
             for grid in (homs[0].c1, homs[0].c0, homs[1].c, homs[-1].c):
@@ -330,6 +339,20 @@ def test_euler_form_ties_the_shifts(request, name, max_nodes):
             euler = (proj_hom(T.p1, U.p1) + proj_hom(T.p0, U.p0)
                      - proj_hom(T.p1, U.p0) - proj_hom(T.p0, U.p1))
             assert dims[0] - dims[1] - dims[-1] == euler, (T, U, dims)
+            # the shifts +-1 on their own, computed in mod A: an
+            # indecomposable T is a minimal presentation P_M of M = H^0 T
+            # or a shifted projective Q[1]
+            (M, tau_m, _), (N, _, ker_u) = module[tkey], module[ukey]
+            if T.p0:
+                # Auslander-Reiten: Hom_K(P_M, P_N[1]) = D Hom_A(N, tau M)
+                shift1 = len(mr.hom_space(N, tau_m))
+            else:
+                # Hom_K(Q[1], U[1]) = Hom_K(Q, U) = Hom_A(Q, H^0 U)
+                shift1 = sum(N.dims[v] for v in T.p1)
+            assert dims[1] == shift1, (T, U, dims)
+            # maps T^0 -> U^-1 killed by d_T on the right and by d_U on
+            # the left: Hom_A(H^0 T, ker d_U)
+            assert dims[-1] == len(mr.hom_space(M, ker_u)), (T, U, dims)
             for shift, dim in dims.items():
                 nonzero[shift] += dim != 0
     # every shift contributes somewhere, so no term is checked vacuously
