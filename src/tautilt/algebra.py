@@ -14,6 +14,7 @@ bound must be empty, and the arrow ideal must be nilpotent.
 
 import ast
 import re
+from bisect import bisect_right
 from itertools import product
 
 from .fields import QQ, FieldError, parse_field
@@ -357,7 +358,10 @@ class BoundQuiverAlgebra:
       (shift, T.form_id(), U.form_id()) (``twoterm.hom_homotopy``);
     * compose_memo: composition Hom(B, C) x Hom(A, B) -> Hom(A, C) as
       structure constants in class coordinates, keyed by the form-id
-      triple (A, B, C) (``twoterm.composition_table``).
+      triple (A, B, C) (``twoterm.composition_table``);
+    * sum_memo: the sums of projectives and injectives on the path basis,
+      one per class and vertex tuple (``modrep.ProjSum.of``,
+      ``modrep.InjSum.of``).
     """
 
     def __init__(self, spec):
@@ -375,6 +379,7 @@ class BoundQuiverAlgebra:
         self.summand_forms = {}
         self.hom_memo = {}
         self.compose_memo = {}
+        self.sum_memo = {}
 
     # -- construction ----------------------------------------------------
 
@@ -576,6 +581,105 @@ class BoundQuiverAlgebra:
     def __repr__(self):
         return (f"BoundQuiverAlgebra(n={self.n}, dim={self.dim}, "
                 f"field={self.field!r})")
+
+
+# -- grids of corner spaces ----------------------------------------------
+
+class CornerGrid:
+    """Flat coordinates for a grid of corner spaces e_{rv[i]} A e_{cv[j]}.
+
+    A matrix over the grid is a {(i, j): element} dict with entry (i, j)
+    in e_{rv[i]} A e_{cv[j]}.  start[(i, j)] is the first coordinate of
+    the nonzero corner at (i, j), in increasing order; basis path b of
+    that corner sits at start[(i, j)] + alg.corner_pos[b].  Coordinates
+    run from offset up to end.
+    """
+
+    __slots__ = ("alg", "row_verts", "col_verts", "offset", "start", "end")
+
+    def __init__(self, alg, row_verts, col_verts, offset=0):
+        self.alg = alg
+        self.row_verts = row_verts
+        self.col_verts = col_verts
+        self.offset = offset
+        self.start = {}
+        k = offset
+        for i, rv in enumerate(row_verts):
+            for j, cv in enumerate(col_verts):
+                size = len(alg.corner_basis(rv, cv))
+                if size:
+                    self.start[(i, j)] = k
+                    k += size
+        self.end = k
+
+    def entries_to_vec(self, entries, vec):
+        """Write the coordinates of a matrix over this grid into vec."""
+        pos = self.alg.corner_pos
+        for ij, e in entries.items():
+            s = self.start[ij]
+            for b, c in e.items():
+                vec[s + pos[b]] = c
+        return vec
+
+    def vec_to_entries(self, vec):
+        """The matrix of the coordinates of vec inside this grid; the
+        others are ignored."""
+        alg = self.alg
+        corners = list(self.start.items())
+        starts = [s for _, s in corners]
+        entries = {}
+        for k, c in vec.items():
+            if c and self.offset <= k < self.end:
+                (i, j), s = corners[bisect_right(starts, k) - 1]
+                corner = alg.corner_basis(self.row_verts[i], self.col_verts[j])
+                entries.setdefault((i, j), {})[corner[k - s]] = c
+        return entries
+
+
+def add_products(rows, src, dst, d, d_left, neg=False):
+    """Add the block matrix of X -> X.d, or X -> d.X when d_left, to rows.
+
+    X ranges over the grid src and its product over the grid dst; d is a
+    {(i, j): element} matrix.  rows[dst coordinate] maps src coordinates
+    to coefficients (negated when neg).  The sum runs over the index of X
+    that d contracts; the other index of X is free and passes through,
+    grouped by vertex so each corner basis is listed once per entry of d.
+    """
+    if not d:
+        return
+    alg, F = src.alg, src.alg.field
+    one = F.one
+    free = src.col_verts if d_left else src.row_verts
+    inner = src.row_verts if d_left else src.col_verts
+    groups = {}
+    for t, v in enumerate(free):
+        groups.setdefault(v, []).append(t)
+    sx, dx, cpos = src.start, dst.start, alg.corner_pos
+    for pos, e in d.items():
+        if neg:
+            e = alg.elem_neg(e)
+        j, keep = (pos[1], pos[0]) if d_left else pos
+        for v, ts in groups.items():
+            corner = (alg.corner_basis(inner[j], v) if d_left
+                      else alg.corner_basis(v, inner[j]))
+            for b0 in corner:
+                prod = (alg.elem_mul(e, {b0: one}) if d_left
+                        else alg.elem_mul({b0: one}, e))
+                if not prod:
+                    continue
+                for t in ts:
+                    if d_left:
+                        col, out = sx[(j, t)] + cpos[b0], dx[(keep, t)]
+                    else:
+                        col, out = sx[(t, j)] + cpos[b0], dx[(t, keep)]
+                    for b, c in prod.items():
+                        row = rows[out + cpos[b]]
+                        cur = row.get(col)
+                        nv = c if cur is None else F.add(cur, c)
+                        if nv == 0:
+                            row.pop(col, None)
+                        else:
+                            row[col] = nv
 
 
 def multiply(alg, x, y):

@@ -10,12 +10,14 @@ algebraically: Hom(e_u A, e_w A) = e_w A e_u via left multiplication,
 so a map of projective sums is a matrix of algebra elements.  The
 Nakayama functor sends such a matrix to a map of the corresponding
 injective sums, which is what the Auslander-Reiten translation kernel
-is computed from.
+is computed from.  Both sums lay out their vertex spaces as grids of
+corner spaces (`algebra.CornerGrid`), and every map between them, the
+arrow actions included, is written by `algebra.add_products`.
 """
 
 from bisect import bisect_right
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, CornerGrid, add_products
 from .linalg import ExactMatrix, RowSpace
 from . import splitting
 from .splitting import DecompositionError  # re-exported for callers
@@ -110,14 +112,6 @@ def morphism_compose(alg, f, g):
     return tuple(f[v].mul(g[v]) for v in range(alg.n))
 
 
-def morphism_add(f, g):
-    return tuple(a.add(b) for a, b in zip(f, g))
-
-
-def morphism_scale(c, f):
-    return tuple(m.scale(c) for m in f)
-
-
 def _morphism_layout(M, N):
     """Coordinates of prod_v k^(dM_v x dN_v): entry (i, j) of F_v is
     coordinate offsets[v] + i * dN_v + j.  Returns (offsets, dimension)."""
@@ -184,130 +178,100 @@ def hom_space(M, N):
 
 # -- standard modules ---------------------------------------------------
 
-def _path_layout(alg, verts, ends, places):
-    """Layout of a sum of path-basis modules, one summand per vertex in
-    verts: summand s holds the basis paths b with ends[b] == verts[s],
-    each at vertex places[b].  Returns (layout, pos): layout[v] lists the
-    (summand, path) pairs at v in order, pos[v] maps each to its index.
+def _products(src, dst, d, d_left):
+    """Matrix of X -> X.d (d.X when d_left) from the grid src to the grid
+    dst, one row per coordinate of dst (`algebra.add_products`)."""
+    rows = [{} for _ in range(dst.end)]
+    add_products(rows, src, dst, d, d_left)
+    return ExactMatrix(src.alg.field, dst.end, src.end, rows)
+
+
+class _PathSum:
+    """A sum of path-basis modules, one summand per vertex in verts.
+
+    grids[v] lays out the space at vertex v, summand by summand; an arrow
+    a: v -> w acts by multiplying with a.  Built once per vertex tuple,
+    through `of`.
     """
-    layout = [[] for _ in range(alg.n)]
-    for s, u in enumerate(verts):
-        for b in range(alg.dim):
-            if ends[b] == u:
-                layout[places[b]].append((s, b))
-    return layout, [{sb: i for i, sb in enumerate(lay)} for lay in layout]
-
-
-class ProjSum:
-    """P = (+) e_{verts[s]} A with an explicit path-basis layout."""
 
     def __init__(self, alg, verts):
         self.alg = alg
         self.verts = tuple(verts)
-        self.layout, self.pos = _path_layout(
-            alg, self.verts, alg.basis_source, alg.basis_target)
-        self.rep = self._build_rep()
+        self.grids = [self._grid(v) for v in range(alg.n)]
+        one = alg.field.one
+        maps = {ai: self._action(a.source, a.target,
+                                 {(0, 0): {alg.arrow_elem[ai]: one}})
+                for ai, a in enumerate(alg.arrows)}
+        self.rep = Representation(alg, [g.end for g in self.grids], maps,
+                                  validate=False)
 
-    def _build_rep(self):
-        alg = self.alg
-        F = alg.field
-        dims = tuple(len(self.layout[v]) for v in range(alg.n))
-        maps = {}
-        for ai, arrow in enumerate(alg.arrows):
-            v, w = arrow.source, arrow.target
-            a_elem_idx = alg.arrow_elem[ai]
-            rows = [{} for _ in range(dims[v])]
-            for i, (s, b) in enumerate(self.layout[v]):
-                prod = alg.mult_table.get((b, a_elem_idx))
-                if not prod:
-                    continue
-                for b2, c in prod.items():
-                    rows[i][self.pos[w][(s, b2)]] = c
-            maps[ai] = ExactMatrix(F, dims[v], dims[w], rows)
-        return Representation(alg, dims, maps, validate=False)
+    @classmethod
+    def of(cls, alg, verts):
+        """The sum over verts, memoized in alg.sum_memo."""
+        key = (cls, tuple(verts))
+        found = alg.sum_memo.get(key)
+        if found is None:
+            found = alg.sum_memo[key] = cls(alg, key[1])
+        return found
 
-    def generator_position(self, s):
-        """Position of the summand generator e_u in the layout at its vertex."""
-        u = self.verts[s]
-        return u, self.pos[u][(s, self.alg.idempotent[u])]
+
+class ProjSum(_PathSum):
+    """P = (+) e_{verts[s]} A: at vertex v the grid (verts, (v,)) of the
+    corners e_{verts[s]} A e_v, with arrows acting on the right."""
+
+    def _grid(self, v):
+        return CornerGrid(self.alg, self.verts, (v,))
+
+    def _action(self, v, w, a):
+        # b -> b.a maps the grid at v to the grid at w; rows are the
+        # module's row vectors at v, so transpose
+        return _products(self.grids[v], self.grids[w], a, False).transpose()
 
     def realize_alg_map(self, target, entries):
         """Vertex matrices of the map self -> target with algebra entries.
 
-        entries: {(t, s): element of e_{target.verts[t]} A e_{self.verts[s]}}.
+        entries: {(t, s): element of e_{target.verts[t]} A e_{self.verts[s]}},
+        acting by left multiplication.
         """
-        alg = self.alg
-        F = alg.field
-        mats = []
-        for v in range(alg.n):
-            rows = [{} for _ in range(len(self.layout[v]))]
-            for i, (s, b) in enumerate(self.layout[v]):
-                for (t, s2), c in entries.items():
-                    if s2 != s or not c:
-                        continue
-                    img = alg.elem_mul(c, {b: F.one})
-                    for b2, val in img.items():
-                        key = target.pos[v][(t, b2)]
-                        cur = rows[i].get(key, F.zero)
-                        nv = F.add(cur, val)
-                        if nv == 0:
-                            rows[i].pop(key, None)
-                        else:
-                            rows[i][key] = nv
-            mats.append(ExactMatrix(F, len(self.layout[v]), len(target.layout[v]), rows))
-        return tuple(mats)
+        return tuple(_products(g, target.grids[v], entries, True).transpose()
+                     for v, g in enumerate(self.grids))
 
     def extract_alg_entries(self, target, f):
         """Inverse of realize_alg_map: read algebra entries off generator rows."""
         alg = self.alg
         entries = {}
-        for s in range(len(self.verts)):
-            u, gpos = self.generator_position(s)
-            row = f[u].rows[gpos]
-            for col, val in row.items():
-                t, b = target.layout[u][col]
-                entries.setdefault((t, s), {})[b] = val
+        for s, u in enumerate(self.verts):
+            gen = (self.grids[u].start[(s, 0)]
+                   + alg.corner_pos[alg.idempotent[u]])
+            row = f[u].rows[gen]
+            for (t, _), e in target.grids[u].vec_to_entries(row).items():
+                entries[(t, s)] = e
         return entries
 
 
-class InjSum:
-    """I = (+) D(A e_{verts[s]}) on the dual path basis."""
+class InjSum(_PathSum):
+    """I = (+) D(A e_{verts[s]}): at vertex v the grid ((v,), verts) of the
+    dual bases of the corners e_v A e_{verts[s]}."""
 
-    def __init__(self, alg, verts):
-        self.alg = alg
-        self.verts = tuple(verts)
-        self.layout, self.pos = _path_layout(
-            alg, self.verts, alg.basis_target, alg.basis_source)
-        self.rep = self._build_rep()
+    def _grid(self, v):
+        return CornerGrid(self.alg, (v,), self.verts)
 
-    def _build_rep(self):
-        # dual basis action: p^* . a = sum_q <a.q, p> q^*
-        alg = self.alg
-        F = alg.field
-        dims = tuple(len(self.layout[v]) for v in range(alg.n))
-        maps = {}
-        for ai, arrow in enumerate(alg.arrows):
-            v, w = arrow.source, arrow.target
-            a_elem_idx = alg.arrow_elem[ai]
-            rows = [{} for _ in range(dims[v])]
-            for jcol, (s, q) in enumerate(self.layout[w]):
-                prod = alg.mult_table.get((a_elem_idx, q))
-                if not prod:
-                    continue
-                for p, c in prod.items():
-                    key = self.pos[v].get((s, p))
-                    if key is not None:
-                        rows[key][jcol] = c
-            maps[ai] = ExactMatrix(F, dims[v], dims[w], rows)
-        return Representation(alg, dims, maps, validate=False)
+    def _action(self, v, w, a):
+        # dual basis action p^* . a = sum_q <a.q, p> q^*: the rows of q -> a.q
+        # from the grid at w to the grid at v
+        return _products(self.grids[w], self.grids[v], a, True)
 
 
 def standard_module(alg, vertex, flavor):
     """P_v, I_v or S_v as a representation."""
+    if not 0 <= vertex < alg.n:
+        raise AlgebraError(
+            f"vertex {vertex} is out of range for an algebra with "
+            f"n = {alg.n} vertices")
     if flavor == "projective":
-        return ProjSum(alg, (vertex,)).rep
+        return ProjSum.of(alg, (vertex,)).rep
     if flavor == "injective":
-        return InjSum(alg, (vertex,)).rep
+        return InjSum.of(alg, (vertex,)).rep
     if flavor == "simple":
         dims = tuple(1 if v == vertex else 0 for v in range(alg.n))
         return Representation(alg, dims, {}, validate=False)
@@ -407,17 +371,18 @@ def projective_cover(M):
     rad = radical_rows(M)
     gens = [(v, c) for v in range(alg.n)
             for c in RowSpace(F, M.dims[v], rad[v]).free_cols()]
-    P = ProjSum(alg, [v for v, _ in gens])
+    P = ProjSum.of(alg, [v for v, _ in gens])
     # summand s sends its generator e_u to the unit vector at gens[s][1],
     # so it sends a basis path b from u to row gens[s][1] of M.path_matrix(b)
     acts = {}
     cover = []
-    for w, layout in enumerate(P.layout):
+    for w, grid in enumerate(P.grids):
         rows = []
-        for s, b in layout:
-            if b not in acts:
-                acts[b] = M.path_matrix(b)
-            rows.append(acts[b].rows[gens[s][1]])
+        for s, _ in grid.start:
+            for b in alg.corner_basis(P.verts[s], w):
+                if b not in acts:
+                    acts[b] = M.path_matrix(b)
+                rows.append(acts[b].rows[gens[s][1]])
         cover.append(ExactMatrix(F, len(rows), M.dims[w], rows))
     return P, tuple(cover)
 
@@ -452,31 +417,14 @@ def minimal_projective_presentation(M):
 def nakayama_map(alg, P1, P0, entries):
     """nu of an algebra-entry map of projective sums, realized on injectives.
 
-    nu(left mult by c): I_u -> I_w sends p^* to sum_q <q.c, p> q^*.
+    nu(left mult by c): I_u -> I_w sends p^* to sum_q <q.c, p> q^*, so its
+    rows are those of q -> q.c from the grids of I0 to those of I1.
     Returns (I1, I0, morphism I1.rep -> I0.rep).
     """
-    F = alg.field
-    I1 = InjSum(alg, P1.verts)
-    I0 = InjSum(alg, P0.verts)
-    mats = []
-    for v in range(alg.n):
-        rows = [{} for _ in range(len(I1.layout[v]))]
-        for jcol, (t, q) in enumerate(I0.layout[v]):
-            for (t2, s), c in entries.items():
-                if t2 != t or not c:
-                    continue
-                img = alg.elem_mul({q: F.one}, c)  # q . c, a path v -> verts[s]
-                for p, val in img.items():
-                    key = I1.pos[v].get((s, p))
-                    if key is not None:
-                        cur = rows[key].get(jcol, F.zero)
-                        nv = F.add(cur, val)
-                        if nv == 0:
-                            rows[key].pop(jcol, None)
-                        else:
-                            rows[key][jcol] = nv
-        mats.append(ExactMatrix(F, len(I1.layout[v]), len(I0.layout[v]), rows))
-    return I1, I0, tuple(mats)
+    I1 = InjSum.of(alg, P1.verts)
+    I0 = InjSum.of(alg, P0.verts)
+    return I1, I0, tuple(_products(g, I1.grids[v], entries, False)
+                         for v, g in enumerate(I0.grids))
 
 
 def tau(M):
@@ -501,42 +449,32 @@ def ext1_dim(M, N):
 
 
 def injective_envelope(M):
-    """(E: InjSum, embedding morphism M -> E.rep)."""
+    """(E: InjSum, embedding morphism M -> E.rep).
+
+    E has one summand I_u per socle basis vector at u.  A functional phi
+    on M_u gives the map M -> I_u, m -> sum_p phi(m.p) p^* over the paths
+    p into u; with phi dual to the socle basis at u these maps restrict to
+    an isomorphism of socles, so together they embed M.
+    """
     alg = M.alg
     F = alg.field
     socs = [ExactMatrix(F, len(rows), M.dims[v], rows).row_space_rows()
             for v, rows in enumerate(socle_rows(M))]
-    E = InjSum(alg, [v for v in range(alg.n) for _ in range(socs[v].nrows)])
-    homs = hom_space(M, E.rep)
-    # the k-th socle basis vector at v, summand s of E, must map to the
-    # socle coordinate e_v^* of summand s: one equation per coordinate of
-    # E_v in the coefficients over the hom basis
-    eqs, want = [], []
-    s = 0
-    for v, soc in enumerate(socs):
-        images = [soc.mul(h[v]).rows for h in homs]
-        for k in range(soc.nrows):
-            tpos = E.pos[v][(s, alg.idempotent[v])]
-            for col in range(E.rep.dims[v]):
-                eqs.append({ci: img[k][col] for ci, img in enumerate(images)
-                            if col in img[k]})
-                want.append({0: F.one} if col == tpos else {})
-            s += 1
-    sol = ExactMatrix(F, len(eqs), len(homs), eqs).solve_right(
-        ExactMatrix(F, len(eqs), 1, want))
-    if sol is None:
-        raise AssertionError("injective envelope embedding must exist")
-    emb = None
-    for ci in range(len(homs)):
-        c = sol.rows[ci].get(0)
-        if not c:
-            continue
-        term = morphism_scale(c, homs[ci])
-        emb = term if emb is None else morphism_add(emb, term)
-    if emb is None:
-        emb = tuple(ExactMatrix.zero(F, M.dims[v], E.rep.dims[v])
-                    for v in range(alg.n))
-    return E, emb
+    # column k of duals[u] is the functional dual to socle basis vector k
+    duals = [soc.solve_right(ExactMatrix.identity(F, soc.nrows))
+             for soc in socs]
+    summands = [(u, k) for u, soc in enumerate(socs) for k in range(soc.nrows)]
+    E = InjSum.of(alg, [u for u, _ in summands])
+    emb = []
+    for v, grid in enumerate(E.grids):
+        cols = []
+        for _, s in grid.start:
+            u, k = summands[s]
+            for p in alg.corner_basis(v, u):
+                images = M.path_matrix(p).mul(duals[u]).rows
+                cols.append({i: r[k] for i, r in enumerate(images) if k in r})
+        emb.append(ExactMatrix(F, len(cols), M.dims[v], cols).transpose())
+    return E, tuple(emb)
 
 
 def stable_hom_dim(M, N):

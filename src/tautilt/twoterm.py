@@ -9,9 +9,11 @@ Hom_K(T, U[s]) is H^s of one Hom complex, for every shift s.  Its
 degrees are grids of corner spaces: Hom^-1 = (U^-1, T^0), Hom^0 =
 (U^-1, T^-1) + (U^0, T^0) and Hom^1 = (U^0, T^-1), with differentials
 h -> (h d_T, d_U h) and (f1, f0) -> f0 d_T - d_U f1, both written by one
-routine, `_add_products` (the block matrix of X -> X.d or X -> d.X).  At
-shift 0 the kernel is the strict chain maps and the image the
-homotopies; at s = -1 nothing comes in and at s = 1 nothing goes out.
+routine, `algebra.add_products` (the block matrix of X -> X.d or X -> d.X
+between grids `algebra.CornerGrid`, which also lay out the module-side
+sums of projectives and injectives in `modrep`).  At shift 0 the kernel
+is the strict chain maps and the image the homotopies; at s = -1 nothing
+comes in and at s = 1 nothing goes out.
 
 Krull-Schmidt splitting and isomorphism go through H^0: a stripped
 complex is the minimal presentation of H^0(T) plus shifted projectives
@@ -34,9 +36,7 @@ whether the extreme degree empties is exactly the test for the mutation
 direction staying two-term (`_two_term_cone`).
 """
 
-from bisect import bisect_right
-
-from .algebra import AlgebraError
+from .algebra import AlgebraError, CornerGrid, add_products
 from .linalg import RowSpace, kernel_via_presolve
 from . import modrep as mr
 from . import splitting
@@ -125,9 +125,9 @@ class AlgMatrix:
         return tuple(items)
 
     def realize(self):
-        """Vertex matrices (ProjSum(col) -> ProjSum(row)) of this map."""
-        src = mr.ProjSum(self.alg, self.col_verts)
-        tgt = mr.ProjSum(self.alg, self.row_verts)
+        """(ProjSum of col, ProjSum of row, vertex matrices of this map)."""
+        src = mr.ProjSum.of(self.alg, self.col_verts)
+        tgt = mr.ProjSum.of(self.alg, self.row_verts)
         f = src.realize_alg_map(tgt, self.entries)
         return src, tgt, f
 
@@ -421,101 +421,6 @@ def cone_two_term(f):
 
 # -- homotopy Hom spaces --------------------------------------------------
 
-class _BlockCoords:
-    """Flat coordinates for a grid of corner spaces e_{rv[i]} A e_{cv[j]}.
-
-    start[(i, j)] is the first coordinate of the nonzero corner at (i, j),
-    in increasing order; basis path b of that corner sits at
-    start[(i, j)] + alg.corner_pos[b].  Coordinates run from offset up to
-    end.
-    """
-
-    __slots__ = ("alg", "row_verts", "col_verts", "offset", "start", "end")
-
-    def __init__(self, alg, row_verts, col_verts, offset=0):
-        self.alg = alg
-        self.row_verts = row_verts
-        self.col_verts = col_verts
-        self.offset = offset
-        self.start = {}
-        k = offset
-        for i, rv in enumerate(row_verts):
-            for j, cv in enumerate(col_verts):
-                size = len(alg.corner_basis(rv, cv))
-                if size:
-                    self.start[(i, j)] = k
-                    k += size
-        self.end = k
-
-    def matrix_to_vec(self, m, vec):
-        pos = self.alg.corner_pos
-        for ij, e in m.entries.items():
-            s = self.start[ij]
-            for b, c in e.items():
-                vec[s + pos[b]] = c
-        return vec
-
-    def vec_to_matrix(self, vec):
-        """The matrix of the coordinates of vec inside this grid; the
-        others are ignored."""
-        alg = self.alg
-        corners = list(self.start.items())
-        starts = [s for _, s in corners]
-        m = AlgMatrix(alg, self.row_verts, self.col_verts)
-        for k, c in vec.items():
-            if c and self.offset <= k < self.end:
-                (i, j), s = corners[bisect_right(starts, k) - 1]
-                corner = alg.corner_basis(self.row_verts[i], self.col_verts[j])
-                m.entries.setdefault((i, j), {})[corner[k - s]] = c
-        return m
-
-
-def _add_products(rows, src, dst, d, d_left, neg=False):
-    """Add the block matrix of X -> X.d, or X -> d.X when d_left, to rows.
-
-    X ranges over the grid src and its product over the grid dst:
-    rows[dst coordinate] maps src coordinates to coefficients (negated
-    when neg).  The sum runs over the index of X that d contracts; the
-    other index of X is free and passes through, grouped by vertex so
-    each corner basis is listed once per differential entry.
-    """
-    if not d.entries:
-        return
-    alg, F = src.alg, src.alg.field
-    one = F.one
-    free = src.col_verts if d_left else src.row_verts
-    inner = src.row_verts if d_left else src.col_verts
-    groups = {}
-    for t, v in enumerate(free):
-        groups.setdefault(v, []).append(t)
-    sx, dx, cpos = src.start, dst.start, alg.corner_pos
-    for pos, e in d.entries.items():
-        if neg:
-            e = alg.elem_neg(e)
-        j, keep = (pos[1], pos[0]) if d_left else pos
-        for v, ts in groups.items():
-            corner = (alg.corner_basis(inner[j], v) if d_left
-                      else alg.corner_basis(v, inner[j]))
-            for b0 in corner:
-                prod = (alg.elem_mul(e, {b0: one}) if d_left
-                        else alg.elem_mul({b0: one}, e))
-                if not prod:
-                    continue
-                for t in ts:
-                    if d_left:
-                        col, out = sx[(j, t)] + cpos[b0], dx[(keep, t)]
-                    else:
-                        col, out = sx[(t, j)] + cpos[b0], dx[(t, keep)]
-                    for b, c in prod.items():
-                        row = rows[out + cpos[b]]
-                        cur = row.get(col)
-                        nv = c if cur is None else F.add(cur, c)
-                        if nv == 0:
-                            row.pop(col, None)
-                        else:
-                            row[col] = nv
-
-
 class HomotopyHom:
     """Hom_K(T, U[shift]) between two-term complexes: H^shift of the Hom
     complex.
@@ -539,14 +444,15 @@ class HomotopyHom:
         alg = self.alg = T.alg
         F = alg.field
         self.radical = None  # for U = T: rad End(T) as rows over reps
-        h = _BlockCoords(alg, U.p1, T.p0)
-        c1 = _BlockCoords(alg, U.p1, T.p1)
-        c0 = _BlockCoords(alg, U.p0, T.p0, offset=c1.end)
-        e = _BlockCoords(alg, U.p0, T.p1)
+        h = CornerGrid(alg, U.p1, T.p0)
+        c1 = CornerGrid(alg, U.p1, T.p1)
+        c0 = CornerGrid(alg, U.p0, T.p0, offset=c1.end)
+        e = CornerGrid(alg, U.p0, T.p1)
         size = {-1: h.end, 0: c0.end, 1: e.end}
+        dT, dU = T.d.entries, U.d.entries
         # the terms (src, dst, d, d_left, neg) of each differential
-        terms = {-1: ((h, c1, T.d, False, False), (h, c0, U.d, True, False)),
-                 0: ((c0, e, T.d, False, False), (c1, e, U.d, True, True))}
+        terms = {-1: ((h, c1, dT, False, False), (h, c0, dU, True, False)),
+                 0: ((c0, e, dT, False, False), (c1, e, dU, True, True))}
 
         def differential(k):
             # rows of Hom^k -> Hom^(k+1), one per coordinate of Hom^(k+1);
@@ -555,7 +461,7 @@ class HomotopyHom:
                 return []
             rows = [{} for _ in range(size[k + 1])]
             for term in terms[k]:
-                _add_products(rows, *term)
+                add_products(rows, *term)
             return rows
 
         n = size.get(shift, 0)
@@ -567,22 +473,25 @@ class HomotopyHom:
         self.homotopies = RowSpace(F, n, boundaries)
         self.classes = RowSpace(F, n, map(self.homotopies.reduce, cycles))
         self.dim = self.classes.dim
+
+        def matrix(grid, row):
+            return AlgMatrix(alg, grid.row_verts, grid.col_verts,
+                             grid.vec_to_entries(row))
+
         if shift == 0:
             self.c1, self.c0 = c1, c0
-            self.reps = [ChainMap(T, U, c1.vec_to_matrix(row),
-                                  c0.vec_to_matrix(row))
+            self.reps = [ChainMap(T, U, matrix(c1, row), matrix(c0, row))
                          for row in self.classes.reduced]
         else:
             self.c = {-1: h, 1: e}.get(shift)
-            self.reps = [self.c.vec_to_matrix(row)
-                         for row in self.classes.reduced]
+            self.reps = [matrix(self.c, row) for row in self.classes.reduced]
 
     def chain_map_class(self, cm):
         """Canonical class coordinates of a strict chain map: the {index:
         coefficient} dict of its class over self.reps."""
         vec = {}
-        self.c1.matrix_to_vec(cm.f1, vec)
-        self.c0.matrix_to_vec(cm.f0, vec)
+        self.c1.entries_to_vec(cm.f1.entries, vec)
+        self.c0.entries_to_vec(cm.f0.entries, vec)
         red = self.homotopies.reduce(vec)
         if self.classes.reduce(red):
             raise AssertionError("chain map outside the computed Hom space")
@@ -689,8 +598,7 @@ def presentation_complex(M):
     """Two-term complex of a minimal projective presentation of M."""
     alg = M.alg
     pres = mr.minimal_projective_presentation(M)
-    d = AlgMatrix(alg, pres.P0.verts, pres.P1.verts,
-                  {(t, s): e for (t, s), e in pres.entries.items()})
+    d = AlgMatrix(alg, pres.P0.verts, pres.P1.verts, pres.entries)
     return TwoTermComplex(alg, pres.P1.verts, pres.P0.verts, d)
 
 

@@ -23,8 +23,8 @@ from test_preprojective_completions import _module, preproj_cases  # noqa: F401
 
 def _class_vec(hs, cm):
     vec = {}
-    hs.c1.matrix_to_vec(cm.f1, vec)
-    hs.c0.matrix_to_vec(cm.f0, vec)
+    hs.c1.entries_to_vec(cm.f1.entries, vec)
+    hs.c0.entries_to_vec(cm.f0.entries, vec)
     return hs.homotopies.reduce(vec)
 
 

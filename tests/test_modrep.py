@@ -35,6 +35,14 @@ def test_standard_modules_kA2(kA2):
         assert S.dims == tuple(1 if w == v else 0 for w in range(2))
 
 
+def test_standard_module_rejects_out_of_range_vertices(a3):
+    # the vertices of A3 are 0, 1, 2; v = -1 must not wrap around
+    for v in (3, -1, 7):
+        for flavor in ("projective", "injective", "simple"):
+            with pytest.raises(AlgebraError, match=f"vertex {v} .*n = 3"):
+                std(a3, v, flavor)
+
+
 def test_relation_compliance_enforced(kx2):
     from tautilt.linalg import ExactMatrix
     bad = ExactMatrix.from_rows(kx2.field, [[kx2.field.one, kx2.field.zero],

@@ -312,12 +312,11 @@ def test_euler_form_ties_the_shifts(request, name, max_nodes):
         # every coordinate of the grid is one basis path of one corner
         one = alg.field.one
         for k in range(grid.offset, grid.end):
-            m = grid.vec_to_matrix({k: one})
-            assert len(m.entries) == 1
-            assert grid.matrix_to_vec(m, {}) == {k: one}
+            entries = grid.vec_to_entries({k: one})
+            assert len(entries) == 1
+            assert grid.entries_to_vec(entries, {}) == {k: one}
         # coordinates outside the grid are not read
-        assert not grid.vec_to_matrix({grid.offset - 1: one, grid.end: one}
-                                      ).entries
+        assert not grid.vec_to_entries({grid.offset - 1: one, grid.end: one})
 
     def kernel_of_d(U):
         src, _, f = U.d.realize()
