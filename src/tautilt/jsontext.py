@@ -4,8 +4,11 @@
 ``json.dumps(obj, indent=2, sort_keys=True)`` for documents built from
 dicts with str keys, lists, tuples, str, int, bool and None.  A
 `Fragment` holds the text of a value already written by `dumps`; the
-writer splices it in, re-indented to its depth, so a value that repeats
-across a document is encoded once.
+writer splices it in, re-indented to its depth, and the fragment keeps
+that text for each depth, so a value that repeats across a document is
+encoded once and re-indented once per depth.  Likewise each `dumps` call
+sorts and encodes the keys of a dict shape once per depth: the nodes and
+edges of a graph all share one shape.
 """
 
 from json.encoder import encode_basestring_ascii as _string
@@ -14,22 +17,34 @@ from json.encoder import encode_basestring_ascii as _string
 class Fragment:
     """The JSON text of one value, written once and spliced where used."""
 
-    __slots__ = ("text",)
+    __slots__ = ("text", "_at")
 
     def __init__(self, obj):
         self.text = dumps(obj)
+        self._at = {}
+
+    def at(self, nl):
+        """The text spliced where nl, the newline plus the indent of
+        the value's depth, starts its lines."""
+        text = self._at.get(nl)
+        if text is None:
+            text = self._at[nl] = self.text.replace("\n", nl)
+        return text
 
 
 def dumps(obj):
     out = []
-    _write(obj, out, "\n")
+    _write(obj, out, "\n", {})
     return "".join(out)
 
 
-def _write(obj, out, nl):
+def _write(obj, out, nl, layouts):
     """Append the text of obj to out; nl is the newline plus the indent
-    of obj's own depth."""
-    if isinstance(obj, str):
+    of obj's own depth.  layouts maps (nl, *keys) of each dict shape
+    written so far to its `_layout`."""
+    if isinstance(obj, Fragment):
+        out.append(obj.at(nl))
+    elif isinstance(obj, str):
         out.append(_string(obj))
     elif obj is None:
         out.append("null")
@@ -39,8 +54,6 @@ def _write(obj, out, nl):
         out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif isinstance(obj, Fragment):
-        out.append(obj.text.replace("\n", nl))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -49,21 +62,35 @@ def _write(obj, out, nl):
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write(item, out, inner)
+            _write(item, out, inner, layouts)
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        shape = (nl, *obj)
+        layout = layouts.get(shape)
+        if layout is None:
+            layout = layouts[shape] = _layout(obj, nl)
         inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, not {key!r}")
-            out.append(sep + _string(key) + ": ")
-            _write(obj[key], out, inner)
-            sep = "," + inner
+        for key, head in layout:
+            out.append(head)
+            _write(obj[key], out, inner, layouts)
         out.append(nl + "}")
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _layout(obj, nl):
+    """The sorted keys of the dict obj at depth nl, each with the text
+    that goes before its value."""
+    inner = nl + "  "
+    sep = "{" + inner
+    layout = []
+    for key in sorted(obj):
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be str, not {key!r}")
+        layout.append((key, sep + _string(key) + ": "))
+        sep = "," + inner
+    return layout

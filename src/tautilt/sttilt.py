@@ -20,15 +20,23 @@ sign-coherence of c-vectors", JPAA 223, 2019).  So each exchange takes
 one approximation: the minimal left one into the rest going down, the
 dual right one going up.  Its (co)cone has the g-vector
 sum_j m_j g(R_j) - g(X) over the chosen maps, and a cone is built only
-when the registry does not hold that g-vector yet; every pair a
-mutation returns is certified by its c-vectors.
+when the registry does not hold that g-vector yet.
+
+An exchange changes one row of G, so the c-vectors of the result follow
+from those of the pair by an exact rank-one update, which also certifies
+that the new g-vectors are a Z-basis.  Only a pair that no exchange led
+to (the top of an enumeration, the input of `mutate`) is inverted by
+Gauss-Jordan over Z; every pair a mutation returns, and every node an
+enumeration keeps, has its c-vectors certified.
 
 Enumeration is a BFS through down mutations from the pair (A, 0); in the
 tau-tilting finite case a finite connected component is the whole poset,
 and every node is reachable downward from the maximum, so termination
-with an exhausted frontier certifies completeness.
+with an exhausted frontier certifies completeness.  An edge forms its
+target's key before any pair is built, so a pair is built once per node.
 """
 
+from bisect import bisect_left
 from collections import deque
 
 from .algebra import AlgebraError
@@ -104,8 +112,8 @@ class TauRigidPair:
         return self._gmat
 
     def key(self):
-        """Canonical dedup key: the column-sorted g-matrix."""
-        return tuple(sorted(self.g_matrix()))
+        """Canonical dedup key: the g-matrix, whose columns are sorted."""
+        return self._gmat
 
     def module_summands(self):
         """H^0 of the non-shift summands (each indecomposable)."""
@@ -258,25 +266,70 @@ def _unimodular_inverse(g):
     return [row[n:] for row in a]
 
 
-def _mutation_directions(pair):
-    """Per summand, True when its mutation goes down: its c-vector, a
-    column of G^-1 for G with one g-vector per row, is >= 0.  G^-1 comes
-    from `_unimodular_inverse`, an integer Gauss-Jordan, which also
-    certifies that G is invertible over Z; each c-vector is then
-    certified sign-coherent."""
+def _root_c_vectors(pair):
+    """The c-vectors of pair, one per summand: the columns of G^-1 for G
+    with one g-vector per row.  G^-1 comes from `_unimodular_inverse`,
+    an integer Gauss-Jordan, which also certifies that G is invertible
+    over Z.  Only a pair that no exchange led to needs this; an
+    exchange carries the c-vectors over (`_exchanged_c_vectors`)."""
     inv = _unimodular_inverse(pair.g_matrix())
     if inv is None:
         raise InvariantViolation(
             f"pair {pair.key()}: the g-vectors are not a Z-basis")
+    return list(zip(*inv))
+
+
+def _mutation_directions(key, cs):
+    """Per summand of the pair `key` with c-vectors cs, True when its
+    mutation goes down: its c-vector is >= 0.  Each c-vector is first
+    certified sign-coherent."""
     downs = []
-    for i in range(pair.size):
-        signs = {row[i] > 0 for row in inv if row[i]}
+    for i, c in enumerate(cs):
+        signs = {x > 0 for x in c if x}
         if len(signs) != 1:
             raise InvariantViolation(
-                f"pair {pair.key()}, summand {i + 1}: "
+                f"pair {key}, summand {i + 1}: "
                 f"c-vector is not sign-coherent")
         downs.append(True in signs)
     return downs
+
+
+def _exchanged_key(gmat, index, g):
+    """The key of the pair with g-vectors gmat (in key order) after its
+    summand index (0-based) is exchanged for one with g-vector g, and
+    the position of g in that key."""
+    rest = gmat[:index] + gmat[index + 1:]
+    pos = bisect_left(rest, g)
+    return rest[:pos] + (g,) + rest[pos:], pos
+
+
+def _exchanged_c_vectors(pair, cs, index, key, pos):
+    """The c-vectors, in key order, of the pair `key` that pair, with
+    c-vectors cs, becomes when its summand index (0-based) is exchanged
+    for the g-vector key[pos].
+
+    The exchange changes one row of G by u = g' - g_i, a rank-one
+    change, so with d = g' . c_i the matrix determinant lemma gives
+    det G' = d det G, and G' is a Z-basis exactly when d = +-1.  Then
+    the inverse changes by the rank-one matrix c_i (u G^-1) d
+    (Sherman-Morrison): c'_i = d c_i and c'_j = c_j - d (g' . c_j) c_i,
+    exactly over Z.
+    """
+    g = key[pos]
+    ci = cs[index]
+    d = sum(a * b for a, b in zip(g, ci))
+    if d not in (1, -1):
+        raise InvariantViolation(
+            f"pair {key}: the g-vectors are not a Z-basis: exchanging "
+            f"summand {index + 1} of pair {pair.key()} for g-vector {g} "
+            f"multiplies det G by {d}")
+    out = []
+    for j, c in enumerate(cs):
+        if j != index:
+            t = d * sum(a * b for a, b in zip(g, c))
+            out.append(tuple(a - t * b for a, b in zip(c, ci)) if t else c)
+    out.insert(pos, tuple(d * x for x in ci))
+    return out
 
 
 def _predicted_g_vector(pair, index, chosen):
@@ -294,16 +347,18 @@ def _predicted_g_vector(pair, index, chosen):
 
 
 def _mutation(pair, index, down):
-    """The pair with summand index (0-based) exchanged for the cone over
-    its minimal left add(rest)-approximation (down), or the cocone over
-    its minimal right one (up).
+    """The summand that replaces summand index (0-based) of pair: the
+    cone over its minimal left add(rest)-approximation (down), or the
+    cocone over its minimal right one (up), as interned.
 
     The new summand's g-vector is predicted from the chosen maps
     (`_predicted_g_vector`).  A g-vector determines the presilting
     indecomposable (AIR 2014, Thm 5.5), so when the registry already
     holds the prediction, its summand is the answer and no cone is
     built.  Otherwise the built cone must stay two-term, be nonzero and
-    have the predicted g-vector.
+    have the predicted g-vector.  Either way the caller certifies the
+    exchange by the returned summand's own g-vector
+    (`_exchanged_c_vectors`).
     """
     alg = pair.alg
     X = pair.summands[index]
@@ -315,7 +370,7 @@ def _mutation(pair, index, down):
     g = _predicted_g_vector(pair, index, chosen)
     known = alg.summands.get(g)
     if known is not None:
-        return TauRigidPair(alg, rest + [known])
+        return known
     assemble = (tt.assemble_left_approximation if down
                 else tt.assemble_right_approximation)
     new = tt._two_term_cone(assemble(X, rest, chosen), down)
@@ -328,24 +383,35 @@ def _mutation(pair, index, down):
         what = (f"the cone has g-vector {tt.g_vector(new)}, not the "
                 f"predicted {g}")
     else:
-        return TauRigidPair(alg, rest + [intern_summand(new)])
+        return intern_summand(new)
     raise InvariantViolation(f"pair {pair.key()}, summand {index + 1}: {what}")
+
+
+def _exchanged_pair(pair, index, new):
+    """pair with summand index (0-based) replaced by new."""
+    return TauRigidPair(
+        pair.alg, pair.summands[:index] + pair.summands[index + 1:] + (new,))
 
 
 def mutate(pair, index):
     """Replace summand `index` (1-based) by the other completion.
 
     Returns (pair, direction), direction "down" when the result is
-    smaller in the order.
+    smaller in the order.  Both the input and the result have their
+    c-vectors certified.
     """
     if not 1 <= index <= pair.size:
         raise AlgebraError(f"summand index {index} out of range")
     if pair.size != pair.alg.n:
         raise NotTauRigidError("mutation needs a tau-tilting pair")
-    down = _mutation_directions(pair)[index - 1]
-    child = _mutation(pair, index - 1, down)
-    _mutation_directions(child)  # a registry hit built no cone to check
-    return child, "down" if down else "up"
+    i = index - 1
+    cs = _root_c_vectors(pair)
+    down = _mutation_directions(pair.key(), cs)[i]
+    new = _mutation(pair, i, down)
+    # a registry hit built no cone to check, so certify the result
+    key, pos = _exchanged_key(pair.g_matrix(), i, tt.g_vector(new))
+    _mutation_directions(key, _exchanged_c_vectors(pair, cs, i, key, pos))
+    return _exchanged_pair(pair, i, new), "down" if down else "up"
 
 
 # -- order -------------------------------------------------------------------
@@ -388,21 +454,29 @@ class HasseGraph:
         return len(self.nodes)
 
     def to_json(self):
-        """The graph as JSON text.  Each distinct module summand is
-        encoded once per call and spliced into every node holding it."""
-        fragments = {}
+        """The graph as JSON text.  Each distinct g-vector, projective
+        part and module summand is encoded once per call and spliced
+        into every node holding it."""
+        vectors = {}
+        modules = {}
+
+        def vector_text(v):
+            frag = vectors.get(v)
+            if frag is None:
+                frag = vectors[v] = Fragment(v)
+            return frag
 
         def module_text(m):
-            frag = fragments.get(id(m))
+            frag = modules.get(id(m))
             if frag is None:
-                frag = fragments[id(m)] = Fragment(module_to_json(m))
+                frag = modules[id(m)] = Fragment(module_to_json(m))
             return frag
 
         nodes = [{
             "id": i,
-            "g_matrix": [list(col) for col in p.g_matrix()],
+            "g_matrix": [vector_text(col) for col in p.g_matrix()],
             "module_summands": [module_text(m) for m in p.module_summands()],
-            "projective_part": list(p.projective_part()),
+            "projective_part": vector_text(p.projective_part()),
         } for i, p in enumerate(self.nodes)]
         return dumps({
             "nodes": nodes,
@@ -441,14 +515,19 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     A node is mutated only at the summands whose c-vector is >= 0, which
     are its down exchanges (Fu 2017; Treffinger 2019).  Every edge costs
     one approximation, and a cone only when its predicted g-vector is new
-    to the registry; every node, also one at max_depth, has its c-vectors
-    certified.  Nodes are deduplicated by the column-sorted g-matrix.
-    Every summand is interned, so pairs with equal keys carry the same
-    summand tuple; the registry checks isomorphism once per new
-    serialization of a g-vector and aborts the run on a collision of
-    non-isomorphic summands.  If the frontier exhausts within the limits,
-    the graph is the complete Hasse quiver.  max_nodes must be at least 1
-    (the top pair is always a node).
+    to the registry.  Nodes are deduplicated by the column-sorted
+    g-matrix; an edge forms its target's from its source's, with one
+    column replaced by the g-vector of the summand it puts in, and
+    builds a pair only for a new key.  Only the top pair's c-vectors
+    come from a Gauss-Jordan inverse; each new node gets its own from
+    its parent's by the exchange update, which certifies a Z-basis, and
+    every node, also one at max_depth, has them certified
+    sign-coherent.  Every summand is interned, so pairs with equal keys
+    carry the same summand tuple; the registry checks isomorphism once
+    per new serialization of a g-vector and aborts the run on a
+    collision of non-isomorphic summands.  If the frontier exhausts
+    within the limits, the graph is the complete Hasse quiver.
+    max_nodes must be at least 1 (the top pair is always a node).
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, not {max_nodes}")
@@ -458,30 +537,31 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     pairs = [top]
     ids = {top.key(): 0}
     edges = []
-    queue = deque([(0, 0)])
+    # a queued node carries its c-vectors until it is expanded
+    queue = deque([(0, 0, _root_c_vectors(top))])
     complete = True
     while queue:
-        node_id, depth = queue.popleft()
+        node_id, depth, cs = queue.popleft()
         pair = pairs[node_id]
-        # certify every node, also one at the depth limit: a node reached
-        # through the registry had no cone to check it
-        downs = _mutation_directions(pair)
+        gmat = pair.g_matrix()
+        downs = _mutation_directions(gmat, cs)
         if max_depth is not None and depth >= max_depth:
             complete = False
             continue
         for i, down in enumerate(downs):
             if not down:
                 continue  # the up edge is discovered from the other end
-            child = _mutation(pair, i, True)
-            key = child.key()
+            new = _mutation(pair, i, True)
+            key, pos = _exchanged_key(gmat, i, tt.g_vector(new))
             known = ids.get(key)
             if known is None:
                 if len(pairs) >= max_nodes:
                     complete = False
                     continue
+                child_cs = _exchanged_c_vectors(pair, cs, i, key, pos)
                 known = ids[key] = len(pairs)
-                pairs.append(child)
-                queue.append((known, depth + 1))
+                pairs.append(_exchanged_pair(pair, i, new))
+                queue.append((known, depth + 1, child_cs))
             edges.append((node_id, known, i))
     return HasseGraph(alg, pairs, edges, complete)
 

@@ -135,7 +135,7 @@ class AlgMatrix:
 class TwoTermComplex:
     """P^{-1} -> P^0 with algebra-entry differential."""
 
-    __slots__ = ("alg", "p1", "p0", "d", "_ser", "_fid", "_h0")
+    __slots__ = ("alg", "p1", "p0", "d", "_ser", "_fid", "_g", "_h0")
 
     def __init__(self, alg, p1, p0, d=None):
         self.alg = alg
@@ -148,6 +148,7 @@ class TwoTermComplex:
         self.d = d
         self._ser = None
         self._fid = None
+        self._g = None
         self._h0 = None
 
     def is_zero(self):
@@ -214,13 +215,16 @@ def multiplicities(alg, verts):
 
 
 def g_vector(T):
-    """[P^0] - [P^-1] in the projective basis of K_0."""
-    g = [0] * T.alg.n
-    for v in T.p0:
-        g[v] += 1
-    for v in T.p1:
-        g[v] -= 1
-    return tuple(g)
+    """[P^0] - [P^-1] in the projective basis of K_0; computed once per
+    complex."""
+    if T._g is None:
+        g = [0] * T.alg.n
+        for v in T.p0:
+            g[v] += 1
+        for v in T.p1:
+            g[v] -= 1
+        T._g = tuple(g)
+    return T._g
 
 
 def g_matrix(summands):

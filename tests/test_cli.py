@@ -352,3 +352,22 @@ def test_json_round_trip():
     data = json.loads(out)
     again = json.dumps(data, indent=2, sort_keys=True)
     assert again.strip() == out.strip()
+
+
+# SHA-256 and size of `enumerate --max-nodes 30 --format json` on the
+# Kronecker quiver, cut off at its node budget (`complete: false`); its
+# H^0 matrices are larger than those of A6.  As above, a new digest
+# means the output changed.
+KRONECKER_30_JSON_SHA256 = \
+    "6fa83fc803cf3be193cdd2f678cdf86f7351ab1660df4fcc712ef75ac34e928d"
+KRONECKER_30_JSON_BYTES = 718500
+
+
+def test_kronecker_30_enumerate_json_is_byte_identical():
+    code, out, err = invoke(["enumerate", "--algebra",
+                             data_path("kronecker.alg"), "--max-nodes", "30",
+                             "--format", "json"])
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert len(data) == KRONECKER_30_JSON_BYTES
+    assert hashlib.sha256(data).hexdigest() == KRONECKER_30_JSON_SHA256

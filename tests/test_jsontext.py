@@ -1,10 +1,15 @@
-"""The package's JSON writer against json.dumps(indent=2, sort_keys=True)."""
+"""The package's JSON writer, and the graph JSON it writes, against
+json.dumps(indent=2, sort_keys=True)."""
 
 import json
 
 import pytest
 
+from tautilt.algebra import parse_algebra
 from tautilt.jsontext import Fragment, dumps
+from tautilt import sttilt as st
+
+from conftest import read_algebra
 
 DOCUMENTS = [
     {},
@@ -43,3 +48,43 @@ def test_non_str_keys_and_unknown_types_are_rejected():
         dumps({1: "a"})
     with pytest.raises(TypeError):
         dumps({"a": 1.5})
+
+
+def test_a_fragment_spliced_at_two_depths_is_re_indented_at_each():
+    doc = {"m": [[1, 0], [0, 1]], "dims": [1, 2]}
+    frag = Fragment(doc)
+    for _ in range(2):  # the second pass reads the kept texts
+        spliced = dumps({"a": frag, "b": [[frag]], "c": [frag]})
+        assert spliced == json.dumps({"a": doc, "b": [[doc]], "c": [doc]},
+                                     indent=2, sort_keys=True)
+    assert frag.at("\n  ") == frag.text.replace("\n", "\n  ")
+    assert frag.at("\n      ") == frag.text.replace("\n", "\n      ")
+
+
+def test_dicts_of_one_shape_at_several_depths():
+    rows = [{"src": i, "dst": i + 1, "index": -i} for i in range(3)]
+    doc = {"rows": rows, "nested": [{"rows": rows, "src": {"dst": 0}}]}
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _one_vertex():
+    return parse_algebra('field = "Q"\nvertices = ["1"]\n')
+
+
+@pytest.mark.parametrize("make, max_nodes, complete", [
+    (lambda: read_algebra("kronecker.alg"), 12, False),
+    (lambda: read_algebra("preproj_a3.alg"), 10 ** 6, True),
+    (lambda: read_algebra("loop2.alg"), 10 ** 6, True),
+    (lambda: read_algebra("three_paths.alg"), 60, None),
+    (_one_vertex, 10 ** 6, True),
+], ids=["kronecker-12", "preproj_a3", "loop2", "three_paths-60",
+        "one-vertex"])
+def test_graph_json_is_the_standard_layout(make, max_nodes, complete):
+    graph = st.enumerate_sttilt(make(), max_nodes=max_nodes)
+    if complete is not None:
+        assert graph.complete is complete
+    if graph.complete:
+        # the bottom pair (0, A) has no module summand
+        assert not graph.nodes[graph.min_node].module_summands()
+    text = graph.to_json()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
