@@ -589,34 +589,40 @@ class CornerGrid:
     """Flat coordinates for a grid of corner spaces e_{rv[i]} A e_{cv[j]}.
 
     A matrix over the grid is a {(i, j): element} dict with entry (i, j)
-    in e_{rv[i]} A e_{cv[j]}.  start[(i, j)] is the first coordinate of
-    the nonzero corner at (i, j), in increasing order; basis path b of
-    that corner sits at start[(i, j)] + alg.corner_pos[b].  Coordinates
-    run from offset up to end.
+    in e_{rv[i]} A e_{cv[j]}, laid out row by row from offset up to end.
+    Corner widths depend only on the row's vertex v: corner j of a row at
+    v starts col_start[v][j] after row_start[i], and basis path b of
+    corner (i, j) sits at start(i, j) + alg.corner_pos[b].
     """
 
-    __slots__ = ("alg", "row_verts", "col_verts", "offset", "start", "end")
+    __slots__ = ("alg", "row_verts", "col_verts", "offset", "row_start",
+                 "col_start", "end")
 
     def __init__(self, alg, row_verts, col_verts, offset=0):
         self.alg = alg
         self.row_verts = row_verts
         self.col_verts = col_verts
         self.offset = offset
-        self.start = {}
-        k = offset
-        for i, rv in enumerate(row_verts):
-            for j, cv in enumerate(col_verts):
-                size = len(alg.corner_basis(rv, cv))
-                if size:
-                    self.start[(i, j)] = k
-                    k += size
-        self.end = k
+        col_start = self.col_start = {}
+        row_start = self.row_start = [offset]
+        for v in row_verts:
+            starts = col_start.get(v)
+            if starts is None:
+                starts = col_start[v] = [0]
+                for w in col_verts:
+                    starts.append(starts[-1] + len(alg.corner_basis(v, w)))
+            row_start.append(row_start[-1] + starts[-1])
+        self.end = row_start[-1]
+
+    def start(self, i, j):
+        """First coordinate of the corner at (i, j)."""
+        return self.row_start[i] + self.col_start[self.row_verts[i]][j]
 
     def entries_to_vec(self, entries, vec):
         """Write the coordinates of a matrix over this grid into vec."""
         pos = self.alg.corner_pos
-        for ij, e in entries.items():
-            s = self.start[ij]
+        for (i, j), e in entries.items():
+            s = self.start(i, j)
             for b, c in e.items():
                 vec[s + pos[b]] = c
         return vec
@@ -624,15 +630,17 @@ class CornerGrid:
     def vec_to_entries(self, vec):
         """The matrix of the coordinates of vec inside this grid; the
         others are ignored."""
-        alg = self.alg
-        corners = list(self.start.items())
-        starts = [s for _, s in corners]
         entries = {}
         for k, c in vec.items():
             if c and self.offset <= k < self.end:
-                (i, j), s = corners[bisect_right(starts, k) - 1]
-                corner = alg.corner_basis(self.row_verts[i], self.col_verts[j])
-                entries.setdefault((i, j), {})[corner[k - s]] = c
+                # the last row, then corner, starting at or before k
+                # (an empty one shares its start with the next)
+                i = bisect_right(self.row_start, k) - 1
+                v, k = self.row_verts[i], k - self.row_start[i]
+                starts = self.col_start[v]
+                j = bisect_right(starts, k) - 1
+                corner = self.alg.corner_basis(v, self.col_verts[j])
+                entries.setdefault((i, j), {})[corner[k - starts[j]]] = c
         return entries
 
 
@@ -643,7 +651,8 @@ def add_products(rows, src, dst, d, d_left, neg=False):
     {(i, j): element} matrix.  rows[dst coordinate] maps src coordinates
     to coefficients (negated when neg).  The sum runs over the index of X
     that d contracts; the other index of X is free and passes through,
-    grouped by vertex so each corner basis is listed once per entry of d.
+    grouped by vertex so each corner basis is listed, and the offsets of
+    its cells looked up, once per entry of d and vertex.
     """
     if not d:
         return
@@ -654,14 +663,20 @@ def add_products(rows, src, dst, d, d_left, neg=False):
     groups = {}
     for t, v in enumerate(free):
         groups.setdefault(v, []).append(t)
-    sx, dx, cpos = src.start, dst.start, alg.corner_pos
+    cpos, srow, drow = alg.corner_pos, src.row_start, dst.row_start
     for pos, e in d.items():
         if neg:
             e = alg.elem_neg(e)
         j, keep = (pos[1], pos[0]) if d_left else pos
+        if d_left:  # cells (j, t) -> (keep, t)
+            s0, d0 = srow[j], drow[keep]
+            sc = src.col_start[inner[j]]
+            dc = dst.col_start[dst.row_verts[keep]]
         for v, ts in groups.items():
             corner = (alg.corner_basis(inner[j], v) if d_left
                       else alg.corner_basis(v, inner[j]))
+            if not d_left:  # cells (t, j) -> (t, keep), t at v in both
+                sj, dk = src.col_start[v][j], dst.col_start[v][keep]
             for b0 in corner:
                 prod = (alg.elem_mul(e, {b0: one}) if d_left
                         else alg.elem_mul({b0: one}, e))
@@ -669,9 +684,10 @@ def add_products(rows, src, dst, d, d_left, neg=False):
                     continue
                 for t in ts:
                     if d_left:
-                        col, out = sx[(j, t)] + cpos[b0], dx[(keep, t)]
+                        col, out = s0 + sc[t], d0 + dc[t]
                     else:
-                        col, out = sx[(t, j)] + cpos[b0], dx[(t, keep)]
+                        col, out = srow[t] + sj, drow[t] + dk
+                    col += cpos[b0]
                     for b, c in prod.items():
                         row = rows[out + cpos[b]]
                         cur = row.get(col)

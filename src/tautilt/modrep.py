@@ -241,7 +241,7 @@ class ProjSum(_PathSum):
         alg = self.alg
         entries = {}
         for s, u in enumerate(self.verts):
-            gen = (self.grids[u].start[(s, 0)]
+            gen = (self.grids[u].start(s, 0)
                    + alg.corner_pos[alg.idempotent[u]])
             row = f[u].rows[gen]
             for (t, _), e in target.grids[u].vec_to_entries(row).items():
@@ -372,17 +372,17 @@ def projective_cover(M):
     gens = [(v, c) for v in range(alg.n)
             for c in RowSpace(F, M.dims[v], rad[v]).free_cols()]
     P = ProjSum.of(alg, [v for v, _ in gens])
-    # summand s sends its generator e_u to the unit vector at gens[s][1],
-    # so it sends a basis path b from u to row gens[s][1] of M.path_matrix(b)
+    # summand (u, c) sends its generator e_u to the unit vector at c, so
+    # it sends a basis path b from u to row c of M.path_matrix(b)
     acts = {}
     cover = []
-    for w, grid in enumerate(P.grids):
+    for w in range(alg.n):
         rows = []
-        for s, _ in grid.start:
-            for b in alg.corner_basis(P.verts[s], w):
+        for u, c in gens:
+            for b in alg.corner_basis(u, w):
                 if b not in acts:
                     acts[b] = M.path_matrix(b)
-                rows.append(acts[b].rows[gens[s][1]])
+                rows.append(acts[b].rows[c])
         cover.append(ExactMatrix(F, len(rows), M.dims[w], rows))
     return P, tuple(cover)
 
@@ -466,10 +466,9 @@ def injective_envelope(M):
     summands = [(u, k) for u, soc in enumerate(socs) for k in range(soc.nrows)]
     E = InjSum.of(alg, [u for u, _ in summands])
     emb = []
-    for v, grid in enumerate(E.grids):
+    for v in range(alg.n):
         cols = []
-        for _, s in grid.start:
-            u, k = summands[s]
+        for u, k in summands:
             for p in alg.corner_basis(v, u):
                 images = M.path_matrix(p).mul(duals[u]).rows
                 cols.append({i: r[k] for i, r in enumerate(images) if k in r})

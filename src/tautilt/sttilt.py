@@ -546,7 +546,8 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
         gmat = pair.g_matrix()
         downs = _mutation_directions(gmat, cs)
         if max_depth is not None and depth >= max_depth:
-            complete = False
+            if any(downs):  # a node with none leaves nothing unexplored
+                complete = False
             continue
         for i, down in enumerate(downs):
             if not down:

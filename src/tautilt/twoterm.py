@@ -33,8 +33,15 @@ built.  A cone of a map of two-term
 complexes transiently occupies three degrees; stripping contractible
 pairs (unit entries between equal projectives) reduces it back, and
 whether the extreme degree empties is exactly the test for the mutation
-direction staying two-term (`_two_term_cone`).
+direction staying two-term (`_two_term_cone`).  Stripping is Gaussian
+elimination (Bar-Natan, "Fast Khovanov homology computations", 2007),
+one pass per differential: a cancellation rewrites only its own
+differential and drops a row or column of the other, so d_low is
+stripped to the end and then d_high, with the composite checked to be
+zero before and after.
 """
+
+from heapq import heapify, heappop, heappush
 
 from .algebra import AlgebraError, CornerGrid, add_products
 from .linalg import RowSpace, kernel_via_presolve
@@ -74,11 +81,12 @@ class AlgMatrix:
             raise AlgebraError("composition mismatch")
         alg = self.alg
         out = AlgMatrix(alg, self.row_verts, other.col_verts)
+        by_row = {}
+        for (j, k), b in other.entries.items():
+            by_row.setdefault(j, []).append((k, b))
         acc = {}
         for (i, j), a in self.entries.items():
-            for (j2, k), b in other.entries.items():
-                if j2 != j:
-                    continue
+            for k, b in by_row.get(j, ()):
                 prod = alg.elem_mul(a, b)
                 if prod:
                     key = (i, k)
@@ -234,6 +242,64 @@ def g_matrix(summands):
 
 # -- three-degree chains and stripping -----------------------------------
 
+def _eliminate(alg, table, row_verts, col_verts):
+    """Cancel the unit entries of table in place, smallest (i, j) first.
+
+    Gaussian elimination at a unit c = table[i0, j0]: entry (i, j) gains
+    -table[i, j0] . c^-1 . table[i0, j], and row i0 and column j0 leave
+    the table.  Units appear and vanish as entries change, so candidates
+    wait on a heap and are checked when popped.  Returns the sets of
+    cancelled rows and columns.
+    """
+    def unit(i, j, e):
+        v = row_verts[i]
+        return v == col_verts[j] and alg.elem_scalar_part(e, v) != 0
+
+    heap = [ij for ij, e in table.items() if unit(*ij, e)]
+    rows_gone, cols_gone = set(), set()
+    if not heap:
+        return rows_gone, cols_gone
+    heapify(heap)
+    by_row = {}  # row -> the columns of its entries
+    for i, j in table:
+        by_row.setdefault(i, set()).add(j)
+    while heap:
+        i0, j0 = heappop(heap)
+        c = table.get((i0, j0))
+        if c is None or not unit(i0, j0, c):
+            continue
+        rows_gone.add(i0)
+        cols_gone.add(j0)
+        cinv = alg.local_inverse(table.pop((i0, j0)), row_verts[i0])
+        row = {j: table.pop((i0, j)) for j in by_row.pop(i0) - {j0}}
+        for i, js in by_row.items():
+            if j0 not in js:
+                continue
+            js.discard(j0)
+            fac = alg.elem_neg(alg.elem_mul(table.pop((i, j0)), cinv))
+            for j, b in row.items():
+                nv = alg.elem_add(table.get((i, j), {}), alg.elem_mul(fac, b))
+                if nv:
+                    table[(i, j)] = nv
+                    js.add(j)
+                    if unit(i, j, nv):
+                        heappush(heap, (i, j))
+                else:
+                    table.pop((i, j), None)
+                    js.discard(j)
+    return rows_gone, cols_gone
+
+
+def _kept(verts, gone):
+    """verts without the indices in gone, and the new index of the rest."""
+    out, index = [], {}
+    for k, v in enumerate(verts):
+        if k not in gone:
+            index[k] = len(out)
+            out.append(v)
+    return out, index
+
+
 class Chain3:
     """low -> mid -> high with composite zero; used for cone bookkeeping."""
 
@@ -245,111 +311,44 @@ class Chain3:
         self.d_low = {k: v for k, v in d_low.items() if v}    # (mid, low) -> elem
         self.d_high = {k: v for k, v in d_high.items() if v}  # (high, mid) -> elem
 
-    def _find_unit(self, table, row_verts, col_verts):
-        best = None
-        for (i, j) in table:
-            if row_verts[i] != col_verts[j]:
-                continue
-            if self.alg.elem_scalar_part(table[(i, j)], row_verts[i]) != 0:
-                if best is None or (i, j) < best:
-                    best = (i, j)
-        return best
+    def _check_chain(self):
+        if self.d_low and self.d_high and not AlgMatrix(
+                self.alg, self.high, self.mid, self.d_high).matmul(AlgMatrix(
+                    self.alg, self.mid, self.low, self.d_low)).is_zero():
+            raise AssertionError("strip: d_high . d_low is not zero")
 
     def strip(self):
-        """Remove all contractible pairs; leaves the minimal chain."""
-        while True:
-            for low in (True, False):
-                table, rows, cols = ((self.d_low, self.mid, self.low) if low
-                                     else (self.d_high, self.high, self.mid))
-                hit = self._find_unit(table, rows, cols)
-                if hit is not None:
-                    self._cancel(low, *hit)
-                    break
-            else:
-                return self
+        """Remove all contractible pairs; leaves the minimal chain.
 
-    def _cancel(self, low, i0, j0):
-        """Cancel the unit entry (i0, j0) of d_low (low) or of d_high.
-
-        Gaussian elimination on that table: entry (i, j) gains
-        -d[i, j0] . c^-1 . d[i0, j].  The cancelled mid summand (row i0 of
-        d_low, column j0 of d_high) is then cut off from the other table
-        by the chain condition, which is checked; for d_high that check
-        is the d_low one read in the opposite category.
+        Eliminating a unit of one differential only drops a row or a
+        column of the other, which creates no unit there, so d_low is
+        stripped to the end first and d_high after it.
         """
+        self._check_chain()
         alg = self.alg
-        table = self.d_low if low else self.d_high
-        cinv = alg.local_inverse(table[(i0, j0)],
-                                 (self.mid if low else self.high)[i0])
-        row = {j: e for (i, j), e in table.items() if i == i0 and j != j0}
-        col = {i: e for (i, j), e in table.items() if j == j0 and i != i0}
-        for i, a in col.items():
-            fac = alg.elem_mul(a, cinv)
-            for j, b in row.items():
-                delta = alg.elem_mul(fac, b)
-                if delta:
-                    nv = alg.elem_add(table.get((i, j), {}),
-                                      alg.elem_neg(delta))
-                    if nv:
-                        table[(i, j)] = nv
-                    else:
-                        table.pop((i, j), None)
-        other = self.d_high if low else self.d_low
-        m0, link, far = (i0, col, self.high) if low else (j0, row, self.low)
-
-        def at(m, k):
-            return other.get((k, m) if low else (m, k), {})
-
-        def mul(x, y):
-            return alg.elem_mul(x, y) if low else alg.elem_mul(y, x)
-
-        for k in range(len(far)):
-            acc = dict(at(m0, k))
-            for m, a in link.items():
-                e = at(m, k)
-                if e:
-                    acc = alg.elem_add(acc, mul(e, mul(a, cinv)))
-            if acc:
-                raise AssertionError("strip: residual differential at a "
-                                     "cancelled mid summand")
-        if low:
-            self._delete(mid=i0, low=j0)
-        else:
-            self._delete(high=i0, mid=j0)
-
-    def _delete(self, low=None, mid=None, high=None):
-        def drop(verts, idx):
-            return verts[:idx] + verts[idx + 1:]
-
-        def remap(table, ridx, cidx):
-            out = {}
-            for (i, j), e in table.items():
-                if i == ridx or j == cidx:
-                    continue
-                out[(i - (1 if ridx is not None and i > ridx else 0),
-                     j - (1 if cidx is not None and j > cidx else 0))] = e
-            return out
-
-        if low is not None or mid is not None:
-            self.d_low = remap(self.d_low, mid, low)
-        if mid is not None or high is not None:
-            self.d_high = remap(self.d_high, high, mid)
-        if low is not None:
-            self.low = drop(self.low, low)
-        if mid is not None:
-            self.mid = drop(self.mid, mid)
-        if high is not None:
-            self.high = drop(self.high, high)
+        mid_gone, low_gone = _eliminate(alg, self.d_low, self.mid, self.low)
+        if mid_gone:
+            self.d_high = {k: e for k, e in self.d_high.items()
+                           if k[1] not in mid_gone}
+        high_gone, mid_cut = _eliminate(alg, self.d_high, self.high, self.mid)
+        mid_gone |= mid_cut
+        if mid_gone:  # each cancellation takes one mid summand
+            self.low, low = _kept(self.low, low_gone)
+            self.mid, mid = _kept(self.mid, mid_gone)
+            self.high, high = _kept(self.high, high_gone)
+            self.d_low = {(mid[i], low[j]): e
+                          for (i, j), e in self.d_low.items() if i in mid}
+            self.d_high = {(high[i], mid[j]): e
+                           for (i, j), e in self.d_high.items()}
+            self._check_chain()
+        return self
 
 
 def strip_contractible(T):
     """Minimal representative of a two-term complex."""
-    ch = Chain3(T.alg, (), T.p1, T.p0,
-                {}, {(i, j): e for (i, j), e in T.d.entries.items()})
-    ch.strip()
-    d = AlgMatrix(T.alg, tuple(ch.high), tuple(ch.mid),
-                  {k: v for k, v in ch.d_high.items()})
-    return TwoTermComplex(T.alg, tuple(ch.mid), tuple(ch.high), d)
+    ch = Chain3(T.alg, (), T.p1, T.p0, {}, T.d.entries).strip()
+    return TwoTermComplex(T.alg, ch.mid, ch.high,
+                          AlgMatrix(T.alg, ch.high, ch.mid, ch.d_high))
 
 
 class ChainMap:
@@ -377,40 +376,23 @@ def mapping_cone_chain(f):
     """Cone of f: X -> Y as a three-degree chain (X.p1, X.p0 + Y.p1, Y.p0)."""
     X, Y = f.source, f.target
     alg = X.alg
-    low = list(X.p1)
-    mid = list(X.p0) + list(Y.p1)
-    high = list(Y.p0)
     nx0 = len(X.p0)
-    d_low = {}
-    for (i, j), e in X.d.entries.items():
-        d_low[(i, j)] = alg.elem_neg(e)
-    for (i, j), e in f.f1.entries.items():
-        d_low[(nx0 + i, j)] = e
-    d_high = {}
-    for (i, j), e in f.f0.entries.items():
-        d_high[(i, j)] = e
-    for (i, j), e in Y.d.entries.items():
-        d_high[(i, nx0 + j)] = e
-    ch = Chain3(alg, low, mid, high, d_low, d_high)
-    return ch
+    d_low = {k: alg.elem_neg(e) for k, e in X.d.entries.items()}
+    d_low.update(((nx0 + i, j), e) for (i, j), e in f.f1.entries.items())
+    d_high = dict(f.f0.entries)
+    d_high.update(((i, nx0 + j), e) for (i, j), e in Y.d.entries.items())
+    return Chain3(alg, X.p1, X.p0 + Y.p1, Y.p0, d_low, d_high)
 
 
 def _two_term_cone(f, left):
     """Stripped cone of f: X -> Y (left) or cocone of f: Y -> X, as a
     two-term complex; None when the extra degree survives stripping."""
-    alg = f.source.alg
-    ch = mapping_cone_chain(f)
-    ch.strip()
-    if left:
-        if ch.low:
-            return None
-        p1, p0, d = ch.mid, ch.high, ch.d_high
-    else:
-        if ch.high:
-            return None
-        p1, p0, d = ch.low, ch.mid, ch.d_low
-    return TwoTermComplex(alg, tuple(p1), tuple(p0),
-                          AlgMatrix(alg, tuple(p0), tuple(p1), d))
+    ch = mapping_cone_chain(f).strip()
+    if (ch.low if left else ch.high):
+        return None
+    p1, p0, d = ((ch.mid, ch.high, ch.d_high) if left
+                 else (ch.low, ch.mid, ch.d_low))
+    return TwoTermComplex(ch.alg, p1, p0, AlgMatrix(ch.alg, p0, p1, d))
 
 
 def cone_two_term(f):

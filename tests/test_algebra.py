@@ -1,8 +1,10 @@
+from itertools import product
+
 import pytest
 
 from tautilt.algebra import (AdmissibilityError, AlgebraError,
-                             AlgebraFileError, check_associativity, multiply,
-                             parse_algebra)
+                             AlgebraFileError, CornerGrid, check_associativity,
+                             multiply, parse_algebra)
 from tautilt.fields import GF
 
 
@@ -174,3 +176,49 @@ def test_path_basis_function():
         'relations = ["x*x*x"]')
     paths = path_basis(spec)
     assert sorted(len(p) for p in paths) == [0, 1, 2]
+
+
+def _cell_layout(alg, row_verts, col_verts, offset):
+    """The start of each nonzero corner, row by row, and the end."""
+    start, k = {}, offset
+    for i, v in enumerate(row_verts):
+        for j, w in enumerate(col_verts):
+            size = len(alg.corner_basis(v, w))
+            if size:
+                start[(i, j)] = k
+                k += size
+    return start, k
+
+
+@pytest.mark.parametrize("offset", [0, 7])
+def test_corner_grid_matches_the_cell_by_cell_layout(a3, kronecker, offset):
+    # every pair of vertex tuples of length <= 3; over A3 many corners are
+    # zero, over the Kronecker algebra some have dimension 2
+    shapes = set()
+    for alg in (a3, kronecker):
+        tuples = [t for size in range(4)
+                  for t in product(range(alg.n), repeat=size)]
+        for rows, cols in product(tuples, repeat=2):
+            grid = CornerGrid(alg, rows, cols, offset)
+            start, end = _cell_layout(alg, rows, cols, offset)
+            assert grid.end == end
+            assert {ij: grid.start(*ij) for ij in start} == start
+            # every coordinate k set, to k + 1; the ones around the grid
+            # are ignored
+            pos, one = alg.corner_pos, alg.field.one
+            entries = {(i, j): {b: s + pos[b] + one
+                                for b in alg.corner_basis(rows[i], cols[j])}
+                       for (i, j), s in start.items()}
+            vec = grid.entries_to_vec(entries, {offset - 1: one, end: one})
+            assert grid.vec_to_entries(vec) == entries
+            filled = [[(i, j) in start for j in range(len(cols))]
+                      for i in range(len(rows))]
+            if start:
+                if not all(map(any, filled)):
+                    shapes.add("empty row")
+                if not all(map(any, zip(*filled))):
+                    shapes.add("empty column")
+                if any(any(r) and not (r[0] or r[-1]) for r in filled):
+                    shapes.add("empty corners at both ends of a row")
+    assert shapes == {"empty row", "empty column",
+                      "empty corners at both ends of a row"}

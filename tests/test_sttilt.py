@@ -391,6 +391,22 @@ def test_max_depth_limit(kA2):
     assert g.node_count() == 3  # top and its two children
 
 
+def test_depth_limit_on_nodes_with_no_down_mutation_is_complete(point):
+    # the one-vertex algebra has (P, 0) above (0, P[1]); the depth limit
+    # stops at the bottom node, which has nothing below it
+    g = st.enumerate_sttilt(point, max_depth=1)
+    assert g.complete
+    assert g.node_count() == 2 and len(g.edges) == 1
+
+
+def test_depth_limit_before_a_down_mutation_is_incomplete(kA2):
+    # the pentagon's longer side has one edge below depth 2
+    g = st.enumerate_sttilt(kA2, max_depth=2)
+    assert not g.complete
+    assert g.node_count() == 5 and len(g.edges) == 4
+    assert st.enumerate_sttilt(kA2, max_depth=3).complete
+
+
 def test_max_nodes_limit(kA2):
     g = st.enumerate_sttilt(kA2, max_nodes=3)
     assert not g.complete and g.node_count() == 3
