@@ -15,7 +15,6 @@ bound must be empty, and the arrow ideal must be nilpotent.
 import ast
 import re
 from bisect import bisect_right
-from itertools import product
 
 from .fields import QQ, FieldError, parse_field
 
@@ -706,14 +705,3 @@ def multiply(alg, x, y):
 def path_basis(spec):
     """Ordered irredundant path basis of kQ/I (as path tuples)."""
     return list(BoundQuiverAlgebra(spec).basis)
-
-
-def check_associativity(alg):
-    """(xy)z = x(yz) on all basis triples; meant for dim <= 30 or so."""
-    for i, j, k in product(range(alg.dim), repeat=3):
-        x, y, z = ({i: alg.field.one}, {j: alg.field.one}, {k: alg.field.one})
-        left = alg.elem_mul(alg.elem_mul(x, y), z)
-        right = alg.elem_mul(x, alg.elem_mul(y, z))
-        if left != right:
-            return False
-    return True

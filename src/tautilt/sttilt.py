@@ -22,6 +22,10 @@ dual right one going up.  Its (co)cone has the g-vector
 sum_j m_j g(R_j) - g(X) over the chosen maps, and a cone is built only
 when the registry does not hold that g-vector yet.
 
+The completions take the (co)cone of the minimal approximation of A[1]
+or of A (AIR 2014, Thm 2.10) one summand P_v of A at a time, each piece
+predicted the same way and built and split only on a registry miss.
+
 An exchange changes one row of G, so the c-vectors of the result follow
 from those of the pair by an exact rank-one update, which also certifies
 that the new g-vectors are a Z-basis.  Only a pair that no exchange led
@@ -179,14 +183,6 @@ def is_tau_rigid_pair(M, proj_mults):
     return True
 
 
-def tau_tilting_pair_from_summands(alg, summands):
-    pair = TauRigidPair(alg, summands)
-    if pair.size != alg.n:
-        raise NotTauRigidError(
-            f"expected {alg.n} summands, got {pair.size}")
-    return pair
-
-
 def pairs_isomorphic(p, q):
     """Isomorphism of pairs: equal projective parts, matched module summands."""
     return (p.alg is q.alg and p.size == q.size
@@ -197,29 +193,54 @@ def pairs_isomorphic(p, q):
 # -- completions ------------------------------------------------------------
 
 def _completion(pair, left):
-    """The completion whose new summands come from the (co)cone of the
-    minimal left approximation of A, or the right one of A[1]."""
+    """The completion of pair by the (co)cone of the minimal left
+    add(pair)-approximation of A, or the right one of A[1], one P_v at
+    a time: every wall map keeps the grading Hom(A, R) = (+) Hom(P_v, R),
+    so that (co)cone is the direct sum of the pieces for the P_v.  A
+    piece is presilting, so its predicted g-vector determines it (AIR
+    2014, Thm 5.5): zero means a zero piece, and one the registry holds
+    means that summand; only the rest are built (`_checked_cone`) and
+    split.  The result is certified as `mutate` certifies its own: n
+    summands whose g-vectors are a Z-basis with sign-coherent c-vectors.
+    """
     alg = pair.alg
     _require_tau_rigid(pair)
-    X = tt.algebra_stalk(alg, 0 if left else 1)
-    targets = tt.basic_summands(pair.summands)
-    Z = tt.approximation_cone(X, targets, left)
-    if Z is None:
+    targets = list(dict.fromkeys(intern_summand(c) for c in pair.summands))
+    summands = dict.fromkeys(targets)  # ordered, repeats removed by identity
+    approximate = (tt.minimal_left_approximation_summands if left
+                   else tt.minimal_right_approximation_summands)
+    for v in range(alg.n):
+        X = tt.stalk_complex(alg, (v,), 0 if left else 1)
+        chosen = approximate(X, targets)
+        g = _predicted_g_vector(X, targets, chosen)
+        if not any(g):
+            continue
+        known = alg.summands.get(g)
+        if known is not None:
+            summands[known] = None
+            continue
+        piece = _checked_cone(pair, f"vertex {alg.vertex_labels[v]}",
+                              X, targets, chosen, left, g)
+        for c in tt.decompose_complex(piece):
+            summands[intern_summand(c)] = None
+    done = TauRigidPair(alg, summands)
+    if done.size != alg.n:
         raise InvariantViolation(
-            f"pair {pair.key()}: completion cone failed to stay two-term")
-    summands = tt.basic_summands(
-        list(pair.summands) + tt.decompose_complex(Z))
-    return tau_tilting_pair_from_summands(
-        alg, [intern_summand(c) for c in summands])
+            f"pair {pair.key()}: the completion {done.key()} has "
+            f"{done.size} summands, not {alg.n}")
+    _mutation_directions(done.key(), _root_c_vectors(done))
+    return done
 
 
 def bongartz_completion(pair):
-    """Maximum completion: cocone of the minimal right approximation of A[1]."""
+    """Maximum completion: the cocones of the minimal right
+    approximations of the P_v[1] (`_completion`)."""
     return _completion(pair, False)
 
 
 def minimal_completion(pair):
-    """Minimum completion: cone of the minimal left approximation of A."""
+    """Minimum completion: the cones of the minimal left approximations
+    of the P_v (`_completion`)."""
     return _completion(pair, True)
 
 
@@ -332,18 +353,38 @@ def _exchanged_c_vectors(pair, cs, index, key, pos):
     return out
 
 
-def _predicted_g_vector(pair, index, chosen):
-    """g of the (co)cone over the approximation of summand index (0-based)
-    by the chosen maps into the rest: sum_j m_j g(R_j) - g(X), since g is
-    additive on the exchange triangle (Adachi-Iyama-Reiten 2014, Sec. 2-3).
-    The same formula holds for the cone going down and the cocone going up.
+def _predicted_g_vector(X, targets, chosen):
+    """g of the (co)cone over the approximation of X by the chosen maps
+    (j, f) into targets: sum_j g(R_j) - g(X), since g is additive on the
+    triangle (Adachi-Iyama-Reiten 2014, Sec. 2-3).  The same formula
+    holds for the cone of a left approximation and the cocone of a right
+    one.
     """
-    gs = pair.g_matrix()
-    rest = [g for k, g in enumerate(gs) if k != index]
-    pred = [-x for x in gs[index]]
+    pred = [-x for x in tt.g_vector(X)]
     for j, _ in chosen:
-        pred = [a + b for a, b in zip(pred, rest[j])]
+        pred = [a + b for a, b in zip(pred, tt.g_vector(targets[j]))]
     return tuple(pred)
+
+
+def _checked_cone(pair, where, X, targets, chosen, left, g):
+    """The stripped cone over the chosen left approximation maps of X,
+    or the cocone over the right ones, for a predicted g-vector g that
+    the registry does not hold.  It must stay two-term, be nonzero and
+    have g-vector g, or InvariantViolation names pair and where.
+    """
+    assemble = (tt.assemble_left_approximation if left
+                else tt.assemble_right_approximation)
+    new = tt._two_term_cone(assemble(X, targets, chosen), left)
+    if new is None:
+        what = "the cone did not stay two-term"
+    elif new.is_zero():
+        what = "the cone is zero"
+    elif tt.g_vector(new) != g:
+        what = (f"the cone has g-vector {tt.g_vector(new)}, not the "
+                f"predicted {g}")
+    else:
+        return new
+    raise InvariantViolation(f"pair {pair.key()}, {where}: {what}")
 
 
 def _mutation(pair, index, down):
@@ -355,36 +396,22 @@ def _mutation(pair, index, down):
     (`_predicted_g_vector`).  A g-vector determines the presilting
     indecomposable (AIR 2014, Thm 5.5), so when the registry already
     holds the prediction, its summand is the answer and no cone is
-    built.  Otherwise the built cone must stay two-term, be nonzero and
-    have the predicted g-vector.  Either way the caller certifies the
-    exchange by the returned summand's own g-vector
-    (`_exchanged_c_vectors`).
+    built; otherwise the cone is built and checked (`_checked_cone`).
+    Either way the caller certifies the exchange by the returned
+    summand's own g-vector (`_exchanged_c_vectors`).
     """
-    alg = pair.alg
     X = pair.summands[index]
     rest = [c for k, c in enumerate(pair.summands) if k != index]
     if down:
         chosen = tt.minimal_left_approximation_summands(X, rest)
     else:
         chosen = tt.minimal_right_approximation_summands(X, rest)
-    g = _predicted_g_vector(pair, index, chosen)
-    known = alg.summands.get(g)
+    g = _predicted_g_vector(X, rest, chosen)
+    known = pair.alg.summands.get(g)
     if known is not None:
         return known
-    assemble = (tt.assemble_left_approximation if down
-                else tt.assemble_right_approximation)
-    new = tt._two_term_cone(assemble(X, rest, chosen), down)
-    if new is None:
-        what = (f"the predicted {'down' if down else 'up'} mutation did not "
-                f"stay two-term")
-    elif new.is_zero():
-        what = "mutation produced a zero summand"
-    elif tt.g_vector(new) != g:
-        what = (f"the cone has g-vector {tt.g_vector(new)}, not the "
-                f"predicted {g}")
-    else:
-        return intern_summand(new)
-    raise InvariantViolation(f"pair {pair.key()}, summand {index + 1}: {what}")
+    return intern_summand(_checked_cone(
+        pair, f"summand {index + 1}", X, rest, chosen, down, g))
 
 
 def _exchanged_pair(pair, index, new):

@@ -312,10 +312,13 @@ class Chain3:
         self.d_high = {k: v for k, v in d_high.items() if v}  # (high, mid) -> elem
 
     def _check_chain(self):
-        if self.d_low and self.d_high and not AlgMatrix(
-                self.alg, self.high, self.mid, self.d_high).matmul(AlgMatrix(
-                    self.alg, self.mid, self.low, self.d_low)).is_zero():
-            raise AssertionError("strip: d_high . d_low is not zero")
+        if self.d_low and self.d_high:
+            # the entries lie in their corners already: skip set's check
+            high = AlgMatrix(self.alg, self.high, self.mid)
+            low = AlgMatrix(self.alg, self.mid, self.low)
+            high.entries, low.entries = self.d_high, self.d_low
+            if not high.matmul(low).is_zero():
+                raise AssertionError("strip: d_high . d_low is not zero")
 
     def strip(self):
         """Remove all contractible pairs; leaves the minimal chain.
@@ -361,10 +364,6 @@ class ChainMap:
         self.target = target
         self.f1 = f1  # AlgMatrix rows=target.p1 cols=source.p1
         self.f0 = f0  # AlgMatrix rows=target.p0 cols=source.p0
-
-    def is_chain_map(self):
-        return self.f0.matmul(self.source.d).sub(
-            self.target.d.matmul(self.f1)).is_zero()
 
     def compose(self, other):
         """self . other (other first)."""
@@ -744,19 +743,6 @@ def assemble_right_approximation(X, targets, chosen):
     return _assemble(X, targets, chosen, False)
 
 
-def approximation_cone(X, targets, left):
-    """Cone of the minimal left add(targets)-approximation of X, or the
-    cocone of the minimal right one when not left, stripped to its
-    two-term part; None when the extra degree survives stripping."""
-    if left:
-        f = assemble_left_approximation(
-            X, targets, minimal_left_approximation_summands(X, targets))
-    else:
-        f = assemble_right_approximation(
-            X, targets, minimal_right_approximation_summands(X, targets))
-    return _two_term_cone(f, left)
-
-
 def basic_summands(complexes):
     """One representative per isomorphism class of indecomposable
     complexes, in first-seen order."""
@@ -772,13 +758,3 @@ def minimal_left_approximation(X, T):
     targets = basic_summands(decompose_complex(T))
     chosen = minimal_left_approximation_summands(X, targets)
     return assemble_left_approximation(X, targets, chosen)
-
-
-def factors_through(g, f):
-    """Whether g: X -> T'' factors through f: X -> T' in the homotopy category."""
-    hs_tt = hom_homotopy(f.target, g.target, 0)
-    hs_xt = hom_homotopy(g.source, g.target, 0)
-    image = [hs_xt.chain_map_class(r.compose(f)) for r in hs_tt.reps]
-    return RowSpace(g.source.alg.field, hs_xt.dim,
-                    image).contains(hs_xt.chain_map_class(g))
-

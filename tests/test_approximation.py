@@ -159,7 +159,9 @@ def test_completion_approximations_match_chain_maps(monkeypatch,
 
     calls = _recorded_calls(monkeypatch, run)
     left, right, radical = _check_against_reference(calls)
-    assert left == right == len(cases) == 50
+    # one approximation per vertex of A: P_v for the minimal completion,
+    # P_v[1] for the Bongartz one
+    assert left == right == alg.n * len(cases) == 150
     assert radical
 
 

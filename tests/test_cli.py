@@ -172,7 +172,7 @@ def test_small_characteristic_radical_is_an_error():
 
 
 def test_completion_failure_is_an_engine_error(monkeypatch):
-    monkeypatch.setattr(twoterm, "approximation_cone", lambda *args: None)
+    monkeypatch.setattr(twoterm, "_two_term_cone", lambda *args: None)
     for command in ("bongartz", "cocompletion"):
         code, _, err = invoke([command, "--algebra", data_path("a2.alg"),
                                "--pair", data_path("s1_pair.json")])

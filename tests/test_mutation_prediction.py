@@ -4,9 +4,9 @@ The engine (`sttilt._mutation`) predicts the g-vector of each exchanged
 summand from the chosen approximation maps, sum_j m_j g(R_j) - g(X),
 and builds a cone only when the summand registry does not hold that
 g-vector yet.  The reference below builds every cone of every edge with
-`twoterm.approximation_cone`, down from the source and up from the
-target, and checks that its g-vector is the prediction and that it is
-isomorphic to the summand the registry returned.
+`approximation_cone`, down from the source and up from the target, and
+checks that its g-vector is the prediction and that it is isomorphic to
+the summand the registry returned.
 """
 
 import re
@@ -20,6 +20,19 @@ from conftest import read_algebra
 from test_sttilt import linear
 
 
+def approximation_cone(X, targets, left):
+    """Cone of the minimal left add(targets)-approximation of X, or the
+    cocone of the minimal right one when not left, stripped to its
+    two-term part; None when the extra degree survives stripping."""
+    if left:
+        f = tt.assemble_left_approximation(
+            X, targets, tt.minimal_left_approximation_summands(X, targets))
+    else:
+        f = tt.assemble_right_approximation(
+            X, targets, tt.minimal_right_approximation_summands(X, targets))
+    return tt._two_term_cone(f, left)
+
+
 def _check_exchange(pair, index, down, expected):
     """Build the exchange of summand index (0-based) of pair from
     scratch, check it against the prediction and against expected, the
@@ -30,8 +43,8 @@ def _check_exchange(pair, index, down, expected):
         chosen = tt.minimal_left_approximation_summands(X, rest)
     else:
         chosen = tt.minimal_right_approximation_summands(X, rest)
-    g = st._predicted_g_vector(pair, index, chosen)
-    cone = tt.approximation_cone(X, rest, down)
+    g = st._predicted_g_vector(X, rest, chosen)
+    cone = approximation_cone(X, rest, down)
     assert cone is not None and not cone.is_zero()
     assert tt.g_vector(cone) == g == tt.g_vector(expected)
     assert pair.alg.summands[g] is expected

@@ -1,6 +1,7 @@
 import pytest
 
 from tautilt.algebra import parse_algebra
+from tautilt.linalg import RowSpace
 from tautilt import modrep as mr
 from tautilt import twoterm as tt
 
@@ -101,7 +102,8 @@ def test_minimal_left_approximation_examples(kA2):
     P2s = tt.stalk_complex(kA2, (1,), 0)
     # Hom(P2, P1) is one dimensional: the inclusion
     f = tt.minimal_left_approximation(P2s, P1s)
-    assert f.target.p0 == (0,) and f.is_chain_map()
+    assert f.target.p0 == (0,)
+    assert f.f0.matmul(f.source.d).sub(f.target.d.matmul(f.f1)).is_zero()
     assert not f.f0.is_zero()
     # Hom(P1, P2) = 0: approximation by zero
     g = tt.minimal_left_approximation(P1s, P2s)
@@ -118,8 +120,12 @@ def test_approximation_factorization(kA2):
     T = tt.direct_sum_complex([P1s, P1s])
     f = tt.minimal_left_approximation(P2s, T)
     hs = tt.hom_homotopy(P2s, T, 0)
+    # g factors through f when its class lies in the span of the r . f
+    image = [hs.chain_map_class(r.compose(f))
+             for r in tt.hom_homotopy(f.target, T, 0).reps]
+    through_f = RowSpace(kA2.field, hs.dim, image)
     for g in hs.reps:
-        assert tt.factors_through(g, f)
+        assert through_f.contains(hs.chain_map_class(g))
 
 
 def test_cone_examples(kA2):
