@@ -16,11 +16,15 @@ Mutation runs on the complex side.  With G holding one g-vector per row,
 the c-vectors are the columns of G^-1; they are sign-coherent, and the
 mutation at summand i goes down exactly when c_i >= 0 (Fu, "c-vectors
 via tau-tilting theory", J. Algebra 473, 2017; Treffinger, "On
-sign-coherence of c-vectors", JPAA 223, 2019).  So each exchange takes
-one approximation: the minimal left one into the rest going down, the
-dual right one going up.  Its (co)cone has the g-vector
+sign-coherence of c-vectors", JPAA 223, 2019).  An exchange that
+`mutate` makes, or that puts a new node into an enumeration, takes one
+approximation: the minimal left one into the rest going down, the dual
+right one going up.  Its (co)cone has the g-vector
 sum_j m_j g(R_j) - g(X) over the chosen maps, and a cone is built only
-when the registry does not hold that g-vector yet.
+when the registry does not hold that g-vector yet.  An enumeration edge
+whose lower end is already a node costs none: the almost complete pair
+it exchanges lies in exactly two pairs (AIR 2014, Thm 2.18), so the
+edge is read off the node below.
 
 The completions take the (co)cone of the minimal approximation of A[1]
 or of A (AIR 2014, Thm 2.10) one summand P_v of A at a time, each piece
@@ -36,8 +40,9 @@ enumeration keeps, has its c-vectors certified.
 Enumeration is a BFS through down mutations from the pair (A, 0); in the
 tau-tilting finite case a finite connected component is the whole poset,
 and every node is reachable downward from the maximum, so termination
-with an exhausted frontier certifies completeness.  An edge forms its
-target's key before any pair is built, so a pair is built once per node.
+with an exhausted frontier certifies completeness.  An edge to a new node
+forms its target's key before any pair is built, so a pair is built once
+per node.
 """
 
 from bisect import bisect_left
@@ -245,9 +250,15 @@ def minimal_completion(pair):
 
 
 def _require_tau_rigid(pair):
-    M = pair.module()
-    if not is_tau_rigid_pair(M, pair.projective_part()):
-        raise NotTauRigidError("input pair is not tau-rigid")
+    """Refuse a pair that is not tau-rigid, on the silting side: (M, P)
+    is tau-rigid exactly when P_M (+) P[1] is presilting (AIR 2014,
+    Prop. 3.6), and the summands are minimal presentations, so the test
+    is Hom_K(S, T[1]) = 0 for all summands S, T, on memoized Hom spaces.
+    """
+    for S in pair.summands:
+        for T in pair.summands:
+            if tt.hom_homotopy(S, T, 1).dim:
+                raise NotTauRigidError("input pair is not tau-rigid")
 
 
 # -- mutation ----------------------------------------------------------------
@@ -540,20 +551,27 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     """BFS of the Hasse quiver by down mutations from the pair (A, 0).
 
     A node is mutated only at the summands whose c-vector is >= 0, which
-    are its down exchanges (Fu 2017; Treffinger 2019).  Every edge costs
-    one approximation, and a cone only when its predicted g-vector is new
-    to the registry.  Nodes are deduplicated by the column-sorted
-    g-matrix; an edge forms its target's from its source's, with one
-    column replaced by the g-vector of the summand it puts in, and
-    builds a pair only for a new key.  Only the top pair's c-vectors
-    come from a Gauss-Jordan inverse; each new node gets its own from
-    its parent's by the exchange update, which certifies a Z-basis, and
-    every node, also one at max_depth, has them certified
-    sign-coherent.  Every summand is interned, so pairs with equal keys
-    carry the same summand tuple; the registry checks isomorphism once
-    per new serialization of a g-vector and aborts the run on a
-    collision of non-isomorphic summands.  If the frontier exhausts
-    within the limits, the graph is the complete Hasse quiver.
+    are its down exchanges (Fu 2017; Treffinger 2019).  An almost
+    complete pair is a summand of exactly two support tau-tilting pairs,
+    one above the other (AIR 2014, Thm 2.18), so a down edge whose lower
+    end is already a node is read off that node: each node, when it is
+    made, enters every almost complete key under which it is the lower
+    end, and the node above takes its edge from there, certified by
+    g' . c_i = -1 for the one column g' of the lower key not in the
+    almost complete key.  Only an edge to a new node costs an
+    approximation, and a cone only when its predicted g-vector is new
+    to the registry; so a complete enumeration runs nodes - 1
+    approximations.  Nodes are deduplicated by the column-sorted
+    g-matrix; a new node's key is its parent's with one column replaced
+    by the g-vector of the summand the edge puts in.  Only the top
+    pair's c-vectors come from a Gauss-Jordan inverse; each new node
+    gets its own from its parent's by the exchange update, which
+    certifies a Z-basis, and every node, also one at max_depth, has them
+    certified sign-coherent.  Every summand is interned, so pairs with
+    equal keys carry the same summand tuple; the registry checks
+    isomorphism once per new serialization of a g-vector and aborts the
+    run on a collision of non-isomorphic summands.  If the frontier
+    exhausts within the limits, the graph is the complete Hasse quiver.
     max_nodes must be at least 1 (the top pair is always a node).
     """
     if max_nodes < 1:
@@ -562,7 +580,10 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
         intern_summand(tt.stalk_complex(alg, (v,), 0))
         for v in range(alg.n)])
     pairs = [top]
-    ids = {top.key(): 0}
+    keys = {top.key()}  # only to refuse an approximated key twice
+    # almost complete key -> (id, column) of the node that is its lower
+    # end and waits for the node above; an entry goes once it has served
+    below = {}
     edges = []
     # a queued node carries its c-vectors until it is expanded
     queue = deque([(0, 0, _root_c_vectors(top))])
@@ -579,18 +600,46 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
         for i, down in enumerate(downs):
             if not down:
                 continue  # the up edge is discovered from the other end
+            rest = gmat[:i] + gmat[i + 1:]
+            held = below.pop(rest, None)
+            if held is not None:
+                lower, j = held
+                g = pairs[lower].g_matrix()[j]
+                d = sum(a * b for a, b in zip(g, cs[i]))
+                if d != -1:
+                    raise InvariantViolation(
+                        f"pair {gmat}, summand {i + 1}: the pair "
+                        f"{pairs[lower].key()} below it has g-vector {g} "
+                        f"with g . c = {d}, not -1")
+                edges.append((node_id, lower, i))
+                continue
+            if len(pairs) >= max_nodes:
+                complete = False
+                continue
             new = _mutation(pair, i, True)
             key, pos = _exchanged_key(gmat, i, tt.g_vector(new))
-            known = ids.get(key)
-            if known is None:
-                if len(pairs) >= max_nodes:
-                    complete = False
-                    continue
-                child_cs = _exchanged_c_vectors(pair, cs, i, key, pos)
-                known = ids[key] = len(pairs)
-                pairs.append(_exchanged_pair(pair, i, new))
-                queue.append((known, depth + 1, child_cs))
-            edges.append((node_id, known, i))
+            if key in keys:
+                raise InvariantViolation(
+                    f"pair {gmat}, summand {i + 1}: the exchange {key} is "
+                    f"already a node but not the lower end of {rest}")
+            child_cs = _exchanged_c_vectors(pair, cs, i, key, pos)
+            keys.add(key)
+            child = len(pairs)
+            pairs.append(_exchanged_pair(pair, i, new))
+            # the edge just made covers the almost complete key at pos; a
+            # c-vector with a negative entry goes up (all are certified
+            # sign-coherent when the child is expanded)
+            for j, c in enumerate(child_cs):
+                if j != pos and min(c) < 0:
+                    rest_j = key[:j] + key[j + 1:]
+                    if rest_j in below:
+                        raise InvariantViolation(
+                            f"pairs {pairs[below[rest_j][0]].key()} and "
+                            f"{key} are both below {rest_j}")
+                    below[rest_j] = child, j
+            queue.append((child, depth + 1, child_cs))
+            edges.append((node_id, child, i))
+    below.clear()  # free its table before the graph is laid out
     return HasseGraph(alg, pairs, edges, complete)
 
 

@@ -61,6 +61,30 @@ def test_completions_match_the_whole_a_reference(name, subs):
                        zip(got.summands, expected.summands))
 
 
+@pytest.mark.parametrize("name", [
+    "a3", "a4", "loop2", "preproj_a2", "preproj_a3"])
+def test_the_rigidity_check_agrees_with_the_module_side(name):
+    # a completion refuses its input on the silting side, Hom(S, T[1]) =
+    # 0 for all summands S, T; every set of at most three summands of the
+    # registry is refused exactly when Hom(M, tau M) or Hom(P, M) is not 0
+    alg = read_algebra(f"{name}.alg")
+    st.enumerate_sttilt(alg)
+    pool = list(alg.summands.values())
+    seen = set()
+    for k in (1, 2, 3):
+        for part in combinations(pool, k):
+            pair = st.TauRigidPair(alg, part)
+            rigid = st.is_tau_rigid_pair(pair.module(),
+                                         pair.projective_part())
+            seen.add(rigid)
+            if rigid:
+                st._require_tau_rigid(pair)
+            else:
+                with pytest.raises(st.NotTauRigidError):
+                    st._require_tau_rigid(pair)
+    assert seen == {True, False}
+
+
 def _recorded(monkeypatch, name):
     """The results of the calls of twoterm.<name> from now on."""
     results = []

@@ -6,7 +6,9 @@ and builds a cone only when the summand registry does not hold that
 g-vector yet.  The reference below builds every cone of every edge with
 `approximation_cone`, down from the source and up from the target, and
 checks that its g-vector is the prediction and that it is isomorphic to
-the summand the registry returned.
+the summand the registry returned.  An enumeration approximates only
+the edges that make a node and reads the others off their lower end, so
+this also checks every edge the engine never approximated.
 """
 
 import re
@@ -17,7 +19,7 @@ from tautilt import sttilt as st
 from tautilt import twoterm as tt
 
 from conftest import read_algebra
-from test_sttilt import linear
+from test_sttilt import alternating, linear, preprojective
 
 
 def approximation_cone(X, targets, left):
@@ -69,12 +71,14 @@ def check_every_edge(alg, max_nodes=10 ** 6):
 @pytest.mark.parametrize("make, max_nodes, nodes", [
     (lambda: read_algebra("a4.alg"), 10 ** 6, 42),
     (lambda: linear(4, "Fp:3"), 10 ** 6, 42),
+    (lambda: alternating(5), 10 ** 6, 132),
     (lambda: read_algebra("preproj_a3.alg"), 10 ** 6, 24),
+    (lambda: preprojective(4), 10 ** 6, 120),
     (lambda: read_algebra("loop2.alg"), 10 ** 6, 2),
     (lambda: read_algebra("three_paths.alg"), 60, 60),
     (lambda: read_algebra("kronecker.alg"), 12, 12),
-], ids=["a4", "a4-Fp3", "preproj_a3", "loop2", "three_paths-60",
-        "kronecker-12"])
+], ids=["a4", "a4-Fp3", "alternating_a5", "preproj_a3", "preproj_a4",
+        "loop2", "three_paths-60", "kronecker-12"])
 def test_every_cone_has_the_predicted_g_vector(make, max_nodes, nodes):
     graph = check_every_edge(make(), max_nodes)
     assert graph.node_count() == nodes and graph.edges

@@ -37,6 +37,38 @@ def linear(n, field="Q"):
                   f'target = "{i + 1}" }}\n' for i in range(1, n)))
 
 
+def alternating(n):
+    """Path algebra of A_n with alternating arrows 1 -> 2 <- 3 -> ..."""
+    names = ", ".join(f'"{v}"' for v in range(1, n + 1))
+    arrows = ""
+    for i in range(1, n):
+        s, t = (i, i + 1) if i % 2 else (i + 1, i)
+        arrows += (f'arrow = {{ name = "a{i}", source = "{s}", '
+                   f'target = "{t}" }}\n')
+    return parse_algebra(f'field = "Q"\nvertices = [{names}]\n' + arrows)
+
+
+def preprojective(n):
+    """Preprojective algebra of A_n: a_i: i -> i+1 and b_i: i+1 -> i,
+    with the mesh relation at every vertex."""
+    names = ", ".join(f'"{v}"' for v in range(1, n + 1))
+    arrows = ""
+    for i in range(1, n):
+        arrows += (f'arrow = {{ name = "a{i}", source = "{i}", '
+                   f'target = "{i + 1}" }}\n'
+                   f'arrow = {{ name = "b{i}", source = "{i + 1}", '
+                   f'target = "{i}" }}\n')
+    mesh = []
+    for v in range(1, n + 1):
+        terms = [f"a{v}*b{v}"] if v < n else []
+        if v > 1:
+            terms.append(f"b{v - 1}*a{v - 1}")
+        mesh.append(" - ".join(terms))
+    return parse_algebra(
+        f'field = "Q"\nvertices = [{names}]\n' + arrows
+        + "relations = [" + ", ".join(f'"{r}"' for r in mesh) + "]\n")
+
+
 def std(alg, v, flavor):
     return mr.standard_module(alg, v, flavor)
 
@@ -192,6 +224,64 @@ def test_enumeration_builds_one_cone_per_new_summand(make, nodes,
     graph = st.enumerate_sttilt(alg)
     assert graph.complete and graph.node_count() == nodes
     assert len(cones) == len(alg.summands) - alg.n < len(graph.edges)
+
+
+def _counted_approximations(monkeypatch):
+    calls = []
+    approximate = tt.minimal_left_approximation_summands
+
+    def counted(*args):
+        calls.append(args)
+        return approximate(*args)
+
+    monkeypatch.setattr(tt, "minimal_left_approximation_summands", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, nodes", [
+    (lambda: read_algebra("a4.alg"), 42),
+    (lambda: read_algebra("preproj_a3.alg"), 24),
+    (lambda: read_algebra("loop2.alg"), 2),
+    (lambda: alternating(4), 42),
+], ids=["A4", "preprojective A3", "loop2", "alternating A4"])
+def test_enumeration_approximates_once_per_new_node(make, nodes,
+                                                    monkeypatch):
+    # an almost complete pair lies in exactly two pairs (AIR 2014, Thm
+    # 2.18), so a down edge whose lower end is already a node is read
+    # off that node, and only the edge that makes a node approximates
+    calls = _counted_approximations(monkeypatch)
+    graph = st.enumerate_sttilt(make())
+    assert graph.complete and graph.node_count() == nodes
+    assert len(calls) == graph.node_count() - 1 <= len(graph.edges)
+
+
+def test_enumeration_past_max_nodes_approximates_no_further(monkeypatch):
+    calls = _counted_approximations(monkeypatch)
+    graph = st.enumerate_sttilt(read_algebra("kronecker.alg"), max_nodes=12)
+    assert not graph.complete and graph.node_count() == 12
+    assert len(calls) <= 11
+
+
+def test_an_edge_read_off_its_lower_end_is_certified(monkeypatch):
+    # the bottom (P1[1], P2[1]) of kA2 lies below two pairs; the edge
+    # from the one that does not make it is read off the bottom, so a
+    # doubled bottom g-matrix gives g' . c = -2 there
+    alg = read_algebra("a2.alg")
+    bottom = ((-1, 0), (0, -1))
+    g_matrix = st.TauRigidPair.g_matrix
+
+    def corrupt(pair):
+        gmat = g_matrix(pair)
+        if gmat == bottom:
+            return tuple(tuple(2 * x for x in g) for g in gmat)
+        return gmat
+
+    monkeypatch.setattr(st.TauRigidPair, "g_matrix", corrupt)
+    with pytest.raises(st.InvariantViolation,
+                       match=re.escape(f"the pair {bottom} below it has "
+                                       "g-vector (")
+                       + r".* with g \. c = -2, not -1"):
+        st.enumerate_sttilt(alg)
 
 
 def _a2_with_a_corrupt_registry():
