@@ -353,6 +353,9 @@ class BoundQuiverAlgebra:
       complex per g-vector (filled by ``sttilt.intern_summand``);
     * summand_forms: the form id of every complex seen for a registered
       summand, mapped to its canonical complex;
+    * summand_splits: the g-vector of every decomposable presilting
+      object the engine has split, mapped to its distinct canonical
+      summands (``sttilt.registered_summands``);
     * hom_memo: Hom spaces in the homotopy category, keyed by
       (shift, T.form_id(), U.form_id()) (``twoterm.hom_homotopy``);
     * compose_memo: composition Hom(B, C) x Hom(A, B) -> Hom(A, C) as
@@ -376,6 +379,7 @@ class BoundQuiverAlgebra:
         self.form_ids = {}
         self.summands = {}
         self.summand_forms = {}
+        self.summand_splits = {}
         self.hom_memo = {}
         self.compose_memo = {}
         self.sum_memo = {}

@@ -10,7 +10,8 @@ registry (`intern_summand`): one canonical complex per g-vector, which
 is sound because a tau-rigid pair is determined by its g-vectors
 (Adachi-Iyama-Reiten, "tau-tilting theory", 2014, Thm 5.5).  Pairs with
 equal keys therefore carry identical summand tuples, and the Hom spaces
-memoized on the algebra are built once per summand pair.
+memoized on the algebra are built once per summand pair.  Any object
+the engine splits is split once and registered by its g-vector too.
 
 Mutation runs on the complex side.  With G holding one g-vector per row,
 the c-vectors are the columns of G^-1; they are sign-coherent, and the
@@ -94,6 +95,28 @@ def intern_summand(T):
     return canon
 
 
+def registered_summands(alg, g):
+    """The distinct canonical summands of the presilting object with
+    g-vector g, which determines it (AIR 2014, Thm 5.5): () for g = 0,
+    the registry's indecomposable, the split recorded in
+    alg.summand_splits (`_register_split`), or None if still unmet."""
+    if not any(g):
+        return ()
+    known = alg.summands.get(g)
+    if known is not None:
+        return (known,)
+    return alg.summand_splits.get(g)
+
+
+def _register_split(alg, g, parts):
+    """Intern parts, the summands of the presilting object with g-vector
+    g, and record the distinct ones under g unless it is indecomposable."""
+    parts = tuple(dict.fromkeys(intern_summand(c) for c in parts))
+    if g not in alg.summands:
+        alg.summand_splits[g] = parts
+    return parts
+
+
 # -- pairs ----------------------------------------------------------------
 
 class TauRigidPair:
@@ -156,22 +179,25 @@ class TauRigidPair:
 def pair_from_module_data(alg, M, proj_mults, check=True):
     """Build a basic pair from a module and projective multiplicities.
 
-    Decomposes M, drops duplicate summands (basic closure), validates
-    tau-rigidity unless check=False.  Only a checked pair's summands are
-    interned.
+    Decomposes M, drops duplicate summands (basic closure).  A checked
+    pair is refused unless C = P_M (+) P[1] has Hom_K(C, C[1]) = 0 (AIR
+    2014, Prop. 3.6); then M is decomposed only when g(C) is new
+    (`registered_summands`), and its summands are registered.
     """
-    summands = []
-    groups = mr.group_by_iso(mr.decompose(M))
-    basic = [g[0] for g in groups]
-    for part in basic:
-        summands.append(tt.presentation_complex(part))
-    for v in range(alg.n):
-        if proj_mults[v] >= 1:
-            summands.append(tt.stalk_complex(alg, (v,), shift=1))
     if check:
-        if not is_tau_rigid_pair(M, proj_mults):
+        C = tt.pair_to_complex(M, proj_mults)
+        if tt.hom_homotopy(C, C, 1).dim:
             raise NotTauRigidError("pair is not tau-rigid")
-        summands = [intern_summand(c) for c in summands]
+        g = tt.g_vector(C)
+        known = registered_summands(alg, g)
+        if known is not None:
+            return TauRigidPair(alg, known)
+    summands = [tt.presentation_complex(group[0])
+                for group in mr.group_by_iso(mr.decompose(M))]
+    summands.extend(tt.stalk_complex(alg, (v,), shift=1)
+                    for v in range(alg.n) if proj_mults[v] >= 1)
+    if check:
+        summands = _register_split(alg, g, summands)
     return TauRigidPair(alg, summands)
 
 
@@ -203,10 +229,11 @@ def _completion(pair, left):
     a time: every wall map keeps the grading Hom(A, R) = (+) Hom(P_v, R),
     so that (co)cone is the direct sum of the pieces for the P_v.  A
     piece is presilting, so its predicted g-vector determines it (AIR
-    2014, Thm 5.5): zero means a zero piece, and one the registry holds
-    means that summand; only the rest are built (`_checked_cone`) and
-    split.  The result is certified as `mutate` certifies its own: n
-    summands whose g-vectors are a Z-basis with sign-coherent c-vectors.
+    2014, Thm 5.5): only a new one (`registered_summands`) is built
+    (`_checked_cone`), split and registered, so a repeated completion
+    builds no cone.  The result is certified as `mutate` certifies its
+    own: n summands whose g-vectors are a Z-basis with sign-coherent
+    c-vectors.
     """
     alg = pair.alg
     _require_tau_rigid(pair)
@@ -218,16 +245,12 @@ def _completion(pair, left):
         X = tt.stalk_complex(alg, (v,), 0 if left else 1)
         chosen = approximate(X, targets)
         g = _predicted_g_vector(X, targets, chosen)
-        if not any(g):
-            continue
-        known = alg.summands.get(g)
-        if known is not None:
-            summands[known] = None
-            continue
-        piece = _checked_cone(pair, f"vertex {alg.vertex_labels[v]}",
-                              X, targets, chosen, left, g)
-        for c in tt.decompose_complex(piece):
-            summands[intern_summand(c)] = None
+        known = registered_summands(alg, g)
+        if known is None:
+            piece = _checked_cone(pair, f"vertex {alg.vertex_labels[v]}",
+                                  X, targets, chosen, left, g)
+            known = _register_split(alg, g, tt.decompose_complex(piece))
+        summands.update(dict.fromkeys(known))
     done = TauRigidPair(alg, summands)
     if done.size != alg.n:
         raise InvariantViolation(
@@ -407,7 +430,8 @@ def _mutation(pair, index, down):
     (`_predicted_g_vector`).  A g-vector determines the presilting
     indecomposable (AIR 2014, Thm 5.5), so when the registry already
     holds the prediction, its summand is the answer and no cone is
-    built; otherwise the cone is built and checked (`_checked_cone`).
+    built (a decomposable one is an InvariantViolation); otherwise the
+    cone is built and checked (`_checked_cone`).
     Either way the caller certifies the exchange by the returned
     summand's own g-vector (`_exchanged_c_vectors`).
     """
@@ -418,9 +442,13 @@ def _mutation(pair, index, down):
     else:
         chosen = tt.minimal_right_approximation_summands(X, rest)
     g = _predicted_g_vector(X, rest, chosen)
-    known = pair.alg.summands.get(g)
+    known = registered_summands(pair.alg, g)
     if known is not None:
-        return known
+        if len(known) == 1:
+            return known[0]
+        raise InvariantViolation(
+            f"pair {pair.key()}, summand {index + 1}: the predicted g-vector "
+            f"{g} is registered as the sum of {list(known)}")
     return intern_summand(_checked_cone(
         pair, f"summand {index + 1}", X, rest, chosen, down, g))
 

@@ -541,15 +541,16 @@ def is_two_term_silting(T):
 def decompose_complex(T):
     """Indecomposable summands of T in the homotopy category.
 
-    Stripped, T is the minimal presentation of M = H^0(T) plus the
-    shifted projectives `complex_to_pair` counts: d lies in the radical,
-    so P^0 -> M is a projective cover, and P^-1 -> im d is the cover of
-    the kernel plus a summand mapping to zero.  The summands are the
-    presentations of the summands of M and one P_v[1] per multiplicity.
+    Stripped, T is the minimal presentation of M = H^0(T) plus shifted
+    projectives: d lies in the radical, so P^0 -> M is a projective
+    cover, and P^-1 -> im d is the cover of the kernel plus a summand
+    mapping to zero.  Presentations are additive, so the summands are
+    those of the summands of M and one P_v[1] per extra P_v in P^-1.
     """
     alg = T.alg
-    M, shifted = complex_to_pair(T)
-    out = [presentation_complex(m) for m in mr.decompose(M)]
+    T = strip_contractible(T)
+    out = [presentation_complex(m) for m in mr.decompose(complex_h0(T))]
+    shifted = _shifted(alg, T.p1, [v for c in out for v in c.p1])
     out.extend(stalk_complex(alg, (v,), 1)
                for v in range(alg.n) for _ in range(shifted[v]))
     out.sort(key=lambda c: (g_vector(c), c.serialize()))
@@ -615,15 +616,19 @@ def complex_to_pair(T):
     alg = T.alg
     T = strip_contractible(T)
     M = complex_h0(T)
-    have = multiplicities(alg, T.p1)
-    pres = multiplicities(
-        alg, mr.minimal_projective_presentation(M).P1.verts)
-    counts = tuple(a - b for a, b in zip(have, pres))
-    if any(c < 0 for c in counts):
+    return M, _shifted(
+        alg, T.p1, mr.minimal_projective_presentation(M).P1.verts)
+
+
+def _shifted(alg, p1, pres_p1):
+    """Multiplicities of the shifted projectives of a stripped complex
+    with P^-1 = p1 whose H^0 presentation has P^-1 = pres_p1."""
+    have, pres = multiplicities(alg, p1), multiplicities(alg, pres_p1)
+    if any(a < b for a, b in zip(have, pres)):
         raise AlgebraError(
             "invariant failed: the stripped complex has P^-1 multiplicities "
             f"{have}, fewer than the {pres} of its H^0 presentation")
-    return M, counts
+    return tuple(a - b for a, b in zip(have, pres))
 
 
 # -- minimal approximations ------------------------------------------------

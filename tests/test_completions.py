@@ -10,10 +10,11 @@ every node.
 """
 
 import re
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
+from tautilt import modrep as mr
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
 
@@ -85,16 +86,77 @@ def test_the_rigidity_check_agrees_with_the_module_side(name):
     assert seen == {True, False}
 
 
-def _recorded(monkeypatch, name):
-    """The results of the calls of twoterm.<name> from now on."""
+@pytest.mark.parametrize("name", ["a3", "loop2", "preproj_a3"])
+def test_pair_from_module_data_refuses_as_the_module_side(name):
+    # a pair is refused on the silting side, Hom_K(C, C[1]) = 0 for C =
+    # P_M (+) P[1]; over every sum M of at most two registry modules and
+    # every projective part with entries 0 and 1, exactly the pairs with
+    # Hom(M, tau M) or Hom(P, M) not 0 are refused, and an accepted one
+    # has the summands of the module-side decomposition
+    alg = read_algebra(f"{name}.alg")
+    st.enumerate_sttilt(alg)
+    pool = [tt.complex_h0(c) for c in alg.summands.values() if c.p0]
+    seen = set()
+    for k in (0, 1, 2):
+        for part in combinations_with_replacement(pool, k):
+            M = mr.direct_sum(alg, part)
+            for proj in product((0, 1), repeat=alg.n):
+                rigid = st.is_tau_rigid_pair(M, proj)
+                seen.add(rigid)
+                if not rigid:
+                    with pytest.raises(st.NotTauRigidError):
+                        st.pair_from_module_data(alg, M, proj)
+                    continue
+                got = st.pair_from_module_data(alg, M, proj)
+                expected = st.pair_from_module_data(alg, M, proj,
+                                                    check=False)
+                assert got.key() == expected.key()
+                assert all(alg.summands[g] is c for g, c in
+                           zip(got.key(), got.summands))
+    assert seen == {True, False}
+
+
+def test_a_repeated_pair_build_decomposes_nothing(monkeypatch):
+    # the first build of each node's pair, and of the pair with every
+    # module summand doubled, splits the module and registers the split
+    # under its g-vector; a second build on the same module object or an
+    # equal fresh one only tests rigidity on a memoized Hom space and
+    # reads the registry
+    alg = read_algebra("preproj_a3.alg")
+    nodes = st.enumerate_sttilt(alg).nodes
+
+    def inputs():
+        for pair in nodes:
+            mods = pair.module_summands()
+            yield pair.module(), pair.projective_part()
+            yield mr.direct_sum(alg, mods + mods), pair.projective_part()
+
+    decomposed = _recorded(monkeypatch, "decompose", mr)
+    taus = _recorded(monkeypatch, "tau", mr)
+    given = list(inputs())
+    first = [st.pair_from_module_data(alg, M, proj).summands
+             for M, proj in given]
+    assert decomposed and not taus
+    del decomposed[:]
+    again = [st.pair_from_module_data(alg, M, proj).summands
+             for M, proj in given]
+    fresh = [st.pair_from_module_data(alg, M, proj).summands
+             for M, proj in inputs()]
+    assert not decomposed and not taus
+    assert again == fresh == first  # complexes compare by identity
+    assert first == [pair.summands for pair in nodes for _ in (0, 1)]
+
+
+def _recorded(monkeypatch, name, module=tt):
+    """The results of the calls of module.<name> from now on."""
     results = []
-    original = getattr(tt, name)
+    original = getattr(module, name)
 
     def recorded(*args):
         results.append(original(*args))
         return results[-1]
 
-    monkeypatch.setattr(tt, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return results
 
 
@@ -114,20 +176,56 @@ def test_a_repeated_completion_builds_no_cone(monkeypatch):
     assert [p.summands for p in again] == [p.summands for p in first]
 
 
-def test_a_repeated_completion_builds_only_decomposable_pieces(
-        monkeypatch):
-    # a piece that splits has a g-vector no indecomposable has, so it is
-    # built again; every other one comes from the registry
+def test_a_repeated_completion_builds_and_splits_nothing(monkeypatch):
+    # each piece the first pass splits is registered under its g-vector
+    # with its summands, so the second pass reads every piece off the
+    # registry and returns the same summand objects
     alg = read_algebra("a4.alg")
     pairs = sub_pairs(st.enumerate_sttilt(alg))
-    for pair in pairs:
-        st.bongartz_completion(pair)
-        st.minimal_completion(pair)
+    cones = _recorded(monkeypatch, "_two_term_cone")
     splits = _recorded(monkeypatch, "decompose_complex")
-    for pair in pairs:
-        st.bongartz_completion(pair)
-        st.minimal_completion(pair)
-    assert splits and all(len(parts) >= 2 for parts in splits)
+    first = [(st.bongartz_completion(pair).summands,
+              st.minimal_completion(pair).summands) for pair in pairs]
+    assert cones and any(len(parts) >= 2 for parts in splits)
+    assert alg.summand_splits
+    del cones[:], splits[:]
+    again = [(st.bongartz_completion(pair).summands,
+              st.minimal_completion(pair).summands) for pair in pairs]
+    assert not cones and not splits
+    assert again == first  # complexes compare by identity
+
+
+def reference_decomposition(T):
+    """The split of T through `complex_to_pair`: the presentations of
+    the summands of H^0 and the shifted projectives it counts."""
+    alg = T.alg
+    M, shifted = tt.complex_to_pair(T)
+    out = [tt.presentation_complex(m) for m in mr.decompose(M)]
+    out.extend(tt.stalk_complex(alg, (v,), 1)
+               for v in range(alg.n) for _ in range(shifted[v]))
+    return sorted(out, key=lambda c: (tt.g_vector(c), c.serialize()))
+
+
+@pytest.mark.parametrize("name, cones, splits", [
+    ("a3", 360, 84), ("a4", 1970, 488), ("loop2", 12, 0),
+    ("preproj_a2", 78, 16), ("preproj_a3", 600, 168)])
+def test_decompose_complex_matches_the_reference(name, cones, splits):
+    # every piece of every completion of every sub-pair, built from
+    # scratch, registered or not, and the whole-A (co)cone
+    alg = read_algebra(f"{name}.alg")
+    seen = []
+    for pair in sub_pairs(st.enumerate_sttilt(alg)):
+        for left in (False, True):
+            shift = 0 if left else 1
+            stalks = [tt.stalk_complex(alg, (v,), shift)
+                      for v in range(alg.n)]
+            for X in stalks + [tt.algebra_stalk(alg, shift)]:
+                Z = approximation_cone(X, list(pair.summands), left)
+                got = tt.decompose_complex(Z)
+                assert [c.serialize() for c in got] == [
+                    c.serialize() for c in reference_decomposition(Z)]
+                seen.append(len(got) >= 2)
+    assert (len(seen), sum(seen)) == (cones, splits)
 
 
 def test_a_piece_off_its_prediction_is_an_invariant_violation(monkeypatch):

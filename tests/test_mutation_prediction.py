@@ -108,3 +108,18 @@ def test_a_cone_off_its_prediction_is_an_invariant_violation(monkeypatch):
                                        "the cone has g-vector (1, -1), "
                                        "not the predicted (2, -1)")):
         st.mutate(top, 1)
+
+
+def test_a_prediction_registered_as_a_split_is_an_invariant_violation():
+    # the exchange of P2 in the top pair of kA2 predicts S1, g = (1, -1);
+    # an exchange puts in one indecomposable, so a decomposable object
+    # registered under that g-vector contradicts the registry
+    alg = read_algebra("a2.alg")
+    top = st.TauRigidPair(alg, [
+        st.intern_summand(tt.stalk_complex(alg, (v,), 0)) for v in range(2)])
+    alg.summand_splits[(1, -1)] = top.summands
+    with pytest.raises(st.InvariantViolation,
+                       match=re.escape(f"pair {top.key()}, summand 1: the "
+                                       "predicted g-vector (1, -1) is "
+                                       "registered as the sum of ")):
+        st.mutate(top, 1)
