@@ -355,7 +355,9 @@ class BoundQuiverAlgebra:
       summand, mapped to its canonical complex;
     * summand_splits: the g-vector of every decomposable presilting
       object the engine has split, mapped to its distinct canonical
-      summands (``sttilt.registered_summands``);
+      summands; one lookup-or-split step, ``sttilt._summands``, reads
+      both tables for every exchange (mutation or completion piece) and
+      every checked input pair, and no g-vector is in both;
     * hom_memo: Hom spaces in the homotopy category, keyed by
       (shift, T.form_id(), U.form_id()) (``twoterm.hom_homotopy``);
     * compose_memo: composition Hom(B, C) x Hom(A, B) -> Hom(A, C) as
@@ -500,9 +502,6 @@ class BoundQuiverAlgebra:
     def idempotent_elem(self, v):
         return {self.idempotent[v]: self.field.one}
 
-    def arrow_element(self, name):
-        return {self.arrow_elem[self.spec.aindex[name]]: self.field.one}
-
     def elem_add(self, x, y):
         F = self.field
         out = dict(x)
@@ -574,12 +573,6 @@ class BoundQuiverAlgebra:
         else:
             raise AssertionError("radical part failed to be nilpotent")
         return out
-
-    def path_name(self, i):
-        path = self.basis[i]
-        if not path:
-            return f"e{self.vertex_labels[self.basis_source[i]]}"
-        return "*".join(self.arrows[a].name for a in path)
 
     def __repr__(self):
         return (f"BoundQuiverAlgebra(n={self.n}, dim={self.dim}, "

@@ -344,10 +344,11 @@ class RowSpace:
 def kernel_via_presolve(field, rows, ncols):
     """Right-kernel basis vectors of a sparse homogeneous system.
 
-    Rows with one or two entries pin variables to zero or identify them
-    up to a scalar through a weighted union-find; longer rows are
-    rewritten over the surviving class representatives and the (small)
-    residual system runs through `RowSpace`.  Built for the differentials
+    Each row is rewritten once over the class representatives so far;
+    one or two entries left pin a variable to zero or identify two up to
+    a scalar through a weighted union-find.  Longer rows are rewritten
+    over the final representatives and the (small) residual system runs
+    through `RowSpace`.  Built for the differentials
     of the Hom complexes (`twoterm.HomotopyHom`), which are almost
     entirely two-term unit equations.
 
@@ -421,27 +422,19 @@ def kernel_via_presolve(field, rows, ncols):
                 acc[r] = nv
         return acc
 
-    pending = [r for r in rows if r]
-    for _ in range(ncols + 2):
-        nxt = []
-        changed = False
-        for row in pending:
-            acc = rewrite(row)
-            if not acc:
-                continue
-            if len(acc) == 1:
-                (x, _), = acc.items()
-                pin_zero(x)
-                changed = True
-            elif len(acc) == 2:
-                (x, a), (y, b) = acc.items()
-                link(x, a, y, b)
-                changed = True
-            else:
-                nxt.append(acc)
-        pending = nxt
-        if not changed:
-            break
+    # one pass: a row still longer than two entries once rewritten goes
+    # to the residual system, which is rewritten over the final roots
+    pending = []
+    for row in rows:
+        acc = rewrite(row)
+        if len(acc) == 1:
+            (x, _), = acc.items()
+            pin_zero(x)
+        elif len(acc) == 2:
+            (x, a), (y, b) = acc.items()
+            link(x, a, y, b)
+        elif acc:
+            pending.append(acc)
 
     # residual system over surviving roots
     live = set()

@@ -20,6 +20,7 @@ DecompositionError rather than guess.
 """
 
 import itertools
+from functools import reduce
 
 from .linalg import ExactMatrix, RowSpace
 
@@ -119,50 +120,60 @@ def find_idempotent(field, basis_mats, total_dim):
         f"endomorphism algebra or certifies it local")
 
 
-def radical_from_trace(field, basis_mats, total_dim):
-    """Radical of the algebra spanned by the total_dim x total_dim
-    matrices basis_mats.
+def _radical(field, total_dim, k, upper):
+    """The radical of an algebra with basis b_1..b_k acting on a space of
+    dimension total_dim, as coefficient vectors over that basis: the
+    kernel of the Gram matrix G[i][j] = trace(b_i b_j), which is
+    symmetric, so upper yields (i, j, G[i][j]) for i <= j only.
 
-    Returns coefficient vectors over the given basis: the left kernel of
-    the Gram matrix G[i][j] = trace(b_i b_j).  That kernel is the radical
-    in characteristic 0 and in characteristic p > total_dim, where by
-    Newton's identities a subspace of trace-zero powers is nil (Dickson);
-    for smaller p it can be too large, so DecompositionError is raised.
+    That kernel is the radical in characteristic 0 and in characteristic
+    p > total_dim, where by Newton's identities a subspace of trace-zero
+    powers is nil (Dickson); for smaller p it can be too large, so
+    DecompositionError is raised before upper is run.
     """
     p = field.characteristic
     if 0 < p <= total_dim:
         raise DecompositionError(
             f"the trace form decides the radical only in characteristic 0 "
             f"or p > dim; here p = {p} and dim = {total_dim}")
-    k = len(basis_mats)
-    gram = []
-    for i in range(k):
-        row = {}
-        for j in range(k):
-            prod = basis_mats[i].mul(basis_mats[j])
-            tr = field.zero
-            for d in range(total_dim):
-                tr = field.add(tr, prod.entry(d, d))
-            if tr != 0:
-                row[j] = tr
-        gram.append(row)
-    G = ExactMatrix.from_row_dicts(field, k, k, gram)
-    return G.left_kernel_rows().rows
+    gram = [{} for _ in range(k)]
+    for i, j, t in upper:
+        if t != 0:
+            gram[i][j] = gram[j][i] = t
+    return RowSpace(field, k, gram).kernel()
+
+
+def _sum(field, values):
+    return reduce(field.add, values, field.zero)
+
+
+def radical_from_trace(field, basis_mats, total_dim):
+    """Radical of the algebra spanned by the total_dim x total_dim
+    matrices basis_mats (`_radical`), with trace(b_i b_j) read as
+    sum_{a,c} (b_i)_{ac} (b_j)_{ca}, no product formed."""
+    def upper():
+        for i, bi in enumerate(basis_mats):
+            for j in range(i, len(basis_mats)):
+                bj = basis_mats[j].rows
+                yield i, j, _sum(field, (
+                    field.mul(x, bj[c][a]) for a, row in enumerate(bi.rows)
+                    for c, x in row.items() if a in bj[c]))
+
+    return _radical(field, total_dim, len(basis_mats), upper())
 
 
 def radical_from_mult_table(field, table, dim):
-    """Radical via the regular representation for an abstract algebra.
-
-    table[(i, j)] = {k: c} gives b_i b_j = sum c b_k.
+    """Radical of an abstract algebra with b_i b_j = sum_k c_ij^k b_k,
+    given as table[(i, j)] = {k: c_ij^k} (`_radical`).  On the regular
+    representation trace(b_i b_j) = sum_k c_ij^k t_k with t_k =
+    trace(b_k) = sum_j c_kj^j, so no representation matrix is formed.
     """
-    mats = []
-    for i in range(dim):
-        rows = [{} for _ in range(dim)]
-        for j in range(dim):
-            prod = table.get((i, j), {})
-            for k, c in prod.items():
-                rows[j][k] = c
-        # left multiplication by b_i on coefficient rows:
-        # (b_i . y)_k = sum_j y_j (b_i b_j)_k
-        mats.append(ExactMatrix(field, dim, dim, rows))
-    return radical_from_trace(field, mats, dim)
+    def upper():
+        t = [_sum(field, (table.get((k, j), {}).get(j, field.zero)
+                          for j in range(dim))) for k in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                yield i, j, _sum(field, (field.mul(c, t[k]) for k, c
+                                         in table.get((i, j), {}).items()))
+
+    return _radical(field, dim, dim, upper())

@@ -10,26 +10,27 @@ registry (`intern_summand`): one canonical complex per g-vector, which
 is sound because a tau-rigid pair is determined by its g-vectors
 (Adachi-Iyama-Reiten, "tau-tilting theory", 2014, Thm 5.5).  Pairs with
 equal keys therefore carry identical summand tuples, and the Hom spaces
-memoized on the algebra are built once per summand pair.  Any object
-the engine splits is split once and registered by its g-vector too.
+memoized on the algebra are built once per summand pair.  The theorem
+holds for decomposable objects too: any object the engine splits is
+split once, its summands recorded under its g-vector (`_summands`).
 
 Mutation runs on the complex side.  With G holding one g-vector per row,
 the c-vectors are the columns of G^-1; they are sign-coherent, and the
 mutation at summand i goes down exactly when c_i >= 0 (Fu, "c-vectors
 via tau-tilting theory", J. Algebra 473, 2017; Treffinger, "On
-sign-coherence of c-vectors", JPAA 223, 2019).  An exchange that
-`mutate` makes, or that puts a new node into an enumeration, takes one
-approximation: the minimal left one into the rest going down, the dual
-right one going up.  Its (co)cone has the g-vector
-sum_j m_j g(R_j) - g(X) over the chosen maps, and a cone is built only
-when the registry does not hold that g-vector yet.  An enumeration edge
-whose lower end is already a node costs none: the almost complete pair
-it exchanges lies in exactly two pairs (AIR 2014, Thm 2.18), so the
-edge is read off the node below.
-
-The completions take the (co)cone of the minimal approximation of A[1]
-or of A (AIR 2014, Thm 2.10) one summand P_v of A at a time, each piece
-predicted the same way and built and split only on a registry miss.
+sign-coherence of c-vectors", JPAA 223, 2019).  A mutation and a
+Bongartz or minimal completion are the same operation, the (co)cone of
+a minimal approximation (AIR 2014, Thm 2.10), and the engine runs both
+through one exchange step (`_exchange`): approximate X into the target
+summands, minimally on the left going down and on the right going up,
+predict the (co)cone's g-vector sum_j m_j g(R_j) - g(X) over the chosen
+maps, and answer it from the registry; only a g-vector the registry
+does not hold builds, checks and splits a (co)cone.  A mutation
+exchanges one summand of a pair against the rest; a completion
+exchanges each summand P_v of A, or P_v[1] of A[1], against the whole
+pair.  An enumeration edge whose lower end is already a node takes no
+step: the almost complete pair it exchanges lies in exactly two pairs
+(AIR 2014, Thm 2.18), so the edge is read off the node below.
 
 An exchange changes one row of G, so the c-vectors of the result follow
 from those of the pair by an exact rank-one update, which also certifies
@@ -72,7 +73,8 @@ def intern_summand(T):
     serialization of that g-vector (named by its form id) is checked
     against it once with `twoterm.indecomposables_isomorphic` and then
     recorded as an alias; a failed check contradicts the g-vector theorem
-    and raises InvariantViolation.
+    and raises InvariantViolation, and so does a g-vector registered as
+    a split (`_summands`).
     """
     alg = T.alg
     forms = alg.summand_forms
@@ -83,6 +85,10 @@ def intern_summand(T):
     g = tt.g_vector(T)
     canon = alg.summands.get(g)
     if canon is None:
+        if g in alg.summand_splits:
+            raise InvariantViolation(
+                f"the summand with g-vector {g} is registered as the sum "
+                f"of {list(alg.summand_splits[g])}")
         canon = alg.summands[g] = T
     elif not tt.indecomposables_isomorphic(canon, T):
         raise InvariantViolation(
@@ -95,26 +101,23 @@ def intern_summand(T):
     return canon
 
 
-def registered_summands(alg, g):
+def _summands(alg, g, split):
     """The distinct canonical summands of the presilting object with
     g-vector g, which determines it (AIR 2014, Thm 5.5): () for g = 0,
-    the registry's indecomposable, the split recorded in
-    alg.summand_splits (`_register_split`), or None if still unmet."""
+    the registry's indecomposable, or the split recorded under g in
+    alg.summand_splits.  On a miss, split() gives the summands; they are
+    interned and recorded under g unless it is indecomposable."""
     if not any(g):
         return ()
     known = alg.summands.get(g)
     if known is not None:
         return (known,)
-    return alg.summand_splits.get(g)
-
-
-def _register_split(alg, g, parts):
-    """Intern parts, the summands of the presilting object with g-vector
-    g, and record the distinct ones under g unless it is indecomposable."""
-    parts = tuple(dict.fromkeys(intern_summand(c) for c in parts))
-    if g not in alg.summands:
-        alg.summand_splits[g] = parts
-    return parts
+    known = alg.summand_splits.get(g)
+    if known is None:
+        known = tuple(dict.fromkeys(intern_summand(c) for c in split()))
+        if g not in alg.summands:
+            alg.summand_splits[g] = known
+    return known
 
 
 # -- pairs ----------------------------------------------------------------
@@ -181,24 +184,22 @@ def pair_from_module_data(alg, M, proj_mults, check=True):
 
     Decomposes M, drops duplicate summands (basic closure).  A checked
     pair is refused unless C = P_M (+) P[1] has Hom_K(C, C[1]) = 0 (AIR
-    2014, Prop. 3.6); then M is decomposed only when g(C) is new
-    (`registered_summands`), and its summands are registered.
+    2014, Prop. 3.6); then M is decomposed only when g(C) is new, and
+    its summands are registered (`_summands`).
     """
-    if check:
-        C = tt.pair_to_complex(M, proj_mults)
-        if tt.hom_homotopy(C, C, 1).dim:
-            raise NotTauRigidError("pair is not tau-rigid")
-        g = tt.g_vector(C)
-        known = registered_summands(alg, g)
-        if known is not None:
-            return TauRigidPair(alg, known)
-    summands = [tt.presentation_complex(group[0])
-                for group in mr.group_by_iso(mr.decompose(M))]
-    summands.extend(tt.stalk_complex(alg, (v,), shift=1)
-                    for v in range(alg.n) if proj_mults[v] >= 1)
-    if check:
-        summands = _register_split(alg, g, summands)
-    return TauRigidPair(alg, summands)
+    def split():
+        summands = [tt.presentation_complex(group[0])
+                    for group in mr.group_by_iso(mr.decompose(M))]
+        summands.extend(tt.stalk_complex(alg, (v,), shift=1)
+                        for v in range(alg.n) if proj_mults[v] >= 1)
+        return summands
+
+    if not check:
+        return TauRigidPair(alg, split())
+    C = tt.pair_to_complex(M, proj_mults)
+    if tt.hom_homotopy(C, C, 1).dim:
+        raise NotTauRigidError("pair is not tau-rigid")
+    return TauRigidPair(alg, _summands(alg, tt.g_vector(C), split))
 
 
 def is_tau_rigid_pair(M, proj_mults):
@@ -227,30 +228,23 @@ def _completion(pair, left):
     """The completion of pair by the (co)cone of the minimal left
     add(pair)-approximation of A, or the right one of A[1], one P_v at
     a time: every wall map keeps the grading Hom(A, R) = (+) Hom(P_v, R),
-    so that (co)cone is the direct sum of the pieces for the P_v.  A
-    piece is presilting, so its predicted g-vector determines it (AIR
-    2014, Thm 5.5): only a new one (`registered_summands`) is built
-    (`_checked_cone`), split and registered, so a repeated completion
-    builds no cone.  The result is certified as `mutate` certifies its
-    own: n summands whose g-vectors are a Z-basis with sign-coherent
-    c-vectors.
+    so that (co)cone is the direct sum of the pieces for the P_v.  Each
+    piece is one exchange step (`_exchange`) split by
+    `twoterm.decompose_complex`: a piece is presilting, so its predicted
+    g-vector determines it (AIR 2014, Thm 5.5), and only a new one is
+    built, split and registered; a repeated completion builds no cone.
+    The result is certified as `mutate` certifies its own: n summands
+    whose g-vectors are a Z-basis with sign-coherent c-vectors.
     """
     alg = pair.alg
     _require_tau_rigid(pair)
     targets = list(dict.fromkeys(intern_summand(c) for c in pair.summands))
     summands = dict.fromkeys(targets)  # ordered, repeats removed by identity
-    approximate = (tt.minimal_left_approximation_summands if left
-                   else tt.minimal_right_approximation_summands)
     for v in range(alg.n):
         X = tt.stalk_complex(alg, (v,), 0 if left else 1)
-        chosen = approximate(X, targets)
-        g = _predicted_g_vector(X, targets, chosen)
-        known = registered_summands(alg, g)
-        if known is None:
-            piece = _checked_cone(pair, f"vertex {alg.vertex_labels[v]}",
-                                  X, targets, chosen, left, g)
-            known = _register_split(alg, g, tt.decompose_complex(piece))
-        summands.update(dict.fromkeys(known))
+        _, piece = _exchange(pair, ("vertex", alg.vertex_labels[v]), X,
+                             targets, left, tt.decompose_complex)
+        summands.update(dict.fromkeys(piece))
     done = TauRigidPair(alg, summands)
     if done.size != alg.n:
         raise InvariantViolation(
@@ -400,25 +394,41 @@ def _predicted_g_vector(X, targets, chosen):
     return tuple(pred)
 
 
-def _checked_cone(pair, where, X, targets, chosen, left, g):
-    """The stripped cone over the chosen left approximation maps of X,
-    or the cocone over the right ones, for a predicted g-vector g that
-    the registry does not hold.  It must stay two-term, be nonzero and
-    have g-vector g, or InvariantViolation names pair and where.
+def _exchange(pair, where, X, targets, left, split):
+    """One exchange step: the g-vector g and the distinct canonical
+    summands (`_summands`) of the cone over the minimal left
+    add(targets)-approximation of X (left), or of the cocone over the
+    minimal right one.
+
+    A mutation and a completion piece are both such a (co)cone (AIR
+    2014, Thm 2.10), and g is predicted from the chosen maps
+    (`_predicted_g_vector`).  Only a g the registry does not hold builds
+    the stripped (co)cone, which must stay two-term, be nonzero and have
+    g-vector g, or InvariantViolation names pair and where, a (word,
+    label) tuple; split(cone) then gives its summands.
     """
-    assemble = (tt.assemble_left_approximation if left
-                else tt.assemble_right_approximation)
-    new = tt._two_term_cone(assemble(X, targets, chosen), left)
-    if new is None:
-        what = "the cone did not stay two-term"
-    elif new.is_zero():
-        what = "the cone is zero"
-    elif tt.g_vector(new) != g:
-        what = (f"the cone has g-vector {tt.g_vector(new)}, not the "
-                f"predicted {g}")
-    else:
-        return new
-    raise InvariantViolation(f"pair {pair.key()}, {where}: {what}")
+    approximate = (tt.minimal_left_approximation_summands if left
+                   else tt.minimal_right_approximation_summands)
+    chosen = approximate(X, targets)
+    g = _predicted_g_vector(X, targets, chosen)
+
+    def build():
+        assemble = (tt.assemble_left_approximation if left
+                    else tt.assemble_right_approximation)
+        new = tt._two_term_cone(assemble(X, targets, chosen), left)
+        if new is None:
+            what = "the cone did not stay two-term"
+        elif new.is_zero():
+            what = "the cone is zero"
+        elif tt.g_vector(new) != g:
+            what = (f"the cone has g-vector {tt.g_vector(new)}, not the "
+                    f"predicted {g}")
+        else:
+            return split(new)
+        raise InvariantViolation(
+            f"pair {pair.key()}, {where[0]} {where[1]}: {what}")
+
+    return g, _summands(pair.alg, g, build)
 
 
 def _mutation(pair, index, down):
@@ -426,31 +436,21 @@ def _mutation(pair, index, down):
     cone over its minimal left add(rest)-approximation (down), or the
     cocone over its minimal right one (up), as interned.
 
-    The new summand's g-vector is predicted from the chosen maps
-    (`_predicted_g_vector`).  A g-vector determines the presilting
-    indecomposable (AIR 2014, Thm 5.5), so when the registry already
-    holds the prediction, its summand is the answer and no cone is
-    built (a decomposable one is an InvariantViolation); otherwise the
-    cone is built and checked (`_checked_cone`).
-    Either way the caller certifies the exchange by the returned
-    summand's own g-vector (`_exchanged_c_vectors`).
+    This is one exchange step (`_exchange`) whose (co)cone is not split.
+    A g-vector determines the presilting object (AIR 2014, Thm 5.5), so
+    the answer must be the indecomposable registered under the predicted
+    g-vector; a split or a zero object there is an InvariantViolation.
+    A registry hit builds no cone, so the caller certifies the exchange
+    by the returned summand's own g-vector (`_exchanged_c_vectors`).
     """
-    X = pair.summands[index]
     rest = [c for k, c in enumerate(pair.summands) if k != index]
-    if down:
-        chosen = tt.minimal_left_approximation_summands(X, rest)
-    else:
-        chosen = tt.minimal_right_approximation_summands(X, rest)
-    g = _predicted_g_vector(X, rest, chosen)
-    known = registered_summands(pair.alg, g)
-    if known is not None:
-        if len(known) == 1:
-            return known[0]
+    g, known = _exchange(pair, ("summand", index + 1), pair.summands[index],
+                         rest, down, lambda cone: (cone,))
+    if known != (pair.alg.summands.get(g),):
         raise InvariantViolation(
             f"pair {pair.key()}, summand {index + 1}: the predicted g-vector "
             f"{g} is registered as the sum of {list(known)}")
-    return intern_summand(_checked_cone(
-        pair, f"summand {index + 1}", X, rest, chosen, down, g))
+    return known[0]
 
 
 def _exchanged_pair(pair, index, new):

@@ -19,6 +19,19 @@ def read_algebra(name):
         return parse_algebra(fh.read())
 
 
+def path_name(alg, i):
+    """The name of basis path i of alg: e<label> or its arrows joined by *."""
+    path = alg.basis[i]
+    if not path:
+        return f"e{alg.vertex_labels[alg.basis_source[i]]}"
+    return "*".join(alg.arrows[a].name for a in path)
+
+
+def arrow_element(alg, name):
+    """The arrow called name, as an element of alg."""
+    return {alg.arrow_elem[alg.spec.aindex[name]]: alg.field.one}
+
+
 @pytest.fixture(scope="session")
 def a2():
     return read_algebra("a2.alg")

@@ -7,9 +7,11 @@ from tautilt.algebra import (AdmissibilityError, AlgebraError,
                              parse_algebra)
 from tautilt.fields import GF
 
+from conftest import arrow_element, path_name
+
 
 def test_a2_basis(a2):
-    names = [a2.path_name(i) for i in range(a2.dim)]
+    names = [path_name(a2, i) for i in range(a2.dim)]
     assert names == ["e1", "e2", "a"]
     assert a2.dim == 3 and a2.n == 2
 
@@ -23,7 +25,7 @@ def test_loop_cubed_basis():
         'field = "Q"\nvertices = ["1"]\n'
         'arrow = { name = "x", source = "1", target = "1" }\n'
         'relations = ["x*x*x"]')
-    assert [alg.path_name(i) for i in range(alg.dim)] == ["e1", "x", "x*x"]
+    assert [path_name(alg, i) for i in range(alg.dim)] == ["e1", "x", "x*x"]
     assert alg.dim == 3
 
 
@@ -93,7 +95,7 @@ def test_idempotent_laws(a2, preproj_a2):
 
 def test_multiply_examples(a2):
     e1 = a2.idempotent_elem(0)
-    arrow = a2.arrow_element("a")
+    arrow = arrow_element(a2, "a")
     assert multiply(a2, e1, arrow) == arrow
     assert multiply(a2, arrow, e1) == {}
     one = a2.unit()
@@ -107,7 +109,7 @@ def test_multiply_nilpotent():
         'field = "Q"\nvertices = ["1"]\n'
         'arrow = { name = "x", source = "1", target = "1" }\n'
         'relations = ["x*x*x"]')
-    x = alg.arrow_element("x")
+    x = arrow_element(alg, "x")
     xx = multiply(alg, x, x)
     assert xx and multiply(alg, x, xx) == {}
 
@@ -140,7 +142,7 @@ def test_relation_with_coefficients():
         'arrow = { name = "y", source = "1", target = "1" }\n'
         'relations = ["x*x", "y*y", "x*y + 1/2*y*x"]')
     assert alg.dim == 4
-    x, y = alg.arrow_element("x"), alg.arrow_element("y")
+    x, y = arrow_element(alg, "x"), arrow_element(alg, "y")
     xy = multiply(alg, x, y)
     yx = multiply(alg, y, x)
     half = alg.field.from_string("1/2")
@@ -157,8 +159,8 @@ def test_commutative_square():
         'relations = ["a*c - b*d"]')
     # one length-2 path survives the rewrite of the other
     assert alg.dim == 9
-    ac = multiply(alg, alg.arrow_element("a"), alg.arrow_element("c"))
-    bd = multiply(alg, alg.arrow_element("b"), alg.arrow_element("d"))
+    ac = multiply(alg, arrow_element(alg, "a"), arrow_element(alg, "c"))
+    bd = multiply(alg, arrow_element(alg, "b"), arrow_element(alg, "d"))
     assert ac == bd and ac
 
 

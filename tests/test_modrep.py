@@ -3,6 +3,8 @@ import pytest
 from tautilt.algebra import AlgebraError, parse_algebra
 from tautilt import modrep as mr
 
+from conftest import arrow_element
+
 
 @pytest.fixture(scope="module")
 def kA2():
@@ -93,8 +95,8 @@ def test_minimal_presentation_examples(kA2, kx2):
     assert presS.P0.verts == (0,) and presS.P1.verts == (0,)
     # the presentation map is multiplication by x: check it realizes x
     entry = presS.entries[(0, 0)]
-    assert entry == kx2.arrow_element("x") or \
-        entry == kx2.elem_neg(kx2.arrow_element("x"))
+    assert entry == arrow_element(kx2, "x") or \
+        entry == kx2.elem_neg(arrow_element(kx2, "x"))
 
 
 def test_tau_examples(kA2, kx2):

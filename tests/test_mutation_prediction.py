@@ -123,3 +123,21 @@ def test_a_prediction_registered_as_a_split_is_an_invariant_violation():
                                        "predicted g-vector (1, -1) is "
                                        "registered as the sum of ")):
         st.mutate(top, 1)
+
+
+def test_a_prediction_registered_as_another_summand_is_an_invariant_violation():
+    # a split of a multiple m g(R) is recorded as (R,); the exchange of
+    # P2 in the top pair of kA2 predicts g = (1, -1), and a one-summand
+    # entry there that is not the indecomposable of g must not be taken
+    # for the exchanged summand
+    alg = read_algebra("a2.alg")
+    top = st.TauRigidPair(alg, [
+        st.intern_summand(tt.stalk_complex(alg, (v,), 0)) for v in range(2)])
+    P2 = top.summands[0]
+    assert tt.g_vector(P2) == (0, 1)
+    alg.summand_splits[(1, -1)] = (P2,)
+    with pytest.raises(st.InvariantViolation,
+                       match=re.escape(f"pair {top.key()}, summand 1: the "
+                                       "predicted g-vector (1, -1) is "
+                                       "registered as the sum of ")):
+        st.mutate(top, 1)

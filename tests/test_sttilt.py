@@ -10,7 +10,7 @@ from tautilt import modrep as mr
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
 
-from conftest import data_path, read_algebra
+from conftest import arrow_element, data_path, read_algebra
 
 
 @pytest.fixture(scope="module")
@@ -540,7 +540,7 @@ def test_registry_rejects_non_isomorphic_summands_of_one_g_vector():
         'arrow = { name = "b", source = "1", target = "2" }')
 
     def arrow_complex(name):
-        d = tt.AlgMatrix(alg, (0,), (1,), {(0, 0): alg.arrow_element(name)})
+        d = tt.AlgMatrix(alg, (0,), (1,), {(0, 0): arrow_element(alg, name)})
         return tt.TwoTermComplex(alg, (1,), (0,), d)
 
     first = arrow_complex("a")
@@ -548,6 +548,23 @@ def test_registry_rejects_non_isomorphic_summands_of_one_g_vector():
     assert st.intern_summand(arrow_complex("a")) is first
     with pytest.raises(st.InvariantViolation, match=r"\(1, -1\)"):
         st.intern_summand(arrow_complex("b"))
+
+
+def test_registry_rejects_a_summand_whose_g_vector_is_a_split():
+    # the checked input pair P1 (+) P2 of kA2 is split and recorded under
+    # g = (1, 1); the complex P1 (+) P2, with that g-vector, is therefore
+    # no indecomposable of the registry
+    alg = parse_algebra(
+        'field = "Q"\nvertices = ["1", "2"]\n'
+        'arrow = { name = "a", source = "1", target = "2" }')
+    P1, P2 = (std(alg, v, "projective") for v in range(2))
+    pair = pair_of(alg, [P1, P2], (0, 0))
+    assert set(alg.summand_splits[(1, 1)]) == set(pair.summands)
+    with pytest.raises(st.InvariantViolation,
+                       match=re.escape("the summand with g-vector (1, 1) is "
+                                       "registered as the sum of ")):
+        st.intern_summand(tt.stalk_complex(alg, (0, 1), 0))
+    assert (1, 1) not in alg.summands
 
 
 def test_second_enumeration_builds_no_hom(monkeypatch):

@@ -5,6 +5,8 @@ from tautilt.linalg import RowSpace
 from tautilt import modrep as mr
 from tautilt import twoterm as tt
 
+from conftest import arrow_element
+
 
 @pytest.fixture(scope="module")
 def kA2():
@@ -168,7 +170,7 @@ def test_decompose_complex_examples(kA2, s1_complex):
     assert len(tt.decompose_complex(s1_complex)) == 1
     # contractible summand is stripped before decomposing
     d = tt.AlgMatrix(kA2, (0, 1), (1, 1))
-    d.set(0, 0, kA2.arrow_element("a"))
+    d.set(0, 0, arrow_element(kA2, "a"))
     d.set(1, 1, kA2.idempotent_elem(1))
     messy = tt.TwoTermComplex(kA2, (1, 1), (0, 1), d)
     parts = tt.decompose_complex(messy)
@@ -186,7 +188,7 @@ def test_decompose_complex_with_duplicates(kA2, s1_complex):
 
 def test_strip_contractible(kA2, s1_complex):
     d = tt.AlgMatrix(kA2, (0, 1), (1, 1))
-    d.set(0, 0, kA2.arrow_element("a"))
+    d.set(0, 0, arrow_element(kA2, "a"))
     d.set(1, 1, kA2.idempotent_elem(1))
     messy = tt.TwoTermComplex(kA2, (1, 1), (0, 1), d)
     stripped = tt.strip_contractible(messy)
