@@ -363,6 +363,9 @@ class BoundQuiverAlgebra:
     * compose_memo: composition Hom(B, C) x Hom(A, B) -> Hom(A, C) as
       structure constants in class coordinates, keyed by the form-id
       triple (A, B, C) (``twoterm.composition_table``);
+    * wall_memo: approximation walls, the RREF rows of the image of
+      Hom(R_l, R_j) . Hom(X, R_l), or of rad End(R_j) . Hom(X, R_j), per
+      direction and form-id triple (X, R_l, R_j) (``twoterm._wall_image``);
     * sum_memo: the sums of projectives and injectives on the path basis,
       one per class and vertex tuple (``modrep.ProjSum.of``,
       ``modrep.InjSum.of``).
@@ -384,6 +387,7 @@ class BoundQuiverAlgebra:
         self.summand_splits = {}
         self.hom_memo = {}
         self.compose_memo = {}
+        self.wall_memo = {}
         self.sum_memo = {}
 
     # -- construction ----------------------------------------------------

@@ -24,9 +24,10 @@ from .splitting import DecompositionError  # re-exported for callers
 
 
 class Representation:
-    """A right module as a quiver representation."""
+    """A right module as a quiver representation; never changed after
+    __init__, so it keeps its minimal presentation once computed."""
 
-    __slots__ = ("alg", "dims", "maps", "total_dim")
+    __slots__ = ("alg", "dims", "maps", "total_dim", "_pres")
 
     def __init__(self, alg, dims, maps, validate=True):
         self.alg = alg
@@ -43,6 +44,7 @@ class Representation:
                 raise AlgebraError(f"arrow {arrow.name!r} matrix has wrong shape")
             self.maps[ai] = m
         self.total_dim = sum(self.dims)
+        self._pres = None
         if validate:
             self.check_relations()
 
@@ -405,13 +407,14 @@ class Presentation:
 
 
 def minimal_projective_presentation(M):
-    """Projective cover of M and of the kernel of the cover."""
-    alg = M.alg
-    P0, cover = projective_cover(M)
-    K, incl = kernel_subrep(alg, P0.rep, cover)
-    P1, cover1 = projective_cover(K)
-    f = tuple(cover1[v].mul(incl[v]) for v in range(alg.n))
-    return Presentation(P1, P0, P1.extract_alg_entries(P0, f))
+    """Projective covers of M and of the cover's kernel, once per M."""
+    if M._pres is None:
+        P0, cover = projective_cover(M)
+        K, incl = kernel_subrep(M.alg, P0.rep, cover)
+        P1, cover1 = projective_cover(K)
+        f = tuple(cover1[v].mul(incl[v]) for v in range(M.alg.n))
+        M._pres = Presentation(P1, P0, P1.extract_alg_entries(P0, f))
+    return M._pres
 
 
 def nakayama_map(alg, P1, P0, entries):

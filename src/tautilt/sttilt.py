@@ -21,11 +21,12 @@ via tau-tilting theory", J. Algebra 473, 2017; Treffinger, "On
 sign-coherence of c-vectors", JPAA 223, 2019).  A mutation and a
 Bongartz or minimal completion are the same operation, the (co)cone of
 a minimal approximation (AIR 2014, Thm 2.10), and the engine runs both
-through one exchange step (`_exchange`): approximate X into the target
-summands, minimally on the left going down and on the right going up,
-predict the (co)cone's g-vector sum_j m_j g(R_j) - g(X) over the chosen
-maps, and answer it from the registry; only a g-vector the registry
-does not hold builds, checks and splits a (co)cone.  A mutation
+through one exchange step (`_exchange`): count the multiplicities m_j
+of the target summands in the minimal approximation of X, on the left
+going down and on the right going up, off walls the algebra memoizes,
+predict the (co)cone's g-vector sum_j m_j g(R_j) - g(X), and answer it
+from the registry.  Maps are chosen only on a miss: only a g-vector the
+registry does not hold builds, checks and splits a (co)cone.  A mutation
 exchanges one summand of a pair against the rest; a completion
 exchanges each summand P_v of A, or P_v[1] of A[1], against the whole
 pair.  An enumeration edge whose lower end is already a node takes no
@@ -381,16 +382,22 @@ def _exchanged_c_vectors(pair, cs, index, key, pos):
     return out
 
 
-def _predicted_g_vector(X, targets, chosen):
-    """g of the (co)cone over the approximation of X by the chosen maps
-    (j, f) into targets: sum_j g(R_j) - g(X), since g is additive on the
-    triangle (Adachi-Iyama-Reiten 2014, Sec. 2-3).  The same formula
-    holds for the cone of a left approximation and the cocone of a right
-    one.
-    """
+def _predicted_g_vector(pair, where, X, targets, left):
+    """g of the (co)cone over the minimal left add(targets)-approximation
+    of X, or the minimal right one: sum_j m_j g(R_j) - g(X), since g is
+    additive on the triangle (AIR 2014, Sec. 2-3), with each m_j counted
+    off the memoized walls (`twoterm.approximation_counts`).  A count
+    that is not a whole number of End(R_j)/rad orbits raises
+    InvariantViolation naming pair and where."""
     pred = [-x for x in tt.g_vector(X)]
-    for j, _ in chosen:
-        pred = [a + b for a, b in zip(pred, tt.g_vector(targets[j]))]
+    for j, free, orbit in tt.approximation_counts(X, targets, left):
+        m, rest = divmod(free, orbit)
+        if rest:
+            raise InvariantViolation(
+                f"pair {pair.key()}, {where[0]} {where[1]}: the maps into "
+                f"the target {tt.g_vector(targets[j])} have dimension {free}"
+                f" over its wall, not a multiple of dim End/rad = {orbit}")
+        pred = [a + m * b for a, b in zip(pred, tt.g_vector(targets[j]))]
     return tuple(pred)
 
 
@@ -401,21 +408,23 @@ def _exchange(pair, where, X, targets, left, split):
     minimal right one.
 
     A mutation and a completion piece are both such a (co)cone (AIR
-    2014, Thm 2.10), and g is predicted from the chosen maps
-    (`_predicted_g_vector`).  Only a g the registry does not hold builds
+    2014, Thm 2.10), and g is predicted from the counted multiplicities
+    (`_predicted_g_vector`), so a registry hit costs lookups only.  Maps
+    are chosen only on a miss: a g the registry does not hold builds
     the stripped (co)cone, which must stay two-term, be nonzero and have
     g-vector g, or InvariantViolation names pair and where, a (word,
     label) tuple; split(cone) then gives its summands.
     """
-    approximate = (tt.minimal_left_approximation_summands if left
-                   else tt.minimal_right_approximation_summands)
-    chosen = approximate(X, targets)
-    g = _predicted_g_vector(X, targets, chosen)
+    g = _predicted_g_vector(pair, where, X, targets, left)
 
-    def build():
-        assemble = (tt.assemble_left_approximation if left
-                    else tt.assemble_right_approximation)
-        new = tt._two_term_cone(assemble(X, targets, chosen), left)
+    def build():  # looked up here, so that tracers see each call
+        choose, assemble = (
+            (tt.minimal_left_approximation_summands,
+             tt.assemble_left_approximation) if left else
+            (tt.minimal_right_approximation_summands,
+             tt.assemble_right_approximation))
+        new = tt._two_term_cone(assemble(X, targets, choose(X, targets)),
+                                left)
         if new is None:
             what = "the cone did not stay two-term"
         elif new.is_zero():
@@ -586,16 +595,16 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     made, enters every almost complete key under which it is the lower
     end, and the node above takes its edge from there, certified by
     g' . c_i = -1 for the one column g' of the lower key not in the
-    almost complete key.  Only an edge to a new node costs an
-    approximation, and a cone only when its predicted g-vector is new
-    to the registry; so a complete enumeration runs nodes - 1
-    approximations.  Nodes are deduplicated by the column-sorted
-    g-matrix; a new node's key is its parent's with one column replaced
-    by the g-vector of the summand the edge puts in.  Only the top
-    pair's c-vectors come from a Gauss-Jordan inverse; each new node
-    gets its own from its parent's by the exchange update, which
-    certifies a Z-basis, and every node, also one at max_depth, has them
-    certified sign-coherent.  Every summand is interned, so pairs with
+    almost complete key.  Only an edge to a new node counts an
+    approximation, and chooses maps and builds a cone only when its
+    predicted g-vector is new to the registry; so a complete enumeration
+    counts nodes - 1 approximations.  Nodes are deduplicated by the
+    column-sorted g-matrix; a new node's key is its parent's with one
+    column replaced by the g-vector of the summand the edge puts in.
+    Only the top pair's c-vectors come from a Gauss-Jordan inverse; each
+    new node gets its own from its parent's by the exchange update,
+    which certifies a Z-basis, and every node, also one at max_depth,
+    has them certified sign-coherent.  Every summand is interned, so pairs with
     equal keys carry the same summand tuple; the registry checks
     isomorphism once per new serialization of a g-vector and aborts the
     run on a collision of non-isomorphic summands.  If the frontier

@@ -27,10 +27,10 @@ Everything mutation-shaped runs through mapping cones of minimal
 approximations.  The approximation is written once, in its left form;
 the right form is its dual, read in the opposite category: Hom(A, B)
 becomes Hom(B, A) and a.b becomes b.a.  It works in class coordinates,
-on composition tables the algebra memoizes per triple of form ids
-(`composition_table`), so it composes no chain map once they are
-built.  A cone of a map of two-term
-complexes transiently occupies three degrees; stripping contractible
+on composition tables and walls the algebra memoizes per form ids
+(`composition_table`, `_wall_image`); `approximation_counts` reads the
+multiplicities off the walls and chooses no map.  A cone of a map of
+two-term complexes transiently occupies three degrees; stripping contractible
 pairs (unit entries between equal projectives) reduces it back, and
 whether the extreme degree empties is exactly the test for the mutation
 direction staying two-term (`_two_term_cone`).  Stripping is Gaussian
@@ -44,7 +44,7 @@ zero before and after.
 from heapq import heapify, heappop, heappush
 
 from .algebra import AlgebraError, CornerGrid, add_products
-from .linalg import RowSpace, kernel_via_presolve
+from .linalg import ExactMatrix, RowSpace, kernel_via_presolve
 from . import modrep as mr
 from . import splitting
 
@@ -189,10 +189,6 @@ def stalk_complex(alg, verts, shift=0):
     if shift == 1:
         return TwoTermComplex(alg, tuple(verts), ())
     raise ValueError("only shifts 0 and 1 are two-term")
-
-
-def algebra_stalk(alg, shift=0):
-    return stalk_complex(alg, range(alg.n), shift)
 
 
 def direct_sum_complex(summands):
@@ -647,6 +643,61 @@ def _end_radical(R):
     return end.radical
 
 
+def _products(X, Y, Z, left):
+    """Row u holds the coordinates in Hom(X, Z) of each v . u, for u in
+    Hom(X, Y) and v in Hom(Y, Z), read in the approximation's category."""
+    if left:
+        return composition_table(X, Y, Z)
+    return list(zip(*composition_table(Z, Y, X)))
+
+
+def _wall_image(X, Rl, R, left, dim):
+    """RREF rows of the image of Hom(Rl, R) . Hom(X, Rl), or of
+    rad End(R) . Hom(X, R) when Rl is R, in Hom(X, R) of dimension dim,
+    read in the approximation's category; memoized in X.alg.wall_memo."""
+    key = (left, X.form_id(), Rl.form_id(), R.form_id())
+    rows = X.alg.wall_memo.get(key)
+    if rows is None:
+        F = X.alg.field
+        table = _products(X, Rl, R, left)
+        if key[2] != key[3]:
+            image = [vec for row in table for vec in row]
+        else:  # rad End(R) as rows over the reps of End(R), times row u
+            rad = _end_radical(R)
+            image = [vec for row in table for vec in ExactMatrix(
+                F, len(rad), len(row), rad).mul(
+                    ExactMatrix(F, len(row), dim, row)).rows]
+        rows = X.alg.wall_memo[key] = RowSpace(F, dim, image).reduced
+    return rows
+
+
+def _walls(X, targets, left):
+    """(j, Hom(X, R_j), the images spanning its wall: the maps through a
+    radical map into R_j) for each target with Hom(X, R_j) != 0."""
+    homs = [hom_homotopy(X, R) if left else hom_homotopy(R, X)
+            for R in targets]
+    return [(j, homs[j], [_wall_image(X, Rl, R, left, homs[j].dim)
+                          for l, Rl in enumerate(targets) if homs[l].dim])
+            for j, R in enumerate(targets) if homs[j].dim]
+
+
+def approximation_counts(X, targets, left):
+    """(j, dim Hom(X, R_j)/wall_j, dim End(R_j)/rad) for each target the
+    minimal left add(targets)-approximation of X (right when not left)
+    reaches.  The quotient is a vector space over the division ring
+    End(R_j)/rad, and its dimension over it is the multiplicity of R_j."""
+    out = []
+    for j, hs, images in _walls(X, targets, left):
+        images = [rows for rows in images if rows]
+        wall = (len(images[0]) if len(images) == 1 else RowSpace(
+            X.alg.field, hs.dim, [r for rows in images for r in rows]).dim)
+        if wall < hs.dim:
+            R = targets[j]
+            out.append((j, hs.dim - wall,
+                        hom_homotopy(R, R).dim - len(_end_radical(R))))
+    return out
+
+
 def _approximation_summands(X, targets, left):
     """Chosen maps X -> targets[j] realizing the minimal left
     add(targets)-approximation of X, as (j, ChainMap) pairs.
@@ -655,50 +706,21 @@ def _approximation_summands(X, targets, left):
     category, which yields the minimal right approximation: maps
     targets[j] -> X.
 
-    Everything runs in class coordinates, through the memoized
-    `composition_table`: for each j the space F^{dim Hom(X, R_j)} of
-    classes is covered by the wall (maps factoring through a radical map
-    into R_j: through R_l for l != j, or through rad End(R_j)), and a
-    representative is chosen when its unit vector is not covered yet,
-    which then covers its End(R_j) orbit.
+    In class coordinates, F^{dim Hom(X, R_j)} starts covered by the
+    memoized wall that `approximation_counts` reads too (`_walls`); a
+    representative whose unit vector is not covered yet is chosen and
+    covers its End(R_j) orbit.
     """
-    def products(Y, Z):
-        # row u lists the coordinates in hom(X, Z) of each v . u, for u
-        # in hom(X, Y) and v in hom(Y, Z), read in the approximation's
-        # category
-        if left:
-            return composition_table(X, Y, Z)
-        return list(zip(*composition_table(Z, Y, X)))
-
-    homs = [hom_homotopy(X, R, 0) if left else hom_homotopy(R, X, 0)
-            for R in targets]
-    field = X.alg.field
+    F = X.alg.field
     chosen = []
-    for j, R in enumerate(targets):
-        dim = homs[j].dim
-        if dim == 0:
-            continue
-        wall = []
-        for l, Rl in enumerate(targets):
-            if l != j and homs[l].dim:
-                for row in products(Rl, R):
-                    wall.extend(row)
-        orbit = products(R, R)
-        for row in orbit:
-            for rad in _end_radical(R):
-                vec = {}
-                for k, c in rad.items():
-                    for i, x in row[k].items():
-                        vec[i] = field.add(vec.get(i, field.zero),
-                                           field.mul(c, x))
-                wall.append({i: x for i, x in vec.items() if x != 0})
-        covered = RowSpace(field, dim, wall)
-        for i, cand in enumerate(homs[j].reps):
-            if covered.contains({i: field.one}):
-                continue
-            chosen.append((j, cand))
-            for vec in orbit[i]:
-                covered.add(vec)
+    for j, hs, images in _walls(X, targets, left):
+        covered = RowSpace(F, hs.dim, [r for rows in images for r in rows])
+        orbit = _products(X, targets[j], targets[j], left)
+        for i, cand in enumerate(hs.reps):
+            if not covered.contains({i: F.one}):
+                chosen.append((j, cand))
+                for vec in orbit[i]:
+                    covered.add(vec)
     return chosen
 
 

@@ -6,6 +6,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import pytest
 
 from tautilt.algebra import parse_algebra
+from tautilt.twoterm import stalk_complex
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -30,6 +31,11 @@ def path_name(alg, i):
 def arrow_element(alg, name):
     """The arrow called name, as an element of alg."""
     return {alg.arrow_elem[alg.spec.aindex[name]]: alg.field.one}
+
+
+def algebra_stalk(alg, shift=0):
+    """The stalk complex of A in degree 0, or of A[1] in degree -1."""
+    return stalk_complex(alg, range(alg.n), shift)
 
 
 @pytest.fixture(scope="session")

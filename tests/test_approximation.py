@@ -1,13 +1,19 @@
 """Minimal approximations in class coordinates against chain maps.
 
-The engine (`twoterm._approximation_summands`) reads the wall and the
-End orbit of each target off memoized composition tables.  The reference
-below is the chain-map algorithm it replaced: compose representatives,
-reduce each composite modulo homotopies and collect the results in a
-`RowSpace` over the ambient coordinates of the chain-map system.  Both
-must choose exactly the same (target index, representative) list on
-every approximation an enumeration or a completion asks for.
+The engine counts the multiplicities of each approximation
+(`twoterm.approximation_counts`) and chooses its maps
+(`twoterm._approximation_summands`) only for a cone the summand registry
+does not hold; both read the memoized walls (`twoterm._walls`).  The
+reference below is the chain-map algorithm they replaced: compose
+representatives, reduce each composite modulo homotopies and collect
+the results in a `RowSpace` over the ambient coordinates of the
+chain-map system.  The engine must choose exactly the same (target
+index, representative) list, and count exactly as many maps into each
+target, on every approximation an enumeration or a completion asks for.
 """
+
+import re
+from collections import Counter
 
 import pytest
 
@@ -18,7 +24,9 @@ from tautilt.algebra import parse_algebra
 from tautilt.linalg import RowSpace
 
 from conftest import data_path, read_algebra
+from test_completions import sub_pairs
 from test_preprojective_completions import _module, preproj_cases  # noqa: F401
+from test_sttilt import alternating, preprojective
 
 
 def _class_vec(hs, cm):
@@ -92,20 +100,47 @@ def reference_approximation(X, targets, left):
     return chosen, radical_seen
 
 
-def _recorded_calls(monkeypatch, run):
-    """Every (X, targets, left, engine's choice) that run() asks for."""
+def _record(monkeypatch, name):
+    """The (X, targets, left, answer) of every call of twoterm.<name>
+    from now on."""
     calls = []
-    engine = tt._approximation_summands
+    engine = getattr(tt, name)
 
     def record(X, targets, left):
-        chosen = engine(X, targets, left)
-        calls.append((X, list(targets), left, chosen))
-        return chosen
+        answer = engine(X, targets, left)
+        calls.append((X, list(targets), left, answer))
+        return answer
 
-    monkeypatch.setattr(tt, "_approximation_summands", record)
+    monkeypatch.setattr(tt, name, record)
+    return calls
+
+
+def _recorded_calls(monkeypatch, run):
+    """The calls that run() makes of the chooser and of the count."""
+    chosen = _record(monkeypatch, "_approximation_summands")
+    counted = _record(monkeypatch, "approximation_counts")
     run()
     monkeypatch.undo()
-    return calls
+    return chosen, counted
+
+
+def _multiplicities(counts):
+    """{j: m_j} of an `approximation_counts` answer, whose every
+    division must be exact."""
+    assert all(free % orbit == 0 for _, free, orbit in counts), counts
+    return {j: free // orbit for j, free, orbit in counts}
+
+
+def _check_counts(calls):
+    """Compare the multiplicities counted on every call with those of
+    the reference's choice; return (left calls, right calls)."""
+    sides = Counter()
+    for X, targets, left, counts in calls:
+        expected, _ = reference_approximation(X, targets, left)
+        assert _multiplicities(counts) == Counter(j for j, _ in expected), \
+            (X, left)
+        sides[left] += 1
+    return sides[True], sides[False]
 
 
 def _check_against_reference(calls):
@@ -137,11 +172,14 @@ def test_enumeration_approximations_match_chain_maps(
         monkeypatch, name, max_nodes, min_radical):
     alg = (_loop_arrow_over_q() if name == "loop_arrow"
            else read_algebra(f"{name}.alg"))
-    calls = _recorded_calls(
+    chosen, counted = _recorded_calls(
         monkeypatch, lambda: st.enumerate_sttilt(alg, max_nodes=max_nodes))
-    left, right, radical = _check_against_reference(calls)
-    assert left and not right  # enumeration mutates down only
+    left, right, radical = _check_against_reference(chosen)
+    # enumeration mutates down only, and chooses maps for new cones only
+    assert left == len(alg.summands) - alg.n and not right
     assert radical >= min_radical
+    assert _check_counts(counted) == (len(counted), 0)
+    assert len(counted) >= left
 
 
 def test_completion_approximations_match_chain_maps(monkeypatch,
@@ -157,11 +195,12 @@ def test_completion_approximations_match_chain_maps(monkeypatch,
             st.bongartz_completion(pair)
             st.minimal_completion(pair)
 
-    calls = _recorded_calls(monkeypatch, run)
-    left, right, radical = _check_against_reference(calls)
-    # one approximation per vertex of A: P_v for the minimal completion,
-    # P_v[1] for the Bongartz one
-    assert left == right == alg.n * len(cases) == 150
+    chosen, counted = _recorded_calls(monkeypatch, run)
+    # one count per vertex of A: P_v for the minimal completion, P_v[1]
+    # for the Bongartz one; maps are chosen for a new piece only
+    assert _check_counts(counted) == (150, 150) == (alg.n * len(cases),) * 2
+    left, right, radical = _check_against_reference(chosen)
+    assert 0 < left < 150 and 0 < right < 150
     assert radical
 
 
@@ -177,3 +216,69 @@ def test_a_wall_off_the_unit_vectors_needs_the_orbit(left):
     expected, _ = reference_approximation(X, targets, left)
     assert [j for j, _ in chosen] == [j for j, _ in expected] == [0, 1]
     assert all(a is b for (_, a), (_, b) in zip(chosen, expected))
+
+
+def _count_corpus():
+    """(X, targets, left) of every exchange of some enumerations, down
+    from the edge's source and up from its target, and of both
+    completions of every sub-pair of preprojective A3, one P_v or P_v[1]
+    at a time."""
+    algebras = [read_algebra("a4.alg"), alternating(4),
+                read_algebra("loop2.alg"), read_algebra("preproj_a3.alg"),
+                preprojective(4)]
+    graphs = [st.enumerate_sttilt(alg) for alg in algebras]
+    graphs.append(st.enumerate_sttilt(read_algebra("kronecker.alg"),
+                                      max_nodes=12))
+    for graph in graphs:
+        for s, d, i in graph.edges:
+            for pair, old, left in ((graph.nodes[s], i, True),
+                                    (graph.nodes[d], None, False)):
+                if old is None:
+                    old, = (k for k, c in enumerate(pair.summands)
+                            if c not in graph.nodes[s].summands)
+                yield (pair.summands[old], [c for k, c in enumerate(
+                    pair.summands) if k != old], left)
+    alg = algebras[3]
+    for pair in sub_pairs(graphs[3]):
+        for v in range(alg.n):
+            for left in (True, False):
+                yield (tt.stalk_complex(alg, (v,), 0 if left else 1),
+                       list(pair.summands), left)
+
+
+def test_counts_match_the_reference_choice():
+    # every count is a whole number of End(R_j)/rad orbits, and it is the
+    # number of maps into R_j the chain-map algorithm chooses
+    reached = set()
+    for X, targets, left in _count_corpus():
+        counts = tt.approximation_counts(X, targets, left)
+        expected, radical_seen = reference_approximation(X, targets, left)
+        got = _multiplicities(counts)
+        assert got == Counter(j for j, _ in expected), (X, targets, left)
+        free = {j: f for j, f, _ in counts}
+        for j, R in enumerate(targets):
+            dim = (tt.hom_homotopy(X, R) if left
+                   else tt.hom_homotopy(R, X)).dim
+            if not dim:
+                reached.add("zero Hom")
+            elif 0 < free.get(j, 0) < dim:
+                reached.add("wall strictly inside Hom")
+        if radical_seen:
+            reached.add("End radical")
+    assert reached == {"zero Hom", "wall strictly inside Hom", "End radical"}
+
+
+def test_a_count_off_the_orbits_is_an_invariant_violation(monkeypatch):
+    # End(P2) of preprojective A3 has a radical of dimension 1; a radical
+    # that misses it leaves one map P3 -> P2 over the wall, not a whole
+    # orbit of dimension dim End(P2) = 2
+    alg = read_algebra("preproj_a3.alg")
+    top = st.TauRigidPair(alg, [tt.stalk_complex(alg, (v,), 0)
+                                for v in range(alg.n)])
+    monkeypatch.setattr(tt, "_end_radical", lambda R: [])
+    with pytest.raises(st.InvariantViolation,
+                       match=re.escape(f"pair {top.key()}, summand 1: the "
+                                       "maps into the target (0, 1, 0) have "
+                                       "dimension 1 over its wall, not a "
+                                       "multiple of dim End/rad = 2")):
+        st.mutate(top, 1)

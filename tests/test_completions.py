@@ -18,7 +18,7 @@ from tautilt import modrep as mr
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
 
-from conftest import read_algebra
+from conftest import algebra_stalk, read_algebra
 from test_mutation_prediction import approximation_cone
 
 
@@ -26,7 +26,7 @@ def reference_completion(pair, left):
     """The completion from one (co)cone over the approximation of A, or
     of A[1]."""
     alg = pair.alg
-    X = tt.algebra_stalk(alg, 0 if left else 1)
+    X = algebra_stalk(alg, 0 if left else 1)
     targets = tt.basic_summands(pair.summands)
     Z = approximation_cone(X, targets, left)
     assert Z is not None
@@ -147,6 +147,26 @@ def test_a_repeated_pair_build_decomposes_nothing(monkeypatch):
     assert first == [pair.summands for pair in nodes for _ in (0, 1)]
 
 
+def test_a_module_keeps_its_presentation(monkeypatch):
+    # a module never changes, so it keeps its minimal presentation: a
+    # second build on the same module object presents nothing and gives
+    # the same summands, and a fresh module equal as data is presented
+    alg = read_algebra("preproj_a3.alg")
+    nodes = st.enumerate_sttilt(alg).nodes
+    given = [(pair.module(), pair.projective_part()) for pair in nodes]
+    first = [st.pair_from_module_data(alg, M, proj).summands
+             for M, proj in given]
+    covers = _recorded(monkeypatch, "projective_cover", mr)
+    again = [st.pair_from_module_data(alg, M, proj).summands
+             for M, proj in given]
+    assert not covers
+    fresh = [st.pair_from_module_data(alg, mr.direct_sum(
+        alg, pair.module_summands()), pair.projective_part()).summands
+        for pair in nodes]
+    assert len(covers) >= len(nodes)
+    assert again == fresh == first  # complexes compare by identity
+
+
 def _recorded(monkeypatch, name, module=tt):
     """The results of the calls of module.<name> from now on."""
     results = []
@@ -219,7 +239,7 @@ def test_decompose_complex_matches_the_reference(name, cones, splits):
             shift = 0 if left else 1
             stalks = [tt.stalk_complex(alg, (v,), shift)
                       for v in range(alg.n)]
-            for X in stalks + [tt.algebra_stalk(alg, shift)]:
+            for X in stalks + [algebra_stalk(alg, shift)]:
                 Z = approximation_cone(X, list(pair.summands), left)
                 got = tt.decompose_complex(Z)
                 assert [c.serialize() for c in got] == [

@@ -1,9 +1,10 @@
 """Predicted g-vectors of mutations against cones built from scratch.
 
 The engine (`sttilt._mutation`) predicts the g-vector of each exchanged
-summand from the chosen approximation maps, sum_j m_j g(R_j) - g(X),
-and builds a cone only when the summand registry does not hold that
-g-vector yet.  The reference below builds every cone of every edge with
+summand from the multiplicities m_j it counts off the approximation
+walls, sum_j m_j g(R_j) - g(X), and chooses maps and builds a cone
+only when the summand registry does not hold that g-vector yet.  The
+reference below builds every cone of every edge with
 `approximation_cone`, down from the source and up from the target, and
 checks that its g-vector is the prediction and that it is isomorphic to
 the summand the registry returned.  An enumeration approximates only
@@ -45,7 +46,10 @@ def _check_exchange(pair, index, down, expected):
         chosen = tt.minimal_left_approximation_summands(X, rest)
     else:
         chosen = tt.minimal_right_approximation_summands(X, rest)
-    g = st._predicted_g_vector(X, rest, chosen)
+    g = st._predicted_g_vector(pair, ("summand", index + 1), X, rest, down)
+    # the counted multiplicities are those of the chosen maps
+    assert g == tuple(map(sum, zip([-x for x in tt.g_vector(X)], *(
+        tt.g_vector(rest[j]) for j, _ in chosen))))
     cone = approximation_cone(X, rest, down)
     assert cone is not None and not cone.is_zero()
     assert tt.g_vector(cone) == g == tt.g_vector(expected)

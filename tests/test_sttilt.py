@@ -227,15 +227,21 @@ def test_enumeration_builds_one_cone_per_new_summand(make, nodes,
 
 
 def _counted_approximations(monkeypatch):
-    calls = []
-    approximate = tt.minimal_left_approximation_summands
+    """The calls, from now on, that count an approximation's
+    multiplicities and those that choose its maps."""
+    def record(name):
+        seen = []
+        original = getattr(tt, name)
 
-    def counted(*args):
-        calls.append(args)
-        return approximate(*args)
+        def counted(*args):
+            seen.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(tt, "minimal_left_approximation_summands", counted)
-    return calls
+        monkeypatch.setattr(tt, name, counted)
+        return seen
+
+    return {"count": record("approximation_counts"),
+            "choose": record("minimal_left_approximation_summands")}
 
 
 @pytest.mark.parametrize("make, nodes", [
@@ -248,18 +254,23 @@ def test_enumeration_approximates_once_per_new_node(make, nodes,
                                                     monkeypatch):
     # an almost complete pair lies in exactly two pairs (AIR 2014, Thm
     # 2.18), so a down edge whose lower end is already a node is read
-    # off that node, and only the edge that makes a node approximates
+    # off that node, and only the edge that makes a node counts its
+    # approximation; maps are chosen only for a cone the registry misses
+    alg = make()
     calls = _counted_approximations(monkeypatch)
-    graph = st.enumerate_sttilt(make())
+    graph = st.enumerate_sttilt(alg)
     assert graph.complete and graph.node_count() == nodes
-    assert len(calls) == graph.node_count() - 1 <= len(graph.edges)
+    assert len(calls["count"]) == graph.node_count() - 1 <= len(graph.edges)
+    assert len(calls["choose"]) == len(alg.summands) - alg.n
 
 
 def test_enumeration_past_max_nodes_approximates_no_further(monkeypatch):
+    alg = read_algebra("kronecker.alg")
     calls = _counted_approximations(monkeypatch)
-    graph = st.enumerate_sttilt(read_algebra("kronecker.alg"), max_nodes=12)
+    graph = st.enumerate_sttilt(alg, max_nodes=12)
     assert not graph.complete and graph.node_count() == 12
-    assert len(calls) <= 11
+    assert len(calls["count"]) <= 11
+    assert len(calls["choose"]) == len(alg.summands) - alg.n
 
 
 def test_an_edge_read_off_its_lower_end_is_certified(monkeypatch):

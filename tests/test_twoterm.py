@@ -5,7 +5,7 @@ from tautilt.linalg import RowSpace
 from tautilt import modrep as mr
 from tautilt import twoterm as tt
 
-from conftest import arrow_element
+from conftest import algebra_stalk, arrow_element
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +29,8 @@ def test_presentation_complex_shape(kA2, s1_complex):
 def test_hom_homotopy_examples(kA2, s1_complex):
     # self [1]-homs of the S1 complex vanish
     assert tt.hom_homotopy(s1_complex, s1_complex, 1).dim == 0
-    A0 = tt.algebra_stalk(kA2, 0)
-    A1 = tt.algebra_stalk(kA2, 1)
+    A0 = algebra_stalk(kA2, 0)
+    A1 = algebra_stalk(kA2, 1)
     # no overlapping degrees
     assert tt.hom_homotopy(A0, A1, 0).dim == 0
     # identity shift: End(A[1]) = A as a space
@@ -47,19 +47,19 @@ def test_equal_complexes_share_one_hom_entry(kA2):
     first, second = s1(), s1()
     assert first is not second and first.serialize() == second.serialize()
     assert first.form_id() == second.form_id()
-    A0 = tt.algebra_stalk(kA2, 0)
+    A0 = algebra_stalk(kA2, 0)
     assert A0.form_id() != first.form_id()
     entries = len(kA2.hom_memo)
     hs = tt.hom_homotopy(first, A0, 0)
     assert len(kA2.hom_memo) <= entries + 1
     entries = len(kA2.hom_memo)
     assert tt.hom_homotopy(second, A0, 0) is hs
-    assert tt.hom_homotopy(second, tt.algebra_stalk(kA2, 0), 0) is hs
+    assert tt.hom_homotopy(second, algebra_stalk(kA2, 0), 0) is hs
     assert len(kA2.hom_memo) == entries
 
 
 def test_high_shifts_vanish(kA2, s1_complex):
-    A0 = tt.algebra_stalk(kA2, 0)
+    A0 = algebra_stalk(kA2, 0)
     for T in (s1_complex, A0):
         for U in (s1_complex, A0):
             for s in (2, -2, 3):
@@ -67,8 +67,8 @@ def test_high_shifts_vanish(kA2, s1_complex):
 
 
 def test_silting_examples(kA2, s1_complex):
-    A0 = tt.algebra_stalk(kA2, 0)
-    A1 = tt.algebra_stalk(kA2, 1)
+    A0 = algebra_stalk(kA2, 0)
+    A1 = algebra_stalk(kA2, 1)
     assert tt.is_two_term_silting(A0)
     assert tt.is_two_term_silting(A1)
     assert not tt.is_presilting(tt.direct_sum_complex([A0, A1]))
@@ -94,8 +94,8 @@ def test_pair_complex_round_trips(kA2, s1_complex):
     P2 = mr.standard_module(kA2, 1, "projective")
     A = mr.direct_sum(kA2, [P1, P2])
     stalk = tt.pair_to_complex(A, (0, 0))
-    assert tt.complexes_isomorphic(stalk, tt.algebra_stalk(kA2, 0))
-    MA, pmA = tt.complex_to_pair(tt.algebra_stalk(kA2, 0))
+    assert tt.complexes_isomorphic(stalk, algebra_stalk(kA2, 0))
+    MA, pmA = tt.complex_to_pair(algebra_stalk(kA2, 0))
     assert MA.dims == (1, 2) and pmA == (0, 0)
 
 
@@ -131,8 +131,8 @@ def test_approximation_factorization(kA2):
 
 
 def test_cone_examples(kA2):
-    A0 = tt.algebra_stalk(kA2, 0)
-    A1 = tt.algebra_stalk(kA2, 1)
+    A0 = algebra_stalk(kA2, 0)
+    A1 = algebra_stalk(kA2, 1)
     zero_target = tt.TwoTermComplex(kA2, (), ())
     zmap = tt.ChainMap(A0, zero_target,
                        tt.AlgMatrix(kA2, (), ()),
@@ -146,7 +146,7 @@ def test_cone_examples(kA2):
 def test_bongartz_style_cone(kA2, s1_complex):
     # minimal left add(P1-stalk)-approximation of the algebra stalk is
     # A -> P1^2, whose cone strips to (P2 -> P1)
-    A0 = tt.algebra_stalk(kA2, 0)
+    A0 = algebra_stalk(kA2, 0)
     P1s = tt.stalk_complex(kA2, (0,), 0)
     f = tt.minimal_left_approximation(A0, P1s)
     assert len(f.target.p0) == 2 and set(f.target.p0) == {0}
@@ -164,7 +164,7 @@ def test_g_vectors(kA2, s1_complex):
 
 
 def test_decompose_complex_examples(kA2, s1_complex):
-    A0 = tt.algebra_stalk(kA2, 0)
+    A0 = algebra_stalk(kA2, 0)
     parts = tt.decompose_complex(A0)
     assert len(parts) == 2
     assert len(tt.decompose_complex(s1_complex)) == 1
