@@ -11,7 +11,7 @@ from .algebra import (AdmissibilityError, AlgebraError, AlgebraFileError,
                       BoundQuiverAlgebra, QuiverSpec, multiply, parse_algebra,
                       path_basis)
 from .fields import GF, QQ, parse_field
-from .linalg import ExactMatrix, kernel_basis, solve_factorization
+from .linalg import ExactMatrix
 from .modrep import (DecompositionError, Representation, decompose,
                      direct_sum, ext1_dim, hom_space, in_fac,
                      minimal_projective_presentation, modules_isomorphic,

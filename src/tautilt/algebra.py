@@ -360,12 +360,12 @@ class BoundQuiverAlgebra:
       every checked input pair, and no g-vector is in both;
     * hom_memo: Hom spaces in the homotopy category, keyed by
       (shift, T.form_id(), U.form_id()) (``twoterm.hom_homotopy``);
-    * compose_memo: composition Hom(B, C) x Hom(A, B) -> Hom(A, C) as
-      structure constants in class coordinates, keyed by the form-id
-      triple (A, B, C) (``twoterm.composition_table``);
-    * wall_memo: approximation walls, the RREF rows of the image of
-      Hom(R_l, R_j) . Hom(X, R_l), or of rad End(R_j) . Hom(X, R_j), per
-      direction and form-id triple (X, R_l, R_j) (``twoterm._wall_image``);
+    * wall_memo: approximation walls, the RREF rows (a tuple, () when
+      empty) of the image of Hom(R_l, R_j) . Hom(X, R_l), or of
+      rad End(R_j) . Hom(X, R_j), per direction and form-id triple
+      (X, R_l, R_j) (``twoterm._wall_image``); the only composition data
+      kept, since ``twoterm.composition_table`` builds each table when
+      asked;
     * sum_memo: the sums of projectives and injectives on the path basis,
       one per class and vertex tuple (``modrep.ProjSum.of``,
       ``modrep.InjSum.of``).
@@ -386,7 +386,6 @@ class BoundQuiverAlgebra:
         self.summand_forms = {}
         self.summand_splits = {}
         self.hom_memo = {}
-        self.compose_memo = {}
         self.wall_memo = {}
         self.sum_memo = {}
 

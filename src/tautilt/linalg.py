@@ -218,16 +218,6 @@ class ExactMatrix:
         return h
 
 
-def solve_factorization(f, g):
-    """Given f and g with equal row counts, one h with g = f . h, or None."""
-    return f.solve_right(g)
-
-
-def kernel_basis(m):
-    """Columns spanning the right kernel of m."""
-    return m.right_kernel_basis()
-
-
 class RowSpace:
     """A subspace of k^n, kept as the reduced row echelon form of its rows.
 

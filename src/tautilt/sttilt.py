@@ -180,13 +180,13 @@ class TauRigidPair:
         return f"TauRigidPair({list(self.summands)!r})"
 
 
-def pair_from_module_data(alg, M, proj_mults, check=True):
+def pair_from_module_data(alg, M, proj_mults):
     """Build a basic pair from a module and projective multiplicities.
 
-    Decomposes M, drops duplicate summands (basic closure).  A checked
-    pair is refused unless C = P_M (+) P[1] has Hom_K(C, C[1]) = 0 (AIR
-    2014, Prop. 3.6); then M is decomposed only when g(C) is new, and
-    its summands are registered (`_summands`).
+    Decomposes M, drops duplicate summands (basic closure).  The pair is
+    refused unless C = P_M (+) P[1] has Hom_K(C, C[1]) = 0 (AIR 2014,
+    Prop. 3.6); then M is decomposed only when g(C) is new, and its
+    summands are registered (`_summands`).
     """
     def split():
         summands = [tt.presentation_complex(group[0])
@@ -195,8 +195,6 @@ def pair_from_module_data(alg, M, proj_mults, check=True):
                         for v in range(alg.n) if proj_mults[v] >= 1)
         return summands
 
-    if not check:
-        return TauRigidPair(alg, split())
     C = tt.pair_to_complex(M, proj_mults)
     if tt.hom_homotopy(C, C, 1).dim:
         raise NotTauRigidError("pair is not tau-rigid")

@@ -27,9 +27,10 @@ Everything mutation-shaped runs through mapping cones of minimal
 approximations.  The approximation is written once, in its left form;
 the right form is its dual, read in the opposite category: Hom(A, B)
 becomes Hom(B, A) and a.b becomes b.a.  It works in class coordinates,
-on composition tables and walls the algebra memoizes per form ids
-(`composition_table`, `_wall_image`); `approximation_counts` reads the
-multiplicities off the walls and chooses no map.  A cone of a map of
+on walls the algebra memoizes per form ids (`_wall_image`), each read off
+a composition table that `composition_table` builds when asked and keeps
+nowhere; `approximation_counts` reads the multiplicities off the walls
+and chooses no map.  A cone of a map of
 two-term complexes transiently occupies three degrees; stripping contractible
 pairs (unit entries between equal projectives) reduces it back, and
 whether the extreme degree empties is exactly the test for the mutation
@@ -506,19 +507,14 @@ def composition_table(A, B, C):
 
     Entry [a][b] holds the class coordinates (`chain_map_class`) of
     rep_b . rep_a in Hom(A, C), for rep_a in Hom(A, B) and rep_b in
-    Hom(B, C).  Memoized in A.alg.compose_memo, which the algebra owns,
-    per form-id triple; Hom(A, C) is only requested when both factors
-    are nonzero.
+    Hom(B, C).  Built on each call from the memoized Hom spaces; the
+    walls that read it are memoized instead (`_wall_image`).  Hom(A, C)
+    is only requested when both factors are nonzero.
     """
-    key = (A.form_id(), B.form_id(), C.form_id())
-    memo = A.alg.compose_memo
-    table = memo.get(key)
-    if table is None:
-        ab, bc = hom_homotopy(A, B), hom_homotopy(B, C)
-        ac = hom_homotopy(A, C) if ab.dim and bc.dim else None
-        table = memo[key] = [[ac.chain_map_class(b.compose(a))
-                              for b in bc.reps] for a in ab.reps]
-    return table
+    ab, bc = hom_homotopy(A, B), hom_homotopy(B, C)
+    ac = hom_homotopy(A, C) if ab.dim and bc.dim else None
+    return [[ac.chain_map_class(b.compose(a)) for b in bc.reps]
+            for a in ab.reps]
 
 
 def is_presilting(T):
@@ -667,7 +663,7 @@ def _wall_image(X, Rl, R, left, dim):
             image = [vec for row in table for vec in ExactMatrix(
                 F, len(rad), len(row), rad).mul(
                     ExactMatrix(F, len(row), dim, row)).rows]
-        rows = X.alg.wall_memo[key] = RowSpace(F, dim, image).reduced
+        rows = X.alg.wall_memo[key] = tuple(RowSpace(F, dim, image).reduced)
     return rows
 
 

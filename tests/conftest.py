@@ -5,8 +5,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
+from tautilt import modrep as mr
+from tautilt import twoterm as tt
 from tautilt.algebra import parse_algebra
-from tautilt.twoterm import stalk_complex
+from tautilt.sttilt import TauRigidPair
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -35,7 +37,18 @@ def arrow_element(alg, name):
 
 def algebra_stalk(alg, shift=0):
     """The stalk complex of A in degree 0, or of A[1] in degree -1."""
-    return stalk_complex(alg, range(alg.n), shift)
+    return tt.stalk_complex(alg, range(alg.n), shift)
+
+
+def module_side_pair(alg, M, proj_mults):
+    """The basic pair of M and proj_mults built on the module side, with
+    no rigidity test: the presentation of one summand of M per
+    isomorphism class, and one P_v[1] per vertex with proj_mults[v] >= 1."""
+    summands = [tt.presentation_complex(group[0])
+                for group in mr.group_by_iso(mr.decompose(M))]
+    summands.extend(tt.stalk_complex(alg, (v,), 1)
+                    for v in range(alg.n) if proj_mults[v] >= 1)
+    return TauRigidPair(alg, summands)
 
 
 @pytest.fixture(scope="session")

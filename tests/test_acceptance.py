@@ -19,6 +19,8 @@ from tautilt import oracle as orc
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
 
+from conftest import module_side_pair
+
 
 def report(num, name, ok=True):
     print(f"criterion {num} ({name}): {'PASS' if ok else 'FAIL'}")
@@ -234,8 +236,7 @@ def module_side_pairs(alg, graph):
             for sup in itertools.combinations(free, n - r):
                 M = mr.direct_sum(alg, [pool[i] for i in mods])
                 proj = tuple(1 if v in sup else 0 for v in range(n))
-                found.append(st.pair_from_module_data(alg, M, proj,
-                                                      check=False))
+                found.append(module_side_pair(alg, M, proj))
     return found
 
 

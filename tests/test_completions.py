@@ -18,7 +18,7 @@ from tautilt import modrep as mr
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
 
-from conftest import algebra_stalk, read_algebra
+from conftest import algebra_stalk, module_side_pair, read_algebra
 from test_mutation_prediction import approximation_cone
 
 
@@ -108,8 +108,7 @@ def test_pair_from_module_data_refuses_as_the_module_side(name):
                         st.pair_from_module_data(alg, M, proj)
                     continue
                 got = st.pair_from_module_data(alg, M, proj)
-                expected = st.pair_from_module_data(alg, M, proj,
-                                                    check=False)
+                expected = module_side_pair(alg, M, proj)
                 assert got.key() == expected.key()
                 assert all(alg.summands[g] is c for g, c in
                            zip(got.key(), got.summands))
@@ -183,16 +182,19 @@ def _recorded(monkeypatch, name, module=tt):
 def test_a_repeated_completion_builds_no_cone(monkeypatch):
     # every piece of the completions of P2 in preprojective A3 is zero
     # or one indecomposable, so the first completion interns all of them
-    # and the second finds each in the registry
+    # and the second finds each in the registry; the second counts each
+    # piece off the walls the first memoized, the algebra's only
+    # composition data, so it composes no chain map either
     alg = read_algebra("preproj_a3.alg")
     pair = st.TauRigidPair(alg, [tt.stalk_complex(alg, (1,), 0)])
     cones = _recorded(monkeypatch, "_two_term_cone")
     splits = _recorded(monkeypatch, "decompose_complex")
+    composites = _recorded(monkeypatch, "compose", tt.ChainMap)
     first = (st.bongartz_completion(pair), st.minimal_completion(pair))
-    assert cones and splits
-    del cones[:], splits[:]
+    assert cones and splits and composites
+    del cones[:], splits[:], composites[:]
     again = (st.bongartz_completion(pair), st.minimal_completion(pair))
-    assert not cones and not splits
+    assert not cones and not splits and not composites
     assert [p.summands for p in again] == [p.summands for p in first]
 
 

@@ -2,8 +2,7 @@ import random
 from fractions import Fraction as F
 
 from tautilt.fields import GF, QQ
-from tautilt.linalg import (ExactMatrix, RowSpace, kernel_basis,
-                            kernel_via_presolve, solve_factorization)
+from tautilt.linalg import ExactMatrix, RowSpace, kernel_via_presolve
 
 
 def test_kernel_identity_empty():
@@ -28,20 +27,20 @@ def test_kernel_rank_one():
 
 def test_solve_identity():
     g = ExactMatrix.from_rows(QQ, [[F(3), F(5)], [F(1), F(2)]])
-    h = solve_factorization(ExactMatrix.identity(QQ, 2), g)
+    h = ExactMatrix.identity(QQ, 2).solve_right(g)
     assert h == g
 
 
 def test_solve_zero_inconsistent():
     f = ExactMatrix.zero(QQ, 2, 2)
     g = ExactMatrix.from_rows(QQ, [[F(1), F(0)], [F(0), F(0)]])
-    assert solve_factorization(f, g) is None
+    assert f.solve_right(g) is None
 
 
 def test_solve_column():
     f = ExactMatrix.from_rows(QQ, [[F(1)], [F(1)]])
     g = ExactMatrix.from_rows(QQ, [[F(2)], [F(2)]])
-    h = solve_factorization(f, g)
+    h = f.solve_right(g)
     assert h.to_lists() == [[F(2)]]
 
 
@@ -255,8 +254,3 @@ def test_inverse():
     assert A.mul(Ainv) == ExactMatrix.identity(QQ, 2)
     singular = ExactMatrix.from_rows(QQ, [[F(1), F(1)], [F(1), F(1)]])
     assert singular.inverse() is None
-
-
-def test_kernel_basis_alias():
-    M = ExactMatrix.from_rows(QQ, [[F(1), F(1)]])
-    assert kernel_basis(M).ncols == 1

@@ -579,9 +579,10 @@ def test_registry_rejects_a_summand_whose_g_vector_is_a_split():
 
 
 def test_second_enumeration_builds_no_hom(monkeypatch):
-    # the Hom spaces and the composition tables are memoized on the
-    # algebra, so a second enumeration neither builds a Hom space nor
-    # composes a chain map
+    # the Hom spaces and the approximation walls are memoized on the
+    # algebra, and the walls are its only composition data: a second
+    # enumeration counts every exchange off them and hits the registry,
+    # so it neither builds a Hom space nor composes a chain map
     alg = linear(5)
     builds = []
     composites = []
