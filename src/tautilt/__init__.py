@@ -8,7 +8,7 @@ pairs, cross-validated against the equivalent two-term silting picture.
 """
 
 from .algebra import (AdmissibilityError, AlgebraError, AlgebraFileError,
-                      BoundQuiverAlgebra, QuiverSpec, multiply, parse_algebra,
+                      BoundQuiverAlgebra, QuiverSpec, parse_algebra,
                       path_basis)
 from .fields import GF, QQ, parse_field
 from .linalg import ExactMatrix
@@ -25,7 +25,7 @@ from .sttilt import (FinitenessResult, HasseGraph, InvariantViolation,
                      minimal_completion, mutate, pair_from_module_data,
                      pairs_isomorphic, silting_leq)
 from .twoterm import (TwoTermComplex, complex_to_pair, complexes_isomorphic,
-                      cone_two_term, decompose_complex, g_matrix, g_vector,
+                      cone_two_term, decompose_complex, g_vector,
                       hom_homotopy, is_presilting, is_two_term_silting,
                       minimal_left_approximation, pair_to_complex,
                       strip_contractible)

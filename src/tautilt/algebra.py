@@ -136,6 +136,20 @@ def _parse_relation_text(text):
     return terms
 
 
+def _string_list(value, what):
+    """A list or tuple literal of strings, as a list.  Anything else is a
+    file error: a set's order follows the hash seed, and a bare string
+    would be read one character per item."""
+    try:
+        items = ast.literal_eval(value)
+    except (ValueError, SyntaxError) as exc:
+        raise AlgebraFileError(f"{what}: not a list literal") from exc
+    if not isinstance(items, (list, tuple)) or not all(
+            isinstance(x, str) for x in items):
+        raise AlgebraFileError(f"{what} must be a list of strings")
+    return list(items)
+
+
 def parse_quiver_spec(text):
     """Parse the line-oriented algebra file format into a QuiverSpec."""
     field = QQ
@@ -161,24 +175,14 @@ def parse_quiver_spec(text):
             except (ValueError, SyntaxError, FieldError) as exc:
                 raise AlgebraFileError(f"line {lineno}: {exc}") from exc
         elif key == "vertices":
-            try:
-                vertices = list(ast.literal_eval(value))
-            except (ValueError, SyntaxError) as exc:
-                raise AlgebraFileError(f"line {lineno}: bad vertex list") from exc
-            if not all(isinstance(v, str) for v in vertices):
-                raise AlgebraFileError(f"line {lineno}: vertices must be strings")
+            vertices = _string_list(value, f"line {lineno}: vertices")
         elif key == "arrow":
             am = _ARROW_RE.match(value)
             if not am:
                 raise AlgebraFileError(f"line {lineno}: bad arrow syntax")
             arrows.append((am.group(1), am.group(2), am.group(3)))
         elif key == "relations":
-            try:
-                relations_text = list(ast.literal_eval(value))
-            except (ValueError, SyntaxError) as exc:
-                raise AlgebraFileError(f"line {lineno}: bad relation list") from exc
-            if not all(isinstance(r, str) for r in relations_text):
-                raise AlgebraFileError(f"line {lineno}: relations must be strings")
+            relations_text = _string_list(value, f"line {lineno}: relations")
         elif key == "path_length_bound":
             try:
                 bound = int(value)
@@ -695,11 +699,6 @@ def add_products(rows, src, dst, d, d_left, neg=False):
                             row.pop(col, None)
                         else:
                             row[col] = nv
-
-
-def multiply(alg, x, y):
-    """Bilinear product of two elements in the algebra's basis coordinates."""
-    return alg.elem_mul(x, y)
 
 
 def path_basis(spec):

@@ -164,6 +164,8 @@ def GF(p):
 
 def parse_field(text):
     """Parse a field tag: "Q" or "Fp:<p>"."""
+    if not isinstance(text, str):
+        raise FieldError(f"field tag {text!r} is not a string")
     text = text.strip()
     if text == "Q":
         return QQ

@@ -47,19 +47,10 @@ class ExactMatrix:
         one = field.one
         return ExactMatrix(field, n, n, [{i: one} for i in range(n)])
 
-    @staticmethod
-    def from_row_dicts(field, nrows, ncols, rows):
-        return ExactMatrix(field, nrows, ncols, [dict(r) for r in rows])
-
     # -- basics ---------------------------------------------------------
 
     def entry(self, i, j):
         return self.rows[i].get(j, self.field.zero)
-
-    def to_lists(self):
-        z = self.field.zero
-        return [[self.rows[i].get(j, z) for j in range(self.ncols)]
-                for i in range(self.nrows)]
 
     def is_zero(self):
         return all(not r for r in self.rows)

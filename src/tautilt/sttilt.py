@@ -126,7 +126,7 @@ def _summands(alg, g, split):
 class TauRigidPair:
     """Basic tau-rigid pair, carried by indecomposable complex summands."""
 
-    __slots__ = ("alg", "summands", "_gmat", "_modules", "_proj")
+    __slots__ = ("alg", "summands", "_gmat")
 
     def __init__(self, alg, summands):
         self.alg = alg
@@ -136,8 +136,6 @@ class TauRigidPair:
                        key=lambda i: (gs[i], summands[i].serialize()))
         self.summands = tuple(summands[i] for i in order)
         self._gmat = tuple(gs[i] for i in order)
-        self._modules = None
-        self._proj = None
 
     @property
     def size(self):
@@ -152,21 +150,16 @@ class TauRigidPair:
         return self._gmat
 
     def module_summands(self):
-        """H^0 of the non-shift summands (each indecomposable)."""
-        if self._modules is None:
-            mods = []
-            for c in self.summands:
-                if c.p0:
-                    mods.append(tt.complex_h0(c))
-            self._modules = mods
-        return self._modules
+        """H^0 of the non-shift summands (each indecomposable), in summand
+        order.  A new list on each call; `twoterm.complex_h0` keeps each
+        module on its complex."""
+        return [tt.complex_h0(c) for c in self.summands if c.p0]
 
     def projective_part(self):
-        """Multiplicity vector of the shifted summands Q[1]."""
-        if self._proj is None:
-            self._proj = tt.multiplicities(
-                self.alg, [v for c in self.summands if not c.p0 for v in c.p1])
-        return self._proj
+        """Multiplicity vector of the shifted summands Q[1], computed on
+        each call."""
+        return tt.multiplicities(
+            self.alg, [v for c in self.summands if not c.p0 for v in c.p1])
 
     def module(self):
         return mr.direct_sum(self.alg, self.module_summands())

@@ -73,9 +73,6 @@ class AlgMatrix:
         else:
             self.entries.pop((i, j), None)
 
-    def get(self, i, j):
-        return self.entries.get((i, j), {})
-
     def matmul(self, other):
         """Composite self . other (other first)."""
         if other.row_verts != self.col_verts:
@@ -95,30 +92,6 @@ class AlgMatrix:
         for key, e in acc.items():
             if e:
                 out.entries[key] = e
-        return out
-
-    def add(self, other):
-        out = AlgMatrix(self.alg, self.row_verts, self.col_verts, self.entries)
-        for key, e in other.entries.items():
-            s = self.alg.elem_add(out.entries.get(key, {}), e)
-            if s:
-                out.entries[key] = s
-            else:
-                out.entries.pop(key, None)
-        return out
-
-    def neg(self):
-        return AlgMatrix(self.alg, self.row_verts, self.col_verts,
-                         {k: self.alg.elem_neg(e) for k, e in self.entries.items()})
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    @staticmethod
-    def identity(alg, verts):
-        out = AlgMatrix(alg, verts, verts)
-        for i, v in enumerate(verts):
-            out.entries[(i, i)] = alg.idempotent_elem(v)
         return out
 
     def is_zero(self):
@@ -230,11 +203,6 @@ def g_vector(T):
             g[v] -= 1
         T._g = tuple(g)
     return T._g
-
-
-def g_matrix(summands):
-    """Columns are the summand g-vectors, in the given order."""
-    return tuple(g_vector(s) for s in summands)
 
 
 # -- three-degree chains and stripping -----------------------------------
@@ -411,10 +379,11 @@ class HomotopyHom:
     Hom^0 = (U^-1, T^-1) + (U^0, T^0) and Hom^1 = (U^0, T^-1), with
     differentials h -> (h d_T, d_U h) and (f1, f0) -> f0 d_T - d_U f1.
     The classes are the kernel of the outgoing differential reduced
-    modulo `homotopies`, the image of the incoming one; `reps` holds one
-    representative per class.  At shift 0 these are strict chain maps
-    over the grids c1 and c0, with composition through canonical class
-    coordinates; at shifts +-1 they are matrices over the one grid c.
+    modulo `homotopies`, the image of the incoming one, and `dim` counts
+    them.  At shift 0 `reps` holds one strict chain map per class, over
+    the grids c1 and c0, with composition through canonical class
+    coordinates.  At shifts +-1 only `dim` is read (presilting tests and
+    the silting order), so no representative is built.
     Built through `hom_homotopy`, which checks that T and U share their
     algebra.
     """
@@ -464,9 +433,6 @@ class HomotopyHom:
             self.c1, self.c0 = c1, c0
             self.reps = [ChainMap(T, U, matrix(c1, row), matrix(c0, row))
                          for row in self.classes.reduced]
-        else:
-            self.c = {-1: h, 1: e}.get(shift)
-            self.reps = [matrix(self.c, row) for row in self.classes.reduced]
 
     def chain_map_class(self, cm):
         """Canonical class coordinates of a strict chain map: the {index:

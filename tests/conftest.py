@@ -40,6 +40,14 @@ def algebra_stalk(alg, shift=0):
     return tt.stalk_complex(alg, range(alg.n), shift)
 
 
+def identity_map(alg, verts):
+    """The identity of the sum of projectives e_v A over verts, as an
+    AlgMatrix with the idempotents e_v on its diagonal."""
+    return tt.AlgMatrix(alg, verts, verts,
+                        {(i, i): alg.idempotent_elem(v)
+                         for i, v in enumerate(verts)})
+
+
 def module_side_pair(alg, M, proj_mults):
     """The basic pair of M and proj_mults built on the module side, with
     no rigidity test: the presentation of one summand of M per

@@ -3,8 +3,7 @@ from itertools import product
 import pytest
 
 from tautilt.algebra import (AdmissibilityError, AlgebraError,
-                             AlgebraFileError, CornerGrid, multiply,
-                             parse_algebra)
+                             AlgebraFileError, CornerGrid, parse_algebra)
 from tautilt.fields import GF
 
 from conftest import arrow_element, path_name
@@ -83,10 +82,10 @@ def test_idempotent_laws(a2, preproj_a2):
         one = alg.unit()
         for v in range(alg.n):
             ev = alg.idempotent_elem(v)
-            assert multiply(alg, ev, ev) == ev
+            assert alg.elem_mul(ev, ev) == ev
             for w in range(alg.n):
                 if w != v:
-                    assert multiply(alg, ev, alg.idempotent_elem(w)) == {}
+                    assert alg.elem_mul(ev, alg.idempotent_elem(w)) == {}
         total = {}
         for v in range(alg.n):
             total = alg.elem_add(total, alg.idempotent_elem(v))
@@ -96,12 +95,12 @@ def test_idempotent_laws(a2, preproj_a2):
 def test_multiply_examples(a2):
     e1 = a2.idempotent_elem(0)
     arrow = arrow_element(a2, "a")
-    assert multiply(a2, e1, arrow) == arrow
-    assert multiply(a2, arrow, e1) == {}
+    assert a2.elem_mul(e1, arrow) == arrow
+    assert a2.elem_mul(arrow, e1) == {}
     one = a2.unit()
     for y in range(a2.dim):
         elem = {y: a2.field.one}
-        assert multiply(a2, one, elem) == elem
+        assert a2.elem_mul(one, elem) == elem
 
 
 def test_multiply_nilpotent():
@@ -110,8 +109,8 @@ def test_multiply_nilpotent():
         'arrow = { name = "x", source = "1", target = "1" }\n'
         'relations = ["x*x*x"]')
     x = arrow_element(alg, "x")
-    xx = multiply(alg, x, x)
-    assert xx and multiply(alg, x, xx) == {}
+    xx = alg.elem_mul(x, x)
+    assert xx and alg.elem_mul(x, xx) == {}
 
 
 def test_associativity_exhaustive(a2, a4, loop2, preproj_a2):
@@ -131,8 +130,8 @@ def test_basis_paths_sandwiched(a4, preproj_a2):
         for i in range(alg.dim):
             elem = {i: alg.field.one}
             s, t = alg.basis_source[i], alg.basis_target[i]
-            left = multiply(alg, alg.idempotent_elem(s), elem)
-            assert multiply(alg, left, alg.idempotent_elem(t)) == elem
+            left = alg.elem_mul(alg.idempotent_elem(s), elem)
+            assert alg.elem_mul(left, alg.idempotent_elem(t)) == elem
 
 
 def test_relation_with_coefficients():
@@ -143,8 +142,8 @@ def test_relation_with_coefficients():
         'relations = ["x*x", "y*y", "x*y + 1/2*y*x"]')
     assert alg.dim == 4
     x, y = arrow_element(alg, "x"), arrow_element(alg, "y")
-    xy = multiply(alg, x, y)
-    yx = multiply(alg, y, x)
+    xy = alg.elem_mul(x, y)
+    yx = alg.elem_mul(y, x)
     half = alg.field.from_string("1/2")
     assert alg.elem_add(xy, alg.elem_scale(half, yx)) == {}
 
@@ -159,8 +158,8 @@ def test_commutative_square():
         'relations = ["a*c - b*d"]')
     # one length-2 path survives the rewrite of the other
     assert alg.dim == 9
-    ac = multiply(alg, arrow_element(alg, "a"), arrow_element(alg, "c"))
-    bd = multiply(alg, arrow_element(alg, "b"), arrow_element(alg, "d"))
+    ac = alg.elem_mul(arrow_element(alg, "a"), arrow_element(alg, "c"))
+    bd = alg.elem_mul(arrow_element(alg, "b"), arrow_element(alg, "d"))
     assert ac == bd and ac
 
 
@@ -173,6 +172,25 @@ def test_parse_errors():
         parse_algebra('vertices = ["1"]\nunknownkey = 3\n')
     with pytest.raises(AlgebraFileError):
         parse_algebra('field = "R"\nvertices = ["1"]\n')
+    arrows = ('arrow = { name = "a", source = "1", target = "2" }\n'
+              'arrow = { name = "b", source = "2", target = "3" }\n')
+    # vertices and relations are ordered lists: a set's order depends on
+    # the hash seed, and a string would be read one character a vertex
+    for bad in ('vertices = {"1", "2", "3"}\n' + arrows,
+                'vertices = "12"\n',
+                'vertices = ["1", "2", "3"]\n' + arrows
+                + 'relations = {"a*b"}\n',
+                'vertices = ["1", "2", "3"]\n' + arrows
+                + 'relations = "a*b"\n'):
+        with pytest.raises(AlgebraFileError, match="line 1: vertices|"
+                           "line 4: relations"):
+            parse_algebra(bad)
+    assert parse_algebra('vertices = ("1", "2", "3")\n' + arrows
+                         + 'relations = ("a*b",)\n').dim == 5
+    # a field tag that is not a string is a file error, not a crash
+    for bad in ("5", '["Q"]'):
+        with pytest.raises(AlgebraFileError, match="line 1: field tag"):
+            parse_algebra(f'field = {bad}\nvertices = ["1"]\n')
 
 
 def test_path_basis_function():

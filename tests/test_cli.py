@@ -85,6 +85,21 @@ def test_bad_relation_coefficient_is_usage_error(tmp_path, field, relation):
     assert err.startswith("error:") and relation in err
 
 
+@pytest.mark.parametrize("field, vertices", [
+    ("5", '["1", "2", "3"]'), ('["Q"]', '["1", "2", "3"]'),
+    ('"Q"', '{"1", "2", "3"}'), ('"Q"', '"123"')])
+def test_malformed_field_or_vertices_is_usage_error(tmp_path, field,
+                                                    vertices):
+    path = tmp_path / "a3.alg"
+    path.write_text(f"field = {field}\nvertices = {vertices}\n"
+                    'arrow = { name = "a", source = "1", target = "2" }\n'
+                    'arrow = { name = "b", source = "2", target = "3" }\n')
+    code, out, err = invoke(["enumerate", "--algebra", str(path),
+                             "--format", "json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "line " in err
+
+
 def test_bad_module_entry_is_usage_error(tmp_path):
     alg = tmp_path / "a2.alg"
     alg.write_text('field = "Fp:3"\nvertices = ["1", "2"]\n'

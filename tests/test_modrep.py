@@ -71,8 +71,11 @@ def test_subrep_from_rows_reads_coordinates_off_the_rref(kA2):
     sub, incl = mr.subrep_from_rows(
         M, [[{0: F.one}], [{0: F.from_int(2), 1: F.from_int(4)}]])
     assert sub.dims == (1, 1)
-    assert sub.maps[0].to_lists() == [[F.from_int(3)]]
-    assert incl[1].to_lists() == [[F.one, F.from_int(2)]]
+    m = sub.maps[0]
+    assert (m.nrows, m.ncols, m.rows) == (1, 1, [{0: F.from_int(3)}])
+    m = incl[1]
+    assert (m.nrows, m.ncols, m.rows) == (
+        1, 2, [{0: F.one, 1: F.from_int(2)}])
 
 
 def test_subrep_from_rows_rejects_rows_not_closed_under_arrows(kA2):

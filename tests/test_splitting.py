@@ -31,7 +31,7 @@ def product_gram_radical(field, mats):
             if tr != 0:
                 row[j] = tr
         gram.append(row)
-    G = ExactMatrix.from_row_dicts(field, k, k, gram)
+    G = ExactMatrix(field, k, k, gram)
     return G.left_kernel_rows().rows
 
 

@@ -279,10 +279,10 @@ def test_an_edge_read_off_its_lower_end_is_certified(monkeypatch):
     # doubled bottom g-matrix gives g' . c = -2 there
     alg = read_algebra("a2.alg")
     bottom = ((-1, 0), (0, -1))
-    g_matrix = st.TauRigidPair.g_matrix
+    original = st.TauRigidPair.g_matrix
 
     def corrupt(pair):
-        gmat = g_matrix(pair)
+        gmat = original(pair)
         if gmat == bottom:
             return tuple(tuple(2 * x for x in g) for g in gmat)
         return gmat
