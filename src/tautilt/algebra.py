@@ -647,15 +647,15 @@ class CornerGrid:
         return entries
 
 
-def add_products(rows, src, dst, d, d_left, neg=False):
+def add_products(rows, src, dst, d, d_left):
     """Add the block matrix of X -> X.d, or X -> d.X when d_left, to rows.
 
     X ranges over the grid src and its product over the grid dst; d is a
     {(i, j): element} matrix.  rows[dst coordinate] maps src coordinates
-    to coefficients (negated when neg).  The sum runs over the index of X
-    that d contracts; the other index of X is free and passes through,
-    grouped by vertex so each corner basis is listed, and the offsets of
-    its cells looked up, once per entry of d and vertex.
+    to coefficients.  The sum runs over the index of X that d contracts;
+    the other index of X is free and passes through, grouped by vertex so
+    each corner basis is listed, and the offsets of its cells looked up,
+    once per entry of d and vertex.
     """
     if not d:
         return
@@ -668,8 +668,6 @@ def add_products(rows, src, dst, d, d_left, neg=False):
         groups.setdefault(v, []).append(t)
     cpos, srow, drow = alg.corner_pos, src.row_start, dst.row_start
     for pos, e in d.items():
-        if neg:
-            e = alg.elem_neg(e)
         j, keep = (pos[1], pos[0]) if d_left else pos
         if d_left:  # cells (j, t) -> (keep, t)
             s0, d0 = srow[j], drow[keep]

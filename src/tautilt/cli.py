@@ -1,11 +1,13 @@
 """Command-line interface: tau-tilt <command> [options].
 
 Exit codes: 0 success, 1 domain error (bad mathematical input), 2 usage
-error (unknown flags, missing or unparseable files).
+error (unknown flags, missing or unparseable files), 141 when the reader
+of stdout closes it early.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import AlgebraError, AlgebraFileError, parse_algebra
@@ -83,7 +85,7 @@ def load_module(alg, path):
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
     if dims is None:
         raise UsageError(f"{path}: missing dim_vector")
-    return _build_module(alg, dims, mats, origin=path)
+    return _build_module(alg, dims, mats, path)
 
 
 def _counts(value, what):
@@ -94,7 +96,7 @@ def _counts(value, what):
     return tuple(value)
 
 
-def _build_module(alg, dims, mats, origin="input"):
+def _build_module(alg, dims, mats, origin):
     if len(dims) != alg.n:
         raise UsageError(f"{origin}: dim_vector length != number of vertices")
     unknown = sorted(set(mats) - {arrow.name for arrow in alg.arrows})
@@ -143,7 +145,7 @@ def load_pair(alg, path):
                 for rows in mats.values()):
             raise UsageError(
                 f"{where}: arrows must map names to rows of string entries")
-        mods.append(_build_module(alg, dims, mats, origin=path))
+        mods.append(_build_module(alg, dims, mats, path))
     proj = _counts(data.get("projective_part", [0] * alg.n),
                    f"{path}: projective_part")
     if len(proj) != alg.n:
@@ -269,7 +271,7 @@ def cmd_oracle(args, out):
     except FieldError as exc:
         raise UsageError(f"bad --prime: {exc}") from exc
     cfg = orc.OracleConfig(bound, p=args.prime)
-    _emit(out, orc.oracle_graph_json_text(alg, cfg))
+    _emit(out, dumps(orc.oracle_graph_json(alg, cfg)))
     return 0
 
 
@@ -360,7 +362,13 @@ def run(argv, out=None, err=None):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed early: exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

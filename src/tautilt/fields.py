@@ -42,7 +42,6 @@ class Rationals:
     never shows in keys or output.
     """
 
-    kind = "rationals"
     characteristic = 0
 
     zero = 0
@@ -96,8 +95,6 @@ class Rationals:
 
 class PrimeField:
     """GF(p) with int scalars in range(p)."""
-
-    kind = "prime_field"
 
     def __init__(self, p):
         if not _is_prime(p):

@@ -4,8 +4,9 @@ Matrices are immutable-by-convention sparse row dicts.  Every
 elimination goes through `RowSpace`, one incremental Gauss-Jordan that
 keeps the reduced row echelon form of the rows added so far.  The RREF
 of a row space is unique, so every reduced output (echelon bases,
-kernels, particular solutions) is a function of the row space alone,
-independent of the order the rows arrive in.
+`RowSpace.kernel`, particular solutions) is a function of the row space
+alone, independent of the order the rows arrive in.  The kernel basis
+of `kernel_via_presolve` is expanded from its union-find, not reduced.
 
 0 x n and n x 0 matrices are legal and behave as empty maps.
 """
@@ -130,12 +131,7 @@ class ExactMatrix:
         return ExactMatrix(self.field, self.ncols, self.nrows, rows)
 
     @staticmethod
-    def hstack(field, mats, nrows=None):
-        mats = list(mats)
-        if nrows is None:
-            if not mats:
-                raise ValueError("hstack of nothing needs nrows")
-            nrows = mats[0].nrows
+    def hstack(field, mats, nrows):
         rows = [{} for _ in range(nrows)]
         off = 0
         for m in mats:
@@ -333,7 +329,7 @@ def kernel_via_presolve(field, rows, ncols):
     of the Hom complexes (`twoterm.HomotopyHom`), which are almost
     entirely two-term unit equations.
 
-    Returns a list of {col: val} kernel vectors, RREF-canonicalized.
+    Returns a list of {col: val} vectors spanning the kernel.
     """
     parent = list(range(ncols))
     one = field.one
@@ -448,5 +444,4 @@ def kernel_via_presolve(field, rows, ncols):
                     vec[x] = v
         if vec:
             vectors.append(vec)
-    # canonical basis of the kernel space
-    return RowSpace(field, ncols, vectors).reduced
+    return vectors

@@ -438,17 +438,20 @@ def tau(M):
     return K
 
 
+def _hom_dim_modulo(X, N, f, Y):
+    """dim Hom(X, N) modulo the maps g . f, g in Hom(Y, N), for f: X -> Y."""
+    alg = X.alg
+    vecs = [_flatten_morphism(alg, X, N, morphism_compose(alg, f, g))
+            for g in hom_space(Y, N)]
+    rank = RowSpace(alg.field, _morphism_layout(X, N)[1], vecs).dim
+    return len(hom_space(X, N)) - rank
+
+
 def ext1_dim(M, N):
     """dim Ext^1(M, N) from 0 -> K -> P0 -> M -> 0."""
-    alg = M.alg
     P0, cover = projective_cover(M)
-    K, incl = kernel_subrep(alg, P0.rep, cover)
-    homKN = hom_space(K, N)
-    homP0N = hom_space(P0.rep, N)
-    restricted = [tuple(incl[v].mul(g[v]) for v in range(alg.n)) for g in homP0N]
-    vecs = [_flatten_morphism(alg, K, N, r) for r in restricted]
-    rank = RowSpace(alg.field, _morphism_layout(K, N)[1], vecs).dim
-    return len(homKN) - rank
+    K, incl = kernel_subrep(M.alg, P0.rep, cover)
+    return _hom_dim_modulo(K, N, incl, P0.rep)
 
 
 def injective_envelope(M):
@@ -486,18 +489,8 @@ def stable_hom_dim(M, N):
     through an injective extends along the essential embedding, so the
     quotient by { g . emb : g in Hom(E(M), N) } is the costable Hom.
     """
-    alg = M.alg
-    homMN = hom_space(M, N)
-    if not homMN:
-        return 0
     E, emb = injective_envelope(M)
-    homEN = hom_space(E.rep, N)
-    vecs = []
-    for g in homEN:
-        comp = morphism_compose(alg, emb, g)
-        vecs.append(_flatten_morphism(alg, M, N, comp))
-    rank = RowSpace(alg.field, _morphism_layout(M, N)[1], vecs).dim
-    return len(homMN) - rank
+    return _hom_dim_modulo(M, N, emb, E.rep)
 
 
 def trace_rows(M, X):

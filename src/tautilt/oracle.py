@@ -16,7 +16,6 @@ import itertools
 
 from .algebra import BoundQuiverAlgebra, QuiverSpec
 from .fields import PrimeField
-from .jsontext import dumps
 
 CANDIDATE_CEILING = 10 ** 8
 SEARCH_CEILING = 10 ** 6
@@ -729,6 +728,3 @@ def oracle_graph_json(alg_q, cfg):
         "flags": {"complete": True},
     }
 
-
-def oracle_graph_json_text(alg_q, cfg):
-    return dumps(oracle_graph_json(alg_q, cfg))

@@ -510,11 +510,6 @@ class HasseGraph:
         self.edges = sorted(
             (relabel[s], relabel[d], i) for (s, d, i) in edges)
         self.complete = complete
-        node_of = {keys[old]: new for new, old in enumerate(order)}
-        self.max_node = node_of.get(TauRigidPair(
-            alg, [tt.stalk_complex(alg, (v,), 0) for v in range(alg.n)]).key())
-        self.min_node = node_of.get(TauRigidPair(
-            alg, [tt.stalk_complex(alg, (v,), 1) for v in range(alg.n)]).key())
 
     def node_count(self):
         return len(self.nodes)
@@ -575,7 +570,7 @@ def module_to_json(M):
     return {"dim_vector": list(M.dims), "arrows": arrows}
 
 
-def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
+def enumerate_sttilt(alg, max_nodes=10 ** 6):
     """BFS of the Hasse quiver by down mutations from the pair (A, 0).
 
     A node is mutated only at the summands whose c-vector is >= 0, which
@@ -594,12 +589,12 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     column replaced by the g-vector of the summand the edge puts in.
     Only the top pair's c-vectors come from a Gauss-Jordan inverse; each
     new node gets its own from its parent's by the exchange update,
-    which certifies a Z-basis, and every node, also one at max_depth,
-    has them certified sign-coherent.  Every summand is interned, so pairs with
-    equal keys carry the same summand tuple; the registry checks
-    isomorphism once per new serialization of a g-vector and aborts the
-    run on a collision of non-isomorphic summands.  If the frontier
-    exhausts within the limits, the graph is the complete Hasse quiver.
+    which certifies a Z-basis, and every node has them certified
+    sign-coherent.  Every summand is interned, so pairs with equal keys
+    carry the same summand tuple; the registry checks isomorphism once
+    per new serialization of a g-vector and aborts the run on a
+    collision of non-isomorphic summands.  If the frontier exhausts
+    within max_nodes, the graph is the complete Hasse quiver.
     max_nodes must be at least 1 (the top pair is always a node).
     """
     if max_nodes < 1:
@@ -614,18 +609,13 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
     below = {}
     edges = []
     # a queued node carries its c-vectors until it is expanded
-    queue = deque([(0, 0, _root_c_vectors(top))])
+    queue = deque([(0, _root_c_vectors(top))])
     complete = True
     while queue:
-        node_id, depth, cs = queue.popleft()
+        node_id, cs = queue.popleft()
         pair = pairs[node_id]
         gmat = pair.g_matrix()
-        downs = _mutation_directions(gmat, cs)
-        if max_depth is not None and depth >= max_depth:
-            if any(downs):  # a node with none leaves nothing unexplored
-                complete = False
-            continue
-        for i, down in enumerate(downs):
+        for i, down in enumerate(_mutation_directions(gmat, cs)):
             if not down:
                 continue  # the up edge is discovered from the other end
             rest = gmat[:i] + gmat[i + 1:]
@@ -665,7 +655,7 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6, max_depth=None):
                             f"pairs {pairs[below[rest_j][0]].key()} and "
                             f"{key} are both below {rest_j}")
                     below[rest_j] = child, j
-            queue.append((child, depth + 1, child_cs))
+            queue.append((child, child_cs))
             edges.append((node_id, child, i))
     below.clear()  # free its table before the graph is laid out
     return HasseGraph(alg, pairs, edges, complete)

@@ -389,10 +389,7 @@ class HomotopyHom:
     """
 
     def __init__(self, T, U, shift=0):
-        self.T = T
-        self.U = U
-        self.shift = shift
-        alg = self.alg = T.alg
+        alg = T.alg
         F = alg.field
         self.radical = None  # for U = T: rad End(T) as rows over reps
         h = CornerGrid(alg, U.p1, T.p0)
@@ -401,9 +398,10 @@ class HomotopyHom:
         e = CornerGrid(alg, U.p0, T.p1)
         size = {-1: h.end, 0: c0.end, 1: e.end}
         dT, dU = T.d.entries, U.d.entries
-        # the terms (src, dst, d, d_left, neg) of each differential
-        terms = {-1: ((h, c1, dT, False, False), (h, c0, dU, True, False)),
-                 0: ((c0, e, dT, False, False), (c1, e, dU, True, True))}
+        neg_dU = {pos: alg.elem_neg(x) for pos, x in dU.items()}
+        # the terms (src, dst, d, d_left) of each differential
+        terms = {-1: ((h, c1, dT, False), (h, c0, dU, True)),
+                 0: ((c0, e, dT, False), (c1, e, neg_dU, True))}
 
         def differential(k):
             # rows of Hom^k -> Hom^(k+1), one per coordinate of Hom^(k+1);

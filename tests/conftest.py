@@ -48,6 +48,17 @@ def identity_map(alg, verts):
                          for i, v in enumerate(verts)})
 
 
+def top_and_bottom(graph):
+    """Node ids of (A, 0) and (0, A) in graph, or None where absent: the
+    nodes whose keys are the sorted unit vectors and the sorted negated
+    unit vectors."""
+    n = graph.alg.n
+    units = [tuple(int(i == v) for i in range(n)) for v in range(n)]
+    ids = {p.key(): i for i, p in enumerate(graph.nodes)}
+    return (ids.get(tuple(sorted(units))),
+            ids.get(tuple(sorted(tuple(-x for x in u) for u in units))))
+
+
 def module_side_pair(alg, M, proj_mults):
     """The basic pair of M and proj_mults built on the module side, with
     no rigidity test: the presentation of one summand of M per

@@ -53,9 +53,9 @@ def _combine(T, U, terms):
     return tt.ChainMap(T, U, f1, f0)
 
 
-def _radical_maps(end_hom):
-    """rad End(R) as strict chain maps R -> R."""
-    R, dim, reps = end_hom.T, end_hom.dim, end_hom.reps
+def _radical_maps(R, end_hom):
+    """rad End(R) as strict chain maps R -> R, end_hom = Hom(R, R)."""
+    dim, reps = end_hom.dim, end_hom.reps
     table = {(i, j): end_hom.chain_map_class(reps[i].compose(reps[j]))
              for i in range(dim) for j in range(dim)}
     rows = (splitting.radical_from_mult_table(R.alg.field, table, dim)
@@ -83,7 +83,7 @@ def reference_approximation(X, targets, left):
         wall = []
         for l, Rl in enumerate(targets):
             if l == j:
-                radical = _radical_maps(end)
+                radical = _radical_maps(R, end)
                 radical_seen |= bool(radical)
             else:
                 radical = hom(Rl, R).reps

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,7 @@ from tautilt.cli import run
 from conftest import data_path
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def invoke(argv):
@@ -345,20 +348,41 @@ A6_JSON_SHA256 = \
 A6_JSON_BYTES = 1240007
 
 
-@pytest.mark.parametrize("field", ["Q", "Fp:3"])
-def test_a6_enumerate_json_is_byte_identical(tmp_path, field):
+def _a6_file(tmp_path, field):
     names = ", ".join(f'"{v}"' for v in range(1, 7))
     arrows = "".join(
         f'arrow = {{ name = "a{i}", source = "{i}", target = "{i + 1}" }}\n'
         for i in range(1, 6))
     path = tmp_path / "a6.alg"
     path.write_text(f'field = "{field}"\nvertices = [{names}]\n' + arrows)
-    code, out, err = invoke(["enumerate", "--algebra", str(path),
+    return path
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_a6_enumerate_json_is_byte_identical(tmp_path, field):
+    code, out, err = invoke(["enumerate", "--algebra",
+                             str(_a6_file(tmp_path, field)),
                              "--format", "json"])
     assert (code, err) == (0, "")
     data = out.encode()
     assert len(data) == A6_JSON_BYTES
     assert hashlib.sha256(data).hexdigest() == A6_JSON_SHA256
+
+
+def test_a_reader_closing_early_ends_the_cli_quietly(tmp_path):
+    # the A6 JSON is larger than a pipe buffer, so the CLI is still
+    # writing when its reader goes: it exits as if killed by SIGPIPE
+    # (128 + 13), with no traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+            [sys.executable, "-m", "tautilt.cli", "enumerate", "--algebra",
+             str(_a6_file(tmp_path, "Q")), "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def test_json_round_trip():

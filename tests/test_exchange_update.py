@@ -15,7 +15,7 @@ import pytest
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
 
-from conftest import read_algebra
+from conftest import read_algebra, top_and_bottom
 from test_sttilt import linear
 
 
@@ -51,7 +51,7 @@ def test_carried_c_vectors_are_the_inverse(make, max_nodes, nodes,
     monkeypatch.setattr(st, "_unimodular_inverse", counted)
     graph = st.enumerate_sttilt(make(), max_nodes=max_nodes)
     assert graph.node_count() == nodes
-    top = graph.nodes[graph.max_node]
+    top = graph.nodes[top_and_bottom(graph)[0]]
     # the top pair is the one Gauss-Jordan inverse of the run
     assert inverses == [top.g_matrix()]
     assert set(carried) == {p.key() for p in graph.nodes} - {top.key()}

@@ -71,10 +71,10 @@ def test_enumeration_scalars_stay_normal():
     alg = read_algebra("a4.alg")
     assert st.enumerate_sttilt(alg).node_count() == 42
     seen = 0
-    for hs in alg.hom_memo.values():
+    for (shift, _, _), hs in alg.hom_memo.items():
         # at shifts +-1 the class rows are the only coordinates
         spaces = [hs.homotopies, hs.classes]
-        reps = hs.reps if hs.shift == 0 else ()
+        reps = hs.reps if shift == 0 else ()
         for q in itertools.chain(
                 *(_scalars(rep) for rep in reps),
                 *(row.values() for s in spaces for row in s.reduced)):

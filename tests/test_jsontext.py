@@ -9,7 +9,7 @@ from tautilt.algebra import parse_algebra
 from tautilt.jsontext import Fragment, dumps
 from tautilt import sttilt as st
 
-from conftest import read_algebra
+from conftest import read_algebra, top_and_bottom
 
 DOCUMENTS = [
     {},
@@ -85,6 +85,7 @@ def test_graph_json_is_the_standard_layout(make, max_nodes, complete):
         assert graph.complete is complete
     if graph.complete:
         # the bottom pair (0, A) has no module summand
-        assert not graph.nodes[graph.min_node].module_summands()
+        min_node = top_and_bottom(graph)[1]
+        assert not graph.nodes[min_node].module_summands()
     text = graph.to_json()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)

@@ -10,7 +10,7 @@ from tautilt import modrep as mr
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
 
-from conftest import arrow_element, data_path, read_algebra
+from conftest import arrow_element, data_path, read_algebra, top_and_bottom
 
 
 @pytest.fixture(scope="module")
@@ -316,11 +316,11 @@ def test_mutate_certifies_its_result():
 
 
 def test_enumeration_certifies_the_nodes_at_the_depth_limit():
-    # the child (P1, P1) lies at depth 1, where the enumeration mutates
-    # no further
+    # the child (P1, P1) is the last node the budget admits, so the
+    # enumeration mutates it no further
     alg = _a2_with_a_corrupt_registry()
     with pytest.raises(st.InvariantViolation, match="Z-basis"):
-        st.enumerate_sttilt(alg, max_depth=1)
+        st.enumerate_sttilt(alg, max_nodes=2)
 
 
 def test_trace_form_radical_refuses_small_characteristic():
@@ -347,8 +347,7 @@ def test_mutate_index_range(kA2):
 
 def test_leq_examples(kA2):
     g = st.enumerate_sttilt(kA2)
-    top = g.nodes[g.max_node]
-    bottom = g.nodes[g.min_node]
+    top, bottom = (g.nodes[i] for i in top_and_bottom(g))
     for node in g.nodes:
         assert st.leq(node, top)
         assert st.leq(bottom, node)
@@ -373,13 +372,14 @@ def test_enumerate_pentagon(kA2):
     assert g.node_count() == 5
     assert len(g.edges) == 5
     assert g.complete
-    assert g.max_node is not None and g.min_node is not None
+    max_node, min_node = top_and_bottom(g)
+    assert max_node is not None and min_node is not None
     # pentagon: one chain of length 3 and one of length 2 from top to bottom
     from collections import defaultdict
     out = defaultdict(list)
     for (s, d, i) in g.edges:
         out[s].append(d)
-    assert len(out[g.max_node]) == 2
+    assert len(out[max_node]) == 2
 
 
 def test_enumerate_point(point):
@@ -390,7 +390,7 @@ def test_enumerate_point(point):
 def test_enumerate_local(kx2):
     g = st.enumerate_sttilt(kx2)
     assert g.node_count() == 2 and len(g.edges) == 1 and g.complete
-    assert g.max_node is not None and g.min_node is not None
+    assert None not in top_and_bottom(g)
 
 
 def test_finiteness_results(kA2, kronecker):
@@ -484,28 +484,6 @@ def test_annihilator(kA2):
                             std(kA2, 1, "projective")])
     assert st.annihilator_dim(A) == 0
     assert st.annihilator_dim(std(kA2, 0, "simple")) > 0
-
-
-def test_max_depth_limit(kA2):
-    g = st.enumerate_sttilt(kA2, max_depth=1)
-    assert not g.complete
-    assert g.node_count() == 3  # top and its two children
-
-
-def test_depth_limit_on_nodes_with_no_down_mutation_is_complete(point):
-    # the one-vertex algebra has (P, 0) above (0, P[1]); the depth limit
-    # stops at the bottom node, which has nothing below it
-    g = st.enumerate_sttilt(point, max_depth=1)
-    assert g.complete
-    assert g.node_count() == 2 and len(g.edges) == 1
-
-
-def test_depth_limit_before_a_down_mutation_is_incomplete(kA2):
-    # the pentagon's longer side has one edge below depth 2
-    g = st.enumerate_sttilt(kA2, max_depth=2)
-    assert not g.complete
-    assert g.node_count() == 5 and len(g.edges) == 4
-    assert st.enumerate_sttilt(kA2, max_depth=3).complete
 
 
 def test_max_nodes_limit(kA2):
