@@ -215,8 +215,9 @@ def cmd_enumerate(args, out):
             f"--max-nodes must be at least 1, not {args.max_nodes}")
     alg = load_algebra(args.algebra)
     graph = st.enumerate_sttilt(alg, max_nodes=args.max_nodes)
-    if args.format == "json":
-        _emit(out, graph.to_json())
+    if args.format == "json":  # streamed: the text is never held whole
+        graph.write_json(out.write)
+        out.write("\n")
     elif args.format == "dot":
         _emit(out, graph.to_dot())
     else:

@@ -6,9 +6,8 @@ dicts with str keys, lists, tuples, str, int, bool and None.  A
 `Fragment` holds the text of a value already written by `dumps`; the
 writer splices it in, re-indented to its depth, and the fragment keeps
 that text for each depth, so a value that repeats across a document is
-encoded once and re-indented once per depth.  Likewise each `dumps` call
-sorts and encodes the keys of a dict shape once per depth: the nodes and
-edges of a graph all share one shape.
+encoded once and re-indented once per depth.  The Hasse graph writes its
+own skeleton around such texts (`sttilt.HasseGraph.write_json`).
 """
 
 from json.encoder import encode_basestring_ascii as _string
@@ -34,14 +33,13 @@ class Fragment:
 
 def dumps(obj):
     out = []
-    _write(obj, out, "\n", {})
+    _write(obj, out, "\n")
     return "".join(out)
 
 
-def _write(obj, out, nl, layouts):
+def _write(obj, out, nl):
     """Append the text of obj to out; nl is the newline plus the indent
-    of obj's own depth.  layouts maps (nl, *keys) of each dict shape
-    written so far to its `_layout`."""
+    of obj's own depth."""
     if isinstance(obj, Fragment):
         out.append(obj.at(nl))
     elif isinstance(obj, str):
@@ -62,35 +60,21 @@ def _write(obj, out, nl, layouts):
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write(item, out, inner, layouts)
+            _write(item, out, inner)
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        shape = (nl, *obj)
-        layout = layouts.get(shape)
-        if layout is None:
-            layout = layouts[shape] = _layout(obj, nl)
         inner = nl + "  "
-        for key, head in layout:
-            out.append(head)
-            _write(obj[key], out, inner, layouts)
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {key!r}")
+            out.append(sep + _string(key) + ": ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
         out.append(nl + "}")
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _layout(obj, nl):
-    """The sorted keys of the dict obj at depth nl, each with the text
-    that goes before its value."""
-    inner = nl + "  "
-    sep = "{" + inner
-    layout = []
-    for key in sorted(obj):
-        if not isinstance(key, str):
-            raise TypeError(f"JSON object keys must be str, not {key!r}")
-        layout.append((key, sep + _string(key) + ": "))
-        sep = "," + inner
-    return layout

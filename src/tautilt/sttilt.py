@@ -50,9 +50,10 @@ per node.
 
 from bisect import bisect_left
 from collections import deque
+from operator import mul
 
 from .algebra import AlgebraError
-from .jsontext import Fragment, dumps
+from .jsontext import Fragment
 from .linalg import RowSpace
 from . import modrep as mr
 from . import twoterm as tt
@@ -136,6 +137,14 @@ class TauRigidPair:
                        key=lambda i: (gs[i], summands[i].serialize()))
         self.summands = tuple(summands[i] for i in order)
         self._gmat = tuple(gs[i] for i in order)
+
+    @classmethod
+    def _keyed(cls, alg, summands, key):
+        """The pair of summands already in key order, with key as its
+        g-matrix."""
+        pair = cls.__new__(cls)
+        pair.alg, pair.summands, pair._gmat = alg, summands, key
+        return pair
 
     @property
     def size(self):
@@ -326,12 +335,12 @@ def _mutation_directions(key, cs):
     certified sign-coherent."""
     downs = []
     for i, c in enumerate(cs):
-        signs = {x > 0 for x in c if x}
-        if len(signs) != 1:
+        lo, hi = min(c), max(c)
+        if lo < 0 < hi or lo == hi == 0:
             raise InvariantViolation(
                 f"pair {key}, summand {i + 1}: "
                 f"c-vector is not sign-coherent")
-        downs.append(True in signs)
+        downs.append(hi > 0)
     return downs
 
 
@@ -358,7 +367,7 @@ def _exchanged_c_vectors(pair, cs, index, key, pos):
     """
     g = key[pos]
     ci = cs[index]
-    d = sum(a * b for a, b in zip(g, ci))
+    d = sum(map(mul, g, ci))
     if d not in (1, -1):
         raise InvariantViolation(
             f"pair {key}: the g-vectors are not a Z-basis: exchanging "
@@ -367,7 +376,7 @@ def _exchanged_c_vectors(pair, cs, index, key, pos):
     out = []
     for j, c in enumerate(cs):
         if j != index:
-            t = d * sum(a * b for a, b in zip(g, c))
+            t = d * sum(map(mul, g, c))
             out.append(tuple(a - t * b for a, b in zip(c, ci)) if t else c)
     out.insert(pos, tuple(d * x for x in ci))
     return out
@@ -453,10 +462,13 @@ def _mutation(pair, index, down):
     return known[0]
 
 
-def _exchanged_pair(pair, index, new):
-    """pair with summand index (0-based) replaced by new."""
-    return TauRigidPair(
-        pair.alg, pair.summands[:index] + pair.summands[index + 1:] + (new,))
+def _exchanged_pair(pair, index, new, key, pos):
+    """pair with summand index (0-based) replaced by new, whose g-vector
+    is key[pos] in the exchanged key (`_exchanged_key`): the rest keep
+    their order, and new goes in at pos, so nothing is sorted again."""
+    rest = pair.summands[:index] + pair.summands[index + 1:]
+    return TauRigidPair._keyed(
+        pair.alg, rest[:pos] + (new,) + rest[pos:], key)
 
 
 def mutate(pair, index):
@@ -477,7 +489,7 @@ def mutate(pair, index):
     # a registry hit built no cone to check, so certify the result
     key, pos = _exchanged_key(pair.g_matrix(), i, tt.g_vector(new))
     _mutation_directions(key, _exchanged_c_vectors(pair, cs, i, key, pos))
-    return _exchanged_pair(pair, i, new), "down" if down else "up"
+    return _exchanged_pair(pair, i, new, key, pos), "down" if down else "up"
 
 
 # -- order -------------------------------------------------------------------
@@ -499,7 +511,11 @@ def silting_leq(U, T):
 # -- Hasse quiver -------------------------------------------------------------
 
 class HasseGraph:
-    """Nodes, labeled edges and flags of the enumerated mutation quiver."""
+    """Nodes, labeled edges and flags of the enumerated mutation quiver.
+
+    `write_json` streams the graph's JSON text to a writer one edge or
+    node at a time, so the CLI never holds the whole text; `to_json` is
+    the join of what it writes."""
 
     def __init__(self, alg, pairs, edges, complete):
         self.alg = alg
@@ -514,37 +530,49 @@ class HasseGraph:
     def node_count(self):
         return len(self.nodes)
 
+    def write_json(self, write):
+        """Send the graph's JSON text, in the `jsontext` layout, to write,
+        one edge or node at a time.  Each summand's g-vector and module
+        text, and each projective part's, is written once per call as a
+        jsontext `Fragment` at its depth and spliced into every node
+        holding it; the edges and the nodes around them are filled into
+        literal templates (`_EDGE`, `_NODE`)."""
+        summands = {}  # summand -> (g-vector text, module text or None)
+        parts = {}  # projective part -> its text
+        write('{\n  "edges": ')
+        sep = "["
+        for (s, d, i) in self.edges:
+            write(_EDGE % (sep, d, i + 1, s))
+            sep = ","
+        write('%s,\n  "flags": {\n    "complete": %s\n  },\n  "nodes": ' % (
+            "\n  ]" if self.edges else "[]",
+            "true" if self.complete else "false"))
+        sep = "["
+        for n, p in enumerate(self.nodes):
+            gs, ms = [], []
+            for c in p.summands:
+                texts = summands.get(c)
+                if texts is None:
+                    texts = summands[c] = (
+                        Fragment(tt.g_vector(c)).at(_ITEM),
+                        Fragment(module_to_json(tt.complex_h0(c))).at(_ITEM)
+                        if c.p0 else None)
+                gs.append(texts[0])
+                if texts[1] is not None:
+                    ms.append(texts[1])
+            proj = p.projective_part()
+            part = parts.get(proj)
+            if part is None:
+                part = parts[proj] = Fragment(proj).at(_FIELD)
+            write(_NODE % (sep, _list(gs), n, _list(ms), part))
+            sep = ","
+        write("\n  ]\n}")  # an enumeration keeps at least its top pair
+
     def to_json(self):
-        """The graph as JSON text.  Each distinct g-vector, projective
-        part and module summand is encoded once per call and spliced
-        into every node holding it."""
-        vectors = {}
-        modules = {}
-
-        def vector_text(v):
-            frag = vectors.get(v)
-            if frag is None:
-                frag = vectors[v] = Fragment(v)
-            return frag
-
-        def module_text(m):
-            frag = modules.get(id(m))
-            if frag is None:
-                frag = modules[id(m)] = Fragment(module_to_json(m))
-            return frag
-
-        nodes = [{
-            "id": i,
-            "g_matrix": [vector_text(col) for col in p.g_matrix()],
-            "module_summands": [module_text(m) for m in p.module_summands()],
-            "projective_part": vector_text(p.projective_part()),
-        } for i, p in enumerate(self.nodes)]
-        return dumps({
-            "nodes": nodes,
-            "edges": [{"src": s, "dst": d, "index": i + 1}
-                      for (s, d, i) in self.edges],
-            "flags": {"complete": self.complete},
-        })
+        """The graph as JSON text: the join of `write_json`."""
+        out = []
+        self.write_json(out.append)
+        return "".join(out)
 
     def to_dot(self):
         lines = ["digraph sttilt {"]
@@ -556,6 +584,23 @@ class HasseGraph:
             lines.append(f'  n{s} -> n{d} [label="{i + 1}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+# the skeleton of the graph's JSON text (`HasseGraph.write_json`): each
+# edge or node begins with its separator in its list, "[" or ","; a
+# node's fields start at _FIELD and the items of its lists at _ITEM
+_FIELD, _ITEM = "\n      ", "\n        "
+_EDGE = ('%s\n    {\n      "dst": %d,\n      "index": %d,\n      "src": %d'
+         '\n    }')
+_NODE = ('%s\n    {\n      "g_matrix": %s,\n      "id": %d,\n'
+         '      "module_summands": %s,\n      "projective_part": %s\n    }')
+
+
+def _list(texts):
+    """A node's field holding the list of item texts written at _ITEM."""
+    if not texts:
+        return "[]"
+    return "[" + _ITEM + ("," + _ITEM).join(texts) + _FIELD + "]"
 
 
 def module_to_json(M):
@@ -623,7 +668,7 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6):
             if held is not None:
                 lower, j = held
                 g = pairs[lower].g_matrix()[j]
-                d = sum(a * b for a, b in zip(g, cs[i]))
+                d = sum(map(mul, g, cs[i]))
                 if d != -1:
                     raise InvariantViolation(
                         f"pair {gmat}, summand {i + 1}: the pair "
@@ -643,7 +688,7 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6):
             child_cs = _exchanged_c_vectors(pair, cs, i, key, pos)
             keys.add(key)
             child = len(pairs)
-            pairs.append(_exchanged_pair(pair, i, new))
+            pairs.append(_exchanged_pair(pair, i, new, key, pos))
             # the edge just made covers the almost complete key at pos; a
             # c-vector with a negative entry goes up (all are certified
             # sign-coherent when the child is expanded)

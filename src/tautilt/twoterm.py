@@ -380,8 +380,11 @@ class HomotopyHom:
     differentials h -> (h d_T, d_U h) and (f1, f0) -> f0 d_T - d_U f1.
     The classes are the kernel of the outgoing differential reduced
     modulo `homotopies`, the image of the incoming one, and `dim` counts
-    them.  At shift 0 `reps` holds one strict chain map per class, over
-    the grids c1 and c0, with composition through canonical class
+    them.  An empty Hom^shift grid gives dim 0 with neither a kernel
+    nor a boundary row computed; when only the kernel is empty the
+    homotopies are still built, since `chain_map_class` reduces by them.
+    At shift 0 `reps` holds one strict chain map per class, over the
+    grids c1 and c0, with composition through canonical class
     coordinates.  At shifts +-1 only `dim` is read (presilting tests and
     the silting order), so no representative is built.
     Built through `hom_homotopy`, which checks that T and U share their
@@ -414,11 +417,13 @@ class HomotopyHom:
             return rows
 
         n = size.get(shift, 0)
-        cycles = kernel_via_presolve(F, differential(shift), n)
-        boundaries = [{} for _ in range(size.get(shift - 1, 0))]
-        for r, row in enumerate(differential(shift - 1)):
-            for col, c in row.items():
-                boundaries[col][r] = c
+        cycles, boundaries = [], []
+        if n:  # an empty grid has no cycles and no homotopies
+            cycles = kernel_via_presolve(F, differential(shift), n)
+            boundaries = [{} for _ in range(size.get(shift - 1, 0))]
+            for r, row in enumerate(differential(shift - 1)):
+                for col, c in row.items():
+                    boundaries[col][r] = c
         self.homotopies = RowSpace(F, n, boundaries)
         self.classes = RowSpace(F, n, map(self.homotopies.reduce, cycles))
         self.dim = self.classes.dim
@@ -589,17 +594,16 @@ def _shifted(alg, p1, pres_p1):
 
 # -- minimal approximations ------------------------------------------------
 
-def _end_radical(R):
+def _end_radical(end):
     """rad End_K(R) as coefficient rows over the representatives of
-    Hom(R, R); computed once per Hom object."""
-    end = hom_homotopy(R, R, 0)
+    end = Hom(R, R); computed once per Hom object."""
     if end.radical is None:
-        table = composition_table(R, R, R)
-        # b_i b_j = rep_i . rep_j, which the table holds at [j][i]
-        mult = {(i, j): table[j][i]
-                for i in range(end.dim) for j in range(end.dim)}
+        reps = end.reps
+        # b_i b_j = rep_i . rep_j
+        mult = {(i, j): end.chain_map_class(a.compose(b))
+                for i, a in enumerate(reps) for j, b in enumerate(reps)}
         end.radical = (splitting.radical_from_mult_table(
-            R.alg.field, mult, end.dim) if end.dim else [])
+            end.classes.field, mult, end.dim) if end.dim else [])
     return end.radical
 
 
@@ -614,19 +618,21 @@ def _products(X, Y, Z, left):
 def _wall_image(X, Rl, R, left, dim):
     """RREF rows of the image of Hom(Rl, R) . Hom(X, Rl), or of
     rad End(R) . Hom(X, R) when Rl is R, in Hom(X, R) of dimension dim,
-    read in the approximation's category; memoized in X.alg.wall_memo."""
+    read in the approximation's category; memoized in X.alg.wall_memo.
+    When rad End(R) = 0 the wall of R itself is empty, and its
+    composition table is not built."""
     key = (left, X.form_id(), Rl.form_id(), R.form_id())
     rows = X.alg.wall_memo.get(key)
     if rows is None:
         F = X.alg.field
-        table = _products(X, Rl, R, left)
         if key[2] != key[3]:
-            image = [vec for row in table for vec in row]
+            image = [vec for row in _products(X, Rl, R, left) for vec in row]
         else:  # rad End(R) as rows over the reps of End(R), times row u
-            rad = _end_radical(R)
-            image = [vec for row in table for vec in ExactMatrix(
-                F, len(rad), len(row), rad).mul(
-                    ExactMatrix(F, len(row), dim, row)).rows]
+            rad = _end_radical(hom_homotopy(R, R))
+            image = []
+            for row in _products(X, R, R, left) if rad else ():
+                image += ExactMatrix(F, len(rad), len(row), rad).mul(
+                    ExactMatrix(F, len(row), dim, row)).rows
         rows = X.alg.wall_memo[key] = tuple(RowSpace(F, dim, image).reduced)
     return rows
 
@@ -652,9 +658,8 @@ def approximation_counts(X, targets, left):
         wall = (len(images[0]) if len(images) == 1 else RowSpace(
             X.alg.field, hs.dim, [r for rows in images for r in rows]).dim)
         if wall < hs.dim:
-            R = targets[j]
-            out.append((j, hs.dim - wall,
-                        hom_homotopy(R, R).dim - len(_end_radical(R))))
+            end = hom_homotopy(targets[j], targets[j])
+            out.append((j, hs.dim - wall, end.dim - len(_end_radical(end))))
     return out
 
 

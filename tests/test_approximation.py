@@ -275,7 +275,7 @@ def test_a_count_off_the_orbits_is_an_invariant_violation(monkeypatch):
     alg = read_algebra("preproj_a3.alg")
     top = st.TauRigidPair(alg, [tt.stalk_complex(alg, (v,), 0)
                                 for v in range(alg.n)])
-    monkeypatch.setattr(tt, "_end_radical", lambda R: [])
+    monkeypatch.setattr(tt, "_end_radical", lambda end: [])
     with pytest.raises(st.InvariantViolation,
                        match=re.escape(f"pair {top.key()}, summand 1: the "
                                        "maps into the target (0, 1, 0) have "

@@ -1,6 +1,7 @@
 """The package's JSON writer, and the graph JSON it writes, against
 json.dumps(indent=2, sort_keys=True)."""
 
+import io
 import json
 
 import pytest
@@ -77,8 +78,9 @@ def _one_vertex():
     (lambda: read_algebra("loop2.alg"), 10 ** 6, True),
     (lambda: read_algebra("three_paths.alg"), 60, None),
     (_one_vertex, 10 ** 6, True),
+    (lambda: read_algebra("a3.alg"), 1, False),
 ], ids=["kronecker-12", "preproj_a3", "loop2", "three_paths-60",
-        "one-vertex"])
+        "one-vertex", "edge-free"])
 def test_graph_json_is_the_standard_layout(make, max_nodes, complete):
     graph = st.enumerate_sttilt(make(), max_nodes=max_nodes)
     if complete is not None:
@@ -87,5 +89,17 @@ def test_graph_json_is_the_standard_layout(make, max_nodes, complete):
         # the bottom pair (0, A) has no module summand
         min_node = top_and_bottom(graph)[1]
         assert not graph.nodes[min_node].module_summands()
+    assert bool(graph.edges) is (max_nodes > 1)
     text = graph.to_json()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+    # the streamed text is to_json's, written one edge or node at a time
+    stream = io.StringIO()
+    writes = []
+
+    def write(piece):
+        writes.append(piece)
+        stream.write(piece)
+
+    graph.write_json(write)
+    assert stream.getvalue() == text
+    assert len(writes) > graph.node_count() + len(graph.edges)

@@ -264,6 +264,49 @@ def test_enumeration_approximates_once_per_new_node(make, nodes,
     assert len(calls["choose"]) == len(alg.summands) - alg.n
 
 
+def _self_wall_tables(monkeypatch):
+    """The targets R of the walls (X, R, R) reached from now on, and
+    those whose wall builds a composition table."""
+    reached, built, inside = set(), set(), []
+    wall_image, products = tt._wall_image, tt._products
+
+    def wall(X, Rl, R, left, dim):
+        if Rl is R:
+            reached.add(R)
+        inside.append(Rl is R)
+        try:
+            return wall_image(X, Rl, R, left, dim)
+        finally:
+            inside.pop()
+
+    def table(X, Y, Z, left):
+        if inside and inside[-1]:
+            built.add(Y)
+        return products(X, Y, Z, left)
+
+    monkeypatch.setattr(tt, "_wall_image", wall)
+    monkeypatch.setattr(tt, "_products", table)
+    return reached, built
+
+
+@pytest.mark.parametrize("make, nodes, radicals", [
+    (lambda: linear(5), 132, False),
+    (lambda: read_algebra("preproj_a3.alg"), 24, True),
+], ids=["A5", "preprojective A3"])
+def test_a_self_wall_builds_a_table_only_over_a_radical(make, nodes,
+                                                        radicals,
+                                                        monkeypatch):
+    # the wall of R itself is rad End(R) . Hom(X, R): empty when
+    # rad End(R) = 0, as for every summand of A5, whose Ends are k
+    alg = make()
+    reached, built = _self_wall_tables(monkeypatch)
+    assert st.enumerate_sttilt(alg).node_count() == nodes
+    # each wall of R itself reads rad End(R), kept on its Hom object
+    with_radical = {R for R in reached if tt.hom_homotopy(R, R).radical}
+    assert built == with_radical
+    assert bool(built) is radicals
+
+
 def test_enumeration_past_max_nodes_approximates_no_further(monkeypatch):
     alg = read_algebra("kronecker.alg")
     calls = _counted_approximations(monkeypatch)

@@ -38,6 +38,32 @@ def test_hom_homotopy_examples(kA2, s1_complex):
     assert tt.hom_homotopy(A0, A0, 0).dim == kA2.dim
 
 
+def test_a_hom_space_over_an_empty_grid(monkeypatch):
+    # on 1 -> 2 -> 3 -> 4, Hom(P1, P4) = e4 A e1 holds no path, so its
+    # Hom^0 grid has no coordinates at all and no kernel is computed
+    alg = parse_algebra(
+        'field = "Q"\nvertices = ["1", "2", "3", "4"]\n'
+        + "".join(f'arrow = {{ name = "a{i}", source = "{i}", '
+                  f'target = "{i + 1}" }}\n' for i in range(1, 4)))
+    kernels = []
+    kernel = tt.kernel_via_presolve
+
+    def counted(*args):
+        kernels.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(tt, "kernel_via_presolve", counted)
+    P1, P4 = tt.stalk_complex(alg, (0,)), tt.stalk_complex(alg, (3,))
+    hs = tt.hom_homotopy(P1, P4)
+    assert hs.c0.end == 0 and hs.dim == 0 and hs.reps == []
+    assert not kernels
+    zero = tt.ChainMap(P1, P4, tt.AlgMatrix(alg, (), ()),
+                       tt.AlgMatrix(alg, (3,), (0,)))
+    assert hs.chain_map_class(zero) == {}
+    # the other way the grid holds the path from 1 to 4: one class
+    assert tt.hom_homotopy(P4, P1).dim == 1 and len(kernels) == 1
+
+
 def test_equal_complexes_share_one_hom_entry(kA2):
     # two distinct objects with equal serializations get one form id, so
     # they share every memo entry keyed by it
