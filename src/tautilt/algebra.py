@@ -363,11 +363,12 @@ class BoundQuiverAlgebra:
       both tables for every exchange (mutation or completion piece) and
       every checked input pair, and no g-vector is in both;
     * hom_memo: Hom spaces in the homotopy category, keyed by
-      (shift, T.form_id(), U.form_id()) (``twoterm.hom_homotopy``);
+      (shift, T.form_id(), U.form_id()) (``twoterm._memo_hom``, the
+      one lookup of ``twoterm.hom_homotopy`` and ``twoterm._walls``);
     * wall_memo: approximation walls, the RREF rows (a tuple, () when
       empty) of the image of Hom(R_l, R_j) . Hom(X, R_l), or of
       rad End(R_j) . Hom(X, R_j), per direction and form-id triple
-      (X, R_l, R_j) (``twoterm._wall_image``); the only composition data
+      (X, R_l, R_j) (``twoterm._walls``); the only composition data
       kept, since ``twoterm.composition_table`` builds each table when
       asked;
     * sum_memo: the sums of projectives and injectives on the path basis,

@@ -219,7 +219,7 @@ def cmd_enumerate(args, out):
         graph.write_json(out.write)
         out.write("\n")
     elif args.format == "dot":
-        _emit(out, graph.to_dot())
+        graph.write_dot(out.write)
     else:
         _emit(out, _graph_table(graph))
     return 0

@@ -396,14 +396,18 @@ def kernel_subrep(alg, M, f):
 
 
 class Presentation:
-    """Minimal projective presentation P1 -> P0 -> M -> 0."""
+    """Minimal projective presentation P1 -> P0 -> M -> 0.
 
-    __slots__ = ("P1", "P0", "entries")
+    `complex` is its two-term complex, set by the first
+    `twoterm.presentation_complex` of M and kept for M's later calls."""
+
+    __slots__ = ("P1", "P0", "entries", "complex")
 
     def __init__(self, P1, P0, entries):
         self.P1 = P1
         self.P0 = P0
         self.entries = entries  # algebra-entry matrix {(t, s): elem}
+        self.complex = None
 
 
 def minimal_projective_presentation(M):

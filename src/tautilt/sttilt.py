@@ -35,17 +35,23 @@ step: the almost complete pair it exchanges lies in exactly two pairs
 
 An exchange changes one row of G, so the c-vectors of the result follow
 from those of the pair by an exact rank-one update, which also certifies
-that the new g-vectors are a Z-basis.  Only a pair that no exchange led
-to (the top of an enumeration, the input of `mutate`) is inverted by
-Gauss-Jordan over Z; every pair a mutation returns, and every node an
-enumeration keeps, has its c-vectors certified.
+that the new g-vectors are a Z-basis; the update carries the c-vectors'
+signs along and certifies sign-coherence only for the c-vectors it
+changes.  Only a pair that no exchange led to (the top of an
+enumeration, the input of `mutate`, a completion) is inverted by
+Gauss-Jordan over Z and has its signs read by `_mutation_directions`;
+every pair a mutation returns, and every node an enumeration keeps, has
+its c-vectors certified.
 
 Enumeration is a BFS through down mutations from the pair (A, 0); in the
 tau-tilting finite case a finite connected component is the whole poset,
 and every node is reachable downward from the maximum, so termination
 with an exhausted frontier certifies completeness.  An edge to a new node
-forms its target's key before any pair is built, so a pair is built once
-per node.
+forms its target's summand set before any pair is built, so a pair is
+built once per node.  The run names nodes and almost complete pairs by
+bitsets of their interned summands, one bit per canonical summand, which
+is again sound by the g-vector theorem; the g-matrices serve the
+c-vector algebra, the output order and the error texts.
 """
 
 from bisect import bisect_left
@@ -122,6 +128,17 @@ def _summands(alg, g, split):
     return known
 
 
+def _projective(alg, v, shift):
+    """P_v, or P_v[1] for shift 1, read from the summand registry by its
+    g-vector +-e_v; the stalk is interned on first use."""
+    g = [0] * alg.n
+    g[v] = -1 if shift else 1
+    canon = alg.summands.get(tuple(g))
+    if canon is None:
+        canon = intern_summand(tt.stalk_complex(alg, (v,), shift))
+    return canon
+
+
 # -- pairs ----------------------------------------------------------------
 
 class TauRigidPair:
@@ -133,8 +150,9 @@ class TauRigidPair:
         self.alg = alg
         summands = list(summands)
         gs = [tt.g_vector(c) for c in summands]
-        order = sorted(range(len(summands)),
-                       key=lambda i: (gs[i], summands[i].serialize()))
+        order = sorted(range(len(summands)), key=gs.__getitem__)
+        if len(set(gs)) < len(gs):  # equal g-vectors: the data decides
+            order.sort(key=lambda i: (gs[i], summands[i].serialize()))
         self.summands = tuple(summands[i] for i in order)
         self._gmat = tuple(gs[i] for i in order)
 
@@ -230,10 +248,12 @@ def _completion(pair, left):
     add(pair)-approximation of A, or the right one of A[1], one P_v at
     a time: every wall map keeps the grading Hom(A, R) = (+) Hom(P_v, R),
     so that (co)cone is the direct sum of the pieces for the P_v.  Each
-    piece is one exchange step (`_exchange`) split by
+    piece is one exchange step (`_exchange`) from P_v or P_v[1] as the
+    summand registry holds it (`_projective`), split by
     `twoterm.decompose_complex`: a piece is presilting, so its predicted
     g-vector determines it (AIR 2014, Thm 5.5), and only a new one is
-    built, split and registered; a repeated completion builds no cone.
+    built, split and registered.  A repeated completion is lookups only:
+    it builds no complex, cone or composite and serializes nothing.
     The result is certified as `mutate` certifies its own: n summands
     whose g-vectors are a Z-basis with sign-coherent c-vectors.
     """
@@ -242,7 +262,7 @@ def _completion(pair, left):
     targets = list(dict.fromkeys(intern_summand(c) for c in pair.summands))
     summands = dict.fromkeys(targets)  # ordered, repeats removed by identity
     for v in range(alg.n):
-        X = tt.stalk_complex(alg, (v,), 0 if left else 1)
+        X = _projective(alg, v, 0 if left else 1)
         _, piece = _exchange(pair, ("vertex", alg.vertex_labels[v]), X,
                              targets, left, tt.decompose_complex)
         summands.update(dict.fromkeys(piece))
@@ -287,24 +307,30 @@ def _unimodular_inverse(g):
     Gauss-Jordan over Z on [G | I]: each column is cleared below its
     pivot by Euclid's algorithm on the rows (repeated floor-division
     steps with the smallest live entry as pivot), so every step is an
-    integer row operation and no Fraction arises.  The pivots multiply
-    to +-det G, so det G = +-1 exactly when each is +-1.
+    integer row operation and no Fraction arises; a column holding a
+    unit takes it as pivot with no Euclid step.  The pivots multiply to
+    +-det G, so det G = +-1 exactly when each is +-1.
     """
     n = len(g)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
     for c in range(n):
-        while True:
-            live = [r for r in range(c, n) if a[r][c]]
-            if not live:
-                return None
-            p = min(live, key=lambda r: abs(a[r][c]))
-            a[c], a[p] = a[p], a[c]
-            if len(live) == 1:
+        for r in range(c, n):
+            if a[r][c] in (1, -1):
+                a[c], a[r] = a[r], a[c]
                 break
-            for r in range(c + 1, n):
-                q = a[r][c] // a[c][c]
-                if q:
-                    a[r] = [x - q * y for x, y in zip(a[r], a[c])]
+        else:
+            while True:
+                live = [r for r in range(c, n) if a[r][c]]
+                if not live:
+                    return None
+                p = min(live, key=lambda r: abs(a[r][c]))
+                a[c], a[p] = a[p], a[c]
+                if len(live) == 1:
+                    break
+                for r in range(c + 1, n):
+                    q = a[r][c] // a[c][c]
+                    if q:
+                        a[r] = [x - q * y for x, y in zip(a[r], a[c])]
         if a[c][c] not in (1, -1):
             return None
         if a[c][c] == -1:
@@ -329,19 +355,22 @@ def _root_c_vectors(pair):
     return list(zip(*inv))
 
 
+def _goes_down(key, i, c):
+    """True when the mutation at summand i (0-based) of the pair `key`,
+    with c-vector c, goes down: c >= 0.  c is first certified
+    sign-coherent."""
+    lo, hi = min(c), max(c)
+    if lo < 0 < hi or lo == hi == 0:
+        raise InvariantViolation(
+            f"pair {key}, summand {i + 1}: c-vector is not sign-coherent")
+    return hi > 0
+
+
 def _mutation_directions(key, cs):
-    """Per summand of the pair `key` with c-vectors cs, True when its
-    mutation goes down: its c-vector is >= 0.  Each c-vector is first
-    certified sign-coherent."""
-    downs = []
-    for i, c in enumerate(cs):
-        lo, hi = min(c), max(c)
-        if lo < 0 < hi or lo == hi == 0:
-            raise InvariantViolation(
-                f"pair {key}, summand {i + 1}: "
-                f"c-vector is not sign-coherent")
-        downs.append(hi > 0)
-    return downs
+    """`_goes_down` of every summand of the pair `key` with c-vectors cs;
+    only a pair that no exchange led to needs it, since an exchange
+    carries the signs over (`_exchanged_c_vectors`)."""
+    return [_goes_down(key, i, c) for i, c in enumerate(cs)]
 
 
 def _exchanged_key(gmat, index, g):
@@ -353,17 +382,19 @@ def _exchanged_key(gmat, index, g):
     return rest[:pos] + (g,) + rest[pos:], pos
 
 
-def _exchanged_c_vectors(pair, cs, index, key, pos):
-    """The c-vectors, in key order, of the pair `key` that pair, with
-    c-vectors cs, becomes when its summand index (0-based) is exchanged
-    for the g-vector key[pos].
+def _exchanged_c_vectors(pair, cs, downs, index, key, pos):
+    """The c-vectors and their signs (`_goes_down`), in key order, of the
+    pair `key` that pair, with c-vectors cs and signs downs, becomes when
+    its summand index (0-based) is exchanged for the g-vector key[pos].
 
     The exchange changes one row of G by u = g' - g_i, a rank-one
     change, so with d = g' . c_i the matrix determinant lemma gives
     det G' = d det G, and G' is a Z-basis exactly when d = +-1.  Then
     the inverse changes by the rank-one matrix c_i (u G^-1) d
     (Sherman-Morrison): c'_i = d c_i and c'_j = c_j - d (g' . c_j) c_i,
-    exactly over Z.
+    exactly over Z.  A c-vector the update leaves alone keeps its sign,
+    c'_i has the sign of c_i times d, and only a changed c'_j (g' . c_j
+    != 0) is certified sign-coherent again.
     """
     g = key[pos]
     ci = cs[index]
@@ -373,13 +404,20 @@ def _exchanged_c_vectors(pair, cs, index, key, pos):
             f"pair {key}: the g-vectors are not a Z-basis: exchanging "
             f"summand {index + 1} of pair {pair.key()} for g-vector {g} "
             f"multiplies det G by {d}")
-    out = []
+    out, signs = [], []
     for j, c in enumerate(cs):
         if j != index:
             t = d * sum(map(mul, g, c))
-            out.append(tuple(a - t * b for a, b in zip(c, ci)) if t else c)
+            if t:
+                c = tuple(a - t * b for a, b in zip(c, ci))
+                k = len(out)
+                signs.append(_goes_down(key, k + (k >= pos), c))
+            else:
+                signs.append(downs[j])
+            out.append(c)
     out.insert(pos, tuple(d * x for x in ci))
-    return out
+    signs.insert(pos, downs[index] == (d == 1))
+    return out, signs
 
 
 def _predicted_g_vector(pair, where, X, targets, left):
@@ -484,12 +522,13 @@ def mutate(pair, index):
         raise NotTauRigidError("mutation needs a tau-tilting pair")
     i = index - 1
     cs = _root_c_vectors(pair)
-    down = _mutation_directions(pair.key(), cs)[i]
-    new = _mutation(pair, i, down)
+    downs = _mutation_directions(pair.key(), cs)
+    new = _mutation(pair, i, downs[i])
     # a registry hit built no cone to check, so certify the result
     key, pos = _exchanged_key(pair.g_matrix(), i, tt.g_vector(new))
-    _mutation_directions(key, _exchanged_c_vectors(pair, cs, i, key, pos))
-    return _exchanged_pair(pair, i, new, key, pos), "down" if down else "up"
+    _exchanged_c_vectors(pair, cs, downs, i, key, pos)
+    return (_exchanged_pair(pair, i, new, key, pos),
+            "down" if downs[i] else "up")
 
 
 # -- order -------------------------------------------------------------------
@@ -514,8 +553,9 @@ class HasseGraph:
     """Nodes, labeled edges and flags of the enumerated mutation quiver.
 
     `write_json` streams the graph's JSON text to a writer one edge or
-    node at a time, so the CLI never holds the whole text; `to_json` is
-    the join of what it writes."""
+    node at a time, and `write_dot` its Graphviz text one line at a
+    time, so the CLI never holds the whole text; `to_json` and `to_dot`
+    are the joins of what they write."""
 
     def __init__(self, alg, pairs, edges, complete):
         self.alg = alg
@@ -574,16 +614,24 @@ class HasseGraph:
         self.write_json(out.append)
         return "".join(out)
 
-    def to_dot(self):
-        lines = ["digraph sttilt {"]
+    def write_dot(self, write):
+        """Send the graph's Graphviz text to write, one line at a time:
+        a node per g-matrix, then an edge per mutation, labeled by its
+        1-based summand index."""
+        write("digraph sttilt {\n")
         for i, p in enumerate(self.nodes):
             label = ";".join(
                 ",".join(str(x) for x in col) for col in p.g_matrix())
-            lines.append(f'  n{i} [label="[{label}]"];')
+            write(f'  n{i} [label="[{label}]"];\n')
         for (s, d, i) in self.edges:
-            lines.append(f'  n{s} -> n{d} [label="{i + 1}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            write(f'  n{s} -> n{d} [label="{i + 1}"];\n')
+        write("}\n")
+
+    def to_dot(self):
+        """The graph as Graphviz text: the join of `write_dot`."""
+        out = []
+        self.write_dot(out.append)
+        return "".join(out)
 
 
 # the skeleton of the graph's JSON text (`HasseGraph.write_json`): each
@@ -623,47 +671,58 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6):
     complete pair is a summand of exactly two support tau-tilting pairs,
     one above the other (AIR 2014, Thm 2.18), so a down edge whose lower
     end is already a node is read off that node: each node, when it is
-    made, enters every almost complete key under which it is the lower
+    made, enters every almost complete pair under which it is the lower
     end, and the node above takes its edge from there, certified by
     g' . c_i = -1 for the one column g' of the lower key not in the
     almost complete key.  Only an edge to a new node counts an
     approximation, and chooses maps and builds a cone only when its
     predicted g-vector is new to the registry; so a complete enumeration
-    counts nodes - 1 approximations.  Nodes are deduplicated by the
-    column-sorted g-matrix; a new node's key is its parent's with one
-    column replaced by the g-vector of the summand the edge puts in.
-    Only the top pair's c-vectors come from a Gauss-Jordan inverse; each
-    new node gets its own from its parent's by the exchange update,
-    which certifies a Z-basis, and every node has them certified
-    sign-coherent.  Every summand is interned, so pairs with equal keys
-    carry the same summand tuple; the registry checks isomorphism once
-    per new serialization of a g-vector and aborts the run on a
-    collision of non-isomorphic summands.  If the frontier exhausts
-    within max_nodes, the graph is the complete Hasse quiver.
-    max_nodes must be at least 1 (the top pair is always a node).
+    counts nodes - 1 approximations.
+
+    Every summand is interned, so a set of summands is a set of
+    g-vectors (AIR 2014, Thm 5.5), and pairs with equal keys carry the
+    same summand tuple.  The run numbers each canonical summand it meets
+    by one bit, and identifies nodes and almost complete pairs by the
+    bitsets of their summands; a new node's set is its parent's with one
+    bit replaced.  The column-sorted g-matrices stay for the c-vector
+    algebra, the output order and the error texts.  Only the top pair's
+    c-vectors come from a Gauss-Jordan inverse and only its signs from
+    `_mutation_directions`; each new node gets both from its parent's by
+    the exchange update (`_exchanged_c_vectors`), which certifies a
+    Z-basis and the sign-coherence of every c-vector it changes.  The
+    registry checks isomorphism once per new serialization of a g-vector
+    and aborts the run on a collision of non-isomorphic summands.  If
+    the frontier exhausts within max_nodes, the graph is the complete
+    Hasse quiver.  max_nodes must be at least 1 (the top pair is always
+    a node).
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, not {max_nodes}")
-    top = TauRigidPair(alg, [
-        intern_summand(tt.stalk_complex(alg, (v,), 0))
-        for v in range(alg.n)])
+    top = TauRigidPair(alg, [_projective(alg, v, 0) for v in range(alg.n)])
+    bits = {}  # canonical summand -> its bit in this run's summand sets
+    top_set = 0
+    for c in top.summands:
+        top_set |= bits.setdefault(c, 1 << len(bits))
     pairs = [top]
-    keys = {top.key()}  # only to refuse an approximated key twice
-    # almost complete key -> (id, column) of the node that is its lower
-    # end and waits for the node above; an entry goes once it has served
+    made = {top_set}  # only to refuse an approximated node twice
+    # almost complete summand set -> (id, column) of the node that is its
+    # lower end and waits for the node above; an entry goes once it has
+    # served
     below = {}
     edges = []
-    # a queued node carries its c-vectors until it is expanded
-    queue = deque([(0, _root_c_vectors(top))])
+    # a queued node carries its summand set, c-vectors and their signs
+    # until it is expanded
+    cs = _root_c_vectors(top)
+    queue = deque([(0, top_set, cs, _mutation_directions(top.key(), cs))])
     complete = True
     while queue:
-        node_id, cs = queue.popleft()
+        node_id, node_set, cs, downs = queue.popleft()
         pair = pairs[node_id]
         gmat = pair.g_matrix()
-        for i, down in enumerate(_mutation_directions(gmat, cs)):
+        for i, down in enumerate(downs):
             if not down:
                 continue  # the up edge is discovered from the other end
-            rest = gmat[:i] + gmat[i + 1:]
+            rest = node_set ^ bits[pair.summands[i]]
             held = below.pop(rest, None)
             if held is not None:
                 lower, j = held
@@ -680,27 +739,29 @@ def enumerate_sttilt(alg, max_nodes=10 ** 6):
                 complete = False
                 continue
             new = _mutation(pair, i, True)
+            child_set = rest | bits.setdefault(new, 1 << len(bits))
             key, pos = _exchanged_key(gmat, i, tt.g_vector(new))
-            if key in keys:
+            if child_set in made:
                 raise InvariantViolation(
                     f"pair {gmat}, summand {i + 1}: the exchange {key} is "
-                    f"already a node but not the lower end of {rest}")
-            child_cs = _exchanged_c_vectors(pair, cs, i, key, pos)
-            keys.add(key)
+                    f"already a node but not the lower end of "
+                    f"{gmat[:i] + gmat[i + 1:]}")
+            child_cs, child_downs = _exchanged_c_vectors(
+                pair, cs, downs, i, key, pos)
+            made.add(child_set)
             child = len(pairs)
             pairs.append(_exchanged_pair(pair, i, new, key, pos))
-            # the edge just made covers the almost complete key at pos; a
-            # c-vector with a negative entry goes up (all are certified
-            # sign-coherent when the child is expanded)
-            for j, c in enumerate(child_cs):
-                if j != pos and min(c) < 0:
-                    rest_j = key[:j] + key[j + 1:]
+            # the edge just made covers the almost complete pair at pos;
+            # the child is the lower end of those it goes up from
+            for j, down_j in enumerate(child_downs):
+                if j != pos and not down_j:
+                    rest_j = child_set ^ bits[pairs[child].summands[j]]
                     if rest_j in below:
                         raise InvariantViolation(
                             f"pairs {pairs[below[rest_j][0]].key()} and "
-                            f"{key} are both below {rest_j}")
+                            f"{key} are both below {key[:j] + key[j + 1:]}")
                     below[rest_j] = child, j
-            queue.append((child, child_cs))
+            queue.append((child, child_set, child_cs, child_downs))
             edges.append((node_id, child, i))
     below.clear()  # free its table before the graph is laid out
     return HasseGraph(alg, pairs, edges, complete)

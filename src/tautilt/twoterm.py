@@ -27,7 +27,7 @@ Everything mutation-shaped runs through mapping cones of minimal
 approximations.  The approximation is written once, in its left form;
 the right form is its dual, read in the opposite category: Hom(A, B)
 becomes Hom(B, A) and a.b becomes b.a.  It works in class coordinates,
-on walls the algebra memoizes per form ids (`_wall_image`), each read off
+on walls the algebra memoizes per form ids (`_walls`), each read off
 a composition table that `composition_table` builds when asked and keeps
 nowhere; `approximation_counts` reads the multiplicities off the walls
 and chooses no map.  A cone of a map of
@@ -462,11 +462,16 @@ def hom_homotopy(T, U, shift=0):
     """
     if T.alg is not U.alg:
         raise AlgebraError("complexes over different algebras")
-    key = (shift, T.form_id(), U.form_id())
+    return _memo_hom(T, U, (shift, T.form_id(), U.form_id()))
+
+
+def _memo_hom(T, U, key):
+    """The hom_memo entry under key = (shift, T.form_id(), U.form_id()),
+    built on a miss: the one memo path of `hom_homotopy` and `_walls`."""
     memo = T.alg.hom_memo
     hs = memo.get(key)
     if hs is None:
-        hs = memo[key] = HomotopyHom(T, U, shift)
+        hs = memo[key] = HomotopyHom(T, U, key[0])
     return hs
 
 
@@ -477,7 +482,7 @@ def composition_table(A, B, C):
     Entry [a][b] holds the class coordinates (`chain_map_class`) of
     rep_b . rep_a in Hom(A, C), for rep_a in Hom(A, B) and rep_b in
     Hom(B, C).  Built on each call from the memoized Hom spaces; the
-    walls that read it are memoized instead (`_wall_image`).  Hom(A, C)
+    walls that read it are memoized instead (`_walls`).  Hom(A, C)
     is only requested when both factors are nonzero.
     """
     ab, bc = hom_homotopy(A, B), hom_homotopy(B, C)
@@ -542,21 +547,28 @@ def indecomposables_isomorphic(T, U):
 # -- translation between pairs and complexes ------------------------------
 
 def presentation_complex(M):
-    """Two-term complex of a minimal projective presentation of M."""
-    alg = M.alg
+    """Two-term complex of a minimal projective presentation of M.
+
+    Built once per module and kept with its `modrep.Presentation`, so a
+    repeated call returns the same complex, with its form id and the
+    Hom spaces memoized under it."""
     pres = mr.minimal_projective_presentation(M)
-    d = AlgMatrix(alg, pres.P0.verts, pres.P1.verts, pres.entries)
-    return TwoTermComplex(alg, pres.P1.verts, pres.P0.verts, d)
+    if pres.complex is None:
+        alg = M.alg
+        d = AlgMatrix(alg, pres.P0.verts, pres.P1.verts, pres.entries)
+        pres.complex = TwoTermComplex(alg, pres.P1.verts, pres.P0.verts, d)
+    return pres.complex
 
 
 def pair_to_complex(M, proj_mults):
-    """Complex of the pair (M, P): presentation of M plus P[1] summands."""
+    """Complex of the pair (M, P): presentation of M plus P[1] summands;
+    the presentation itself when P = 0."""
     alg = M.alg
-    parts = [presentation_complex(M)]
     shift_verts = [v for v in range(alg.n) for _ in range(proj_mults[v])]
-    if shift_verts:
-        parts.append(stalk_complex(alg, shift_verts, shift=1))
-    return direct_sum_complex(parts)
+    if not shift_verts:
+        return presentation_complex(M)
+    return direct_sum_complex(
+        [presentation_complex(M), stalk_complex(alg, shift_verts, shift=1)])
 
 
 def complex_h0(T):
@@ -617,34 +629,52 @@ def _products(X, Y, Z, left):
 
 def _wall_image(X, Rl, R, left, dim):
     """RREF rows of the image of Hom(Rl, R) . Hom(X, Rl), or of
-    rad End(R) . Hom(X, R) when Rl is R, in Hom(X, R) of dimension dim,
-    read in the approximation's category; memoized in X.alg.wall_memo.
-    When rad End(R) = 0 the wall of R itself is empty, and its
-    composition table is not built."""
-    key = (left, X.form_id(), Rl.form_id(), R.form_id())
-    rows = X.alg.wall_memo.get(key)
-    if rows is None:
-        F = X.alg.field
-        if key[2] != key[3]:
-            image = [vec for row in _products(X, Rl, R, left) for vec in row]
-        else:  # rad End(R) as rows over the reps of End(R), times row u
-            rad = _end_radical(hom_homotopy(R, R))
-            image = []
-            for row in _products(X, R, R, left) if rad else ():
-                image += ExactMatrix(F, len(rad), len(row), rad).mul(
-                    ExactMatrix(F, len(row), dim, row)).rows
-        rows = X.alg.wall_memo[key] = tuple(RowSpace(F, dim, image).reduced)
-    return rows
+    rad End(R) . Hom(X, R) when Rl is R (one form id), in Hom(X, R) of
+    dimension dim, read in the approximation's category; `_walls`
+    memoizes them.  When rad End(R) = 0 the wall of R itself is empty,
+    and its composition table is not built."""
+    F = X.alg.field
+    if Rl.form_id() != R.form_id():
+        image = [vec for row in _products(X, Rl, R, left) for vec in row]
+    else:  # rad End(R) as rows over the reps of End(R), times row u
+        rad = _end_radical(hom_homotopy(R, R))
+        image = []
+        for row in _products(X, R, R, left) if rad else ():
+            image += ExactMatrix(F, len(rad), len(row), rad).mul(
+                ExactMatrix(F, len(row), dim, row)).rows
+    return tuple(RowSpace(F, dim, image).reduced)
 
 
 def _walls(X, targets, left):
     """(j, Hom(X, R_j), the images spanning its wall: the maps through a
-    radical map into R_j) for each target with Hom(X, R_j) != 0."""
-    homs = [hom_homotopy(X, R) if left else hom_homotopy(R, X)
-            for R in targets]
-    return [(j, homs[j], [_wall_image(X, Rl, R, left, homs[j].dim)
-                          for l, Rl in enumerate(targets) if homs[l].dim])
-            for j, R in enumerate(targets) if homs[j].dim]
+    radical map into R_j) for each target with Hom(X, R_j) != 0.
+
+    X's form id is read once.  Each Hom space is then one hom_memo
+    lookup (`_memo_hom`), and each wall one wall_memo lookup keyed by
+    the direction and the form ids of X, R_l and R_j; `_wall_image`
+    runs only on a miss."""
+    if any(R.alg is not X.alg for R in targets):
+        raise AlgebraError("complexes over different algebras")
+    x = X.form_id()
+    ids = [R.form_id() for R in targets]
+    homs = [_memo_hom(X, R, (0, x, r)) if left else _memo_hom(R, X, (0, r, x))
+            for R, r in zip(targets, ids)]
+    walls = X.alg.wall_memo
+    out = []
+    for j, R in enumerate(targets):
+        dim = homs[j].dim
+        if not dim:
+            continue
+        images = []
+        for l, Rl in enumerate(targets):
+            if homs[l].dim:
+                key = (left, x, ids[l], ids[j])
+                rows = walls.get(key)
+                if rows is None:
+                    rows = walls[key] = _wall_image(X, Rl, R, left, dim)
+                images.append(rows)
+        out.append((j, homs[j], images))
+    return out
 
 
 def approximation_counts(X, targets, left):
@@ -674,18 +704,19 @@ def _approximation_summands(X, targets, left):
     In class coordinates, F^{dim Hom(X, R_j)} starts covered by the
     memoized wall that `approximation_counts` reads too (`_walls`); a
     representative whose unit vector is not covered yet is chosen and
-    covers its End(R_j) orbit.
+    covers its End(R_j) orbit: its composites with the reps of End(R_j),
+    made for the chosen representatives only.
     """
     F = X.alg.field
     chosen = []
     for j, hs, images in _walls(X, targets, left):
         covered = RowSpace(F, hs.dim, [r for rows in images for r in rows])
-        orbit = _products(X, targets[j], targets[j], left)
         for i, cand in enumerate(hs.reps):
             if not covered.contains({i: F.one}):
                 chosen.append((j, cand))
-                for vec in orbit[i]:
-                    covered.add(vec)
+                for e in hom_homotopy(targets[j], targets[j]).reps:
+                    covered.add(hs.chain_map_class(
+                        e.compose(cand) if left else cand.compose(e)))
     return chosen
 
 

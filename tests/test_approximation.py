@@ -26,7 +26,7 @@ from tautilt.linalg import RowSpace
 from conftest import data_path, read_algebra
 from test_completions import sub_pairs
 from test_preprojective_completions import _module, preproj_cases  # noqa: F401
-from test_sttilt import alternating, preprojective
+from test_sttilt import alternating, linear, preprojective
 
 
 def _class_vec(hs, cm):
@@ -202,6 +202,41 @@ def test_completion_approximations_match_chain_maps(monkeypatch,
     left, right, radical = _check_against_reference(chosen)
     assert 0 < left < 150 and 0 < right < 150
     assert radical
+
+
+@pytest.mark.parametrize("make, nodes", [
+    (lambda: linear(5), 132),
+    (lambda: read_algebra("preproj_a3.alg"), 24),
+], ids=["A5", "preprojective A3"])
+def test_choosing_composes_only_the_chosen_orbits(make, nodes, monkeypatch):
+    # a chosen map covers its End(R_j) orbit, its composites with the
+    # reps of End(R_j); the walls are memoized by the count before, so
+    # choosing composes dim End(R_j) times per chosen map and no other
+    # representative
+    alg = make()
+    inside, composites, orbits = [], [], []
+    choose, compose = tt._approximation_summands, tt.ChainMap.compose
+
+    def counted(self, other):
+        if inside:
+            composites.append(None)
+        return compose(self, other)
+
+    def chooser(X, targets, left):
+        inside.append(None)
+        try:
+            chosen = choose(X, targets, left)
+        finally:
+            inside.pop()
+        orbits.extend(tt.hom_homotopy(targets[j], targets[j]).dim
+                      for j, _ in chosen)
+        return chosen
+
+    monkeypatch.setattr(tt.ChainMap, "compose", counted)
+    monkeypatch.setattr(tt, "_approximation_summands", chooser)
+    assert st.enumerate_sttilt(alg).node_count() == nodes
+    assert orbits
+    assert len(composites) == sum(orbits)
 
 
 @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])

@@ -147,9 +147,10 @@ def test_a_repeated_pair_build_decomposes_nothing(monkeypatch):
 
 
 def test_a_module_keeps_its_presentation(monkeypatch):
-    # a module never changes, so it keeps its minimal presentation: a
-    # second build on the same module object presents nothing and gives
-    # the same summands, and a fresh module equal as data is presented
+    # a module never changes, so it keeps its minimal presentation and
+    # its complex: a second build on the same module object presents
+    # nothing and gives the same summands, and a fresh module equal as
+    # data is presented
     alg = read_algebra("preproj_a3.alg")
     nodes = st.enumerate_sttilt(alg).nodes
     given = [(pair.module(), pair.projective_part()) for pair in nodes]
@@ -159,6 +160,8 @@ def test_a_module_keeps_its_presentation(monkeypatch):
     again = [st.pair_from_module_data(alg, M, proj).summands
              for M, proj in given]
     assert not covers
+    assert all(tt.presentation_complex(M) is tt.presentation_complex(M)
+               for M, _ in given)
     fresh = [st.pair_from_module_data(alg, mr.direct_sum(
         alg, pair.module_summands()), pair.projective_part()).summands
         for pair in nodes]
@@ -184,17 +187,22 @@ def test_a_repeated_completion_builds_no_cone(monkeypatch):
     # or one indecomposable, so the first completion interns all of them
     # and the second finds each in the registry; the second counts each
     # piece off the walls the first memoized, the algebra's only
-    # composition data, so it composes no chain map either
+    # composition data, so it composes no chain map either; it reads
+    # each P_v and P_v[1] off the registry, so it makes no complex and
+    # serializes none
     alg = read_algebra("preproj_a3.alg")
     pair = st.TauRigidPair(alg, [tt.stalk_complex(alg, (1,), 0)])
     cones = _recorded(monkeypatch, "_two_term_cone")
     splits = _recorded(monkeypatch, "decompose_complex")
     composites = _recorded(monkeypatch, "compose", tt.ChainMap)
+    made = _recorded(monkeypatch, "__init__", tt.TwoTermComplex)
+    serialized = _recorded(monkeypatch, "serialize", tt.TwoTermComplex)
     first = (st.bongartz_completion(pair), st.minimal_completion(pair))
-    assert cones and splits and composites
-    del cones[:], splits[:], composites[:]
+    assert cones and splits and composites and made and serialized
+    del cones[:], splits[:], composites[:], made[:], serialized[:]
     again = (st.bongartz_completion(pair), st.minimal_completion(pair))
     assert not cones and not splits and not composites
+    assert not made and not serialized
     assert [p.summands for p in again] == [p.summands for p in first]
 
 

@@ -72,7 +72,7 @@ def _one_vertex():
     return parse_algebra('field = "Q"\nvertices = ["1"]\n')
 
 
-@pytest.mark.parametrize("make, max_nodes, complete", [
+graph_cases = pytest.mark.parametrize("make, max_nodes, complete", [
     (lambda: read_algebra("kronecker.alg"), 12, False),
     (lambda: read_algebra("preproj_a3.alg"), 10 ** 6, True),
     (lambda: read_algebra("loop2.alg"), 10 ** 6, True),
@@ -81,6 +81,9 @@ def _one_vertex():
     (lambda: read_algebra("a3.alg"), 1, False),
 ], ids=["kronecker-12", "preproj_a3", "loop2", "three_paths-60",
         "one-vertex", "edge-free"])
+
+
+@graph_cases
 def test_graph_json_is_the_standard_layout(make, max_nodes, complete):
     graph = st.enumerate_sttilt(make(), max_nodes=max_nodes)
     if complete is not None:
@@ -103,3 +106,15 @@ def test_graph_json_is_the_standard_layout(make, max_nodes, complete):
     graph.write_json(write)
     assert stream.getvalue() == text
     assert len(writes) > graph.node_count() + len(graph.edges)
+
+
+@graph_cases
+def test_graph_dot_is_streamed_line_by_line(make, max_nodes, complete):
+    # the streamed text is to_dot's, one line per write: the header, a
+    # node or an edge, and the closing brace
+    graph = st.enumerate_sttilt(make(), max_nodes=max_nodes)
+    writes = []
+    graph.write_dot(writes.append)
+    assert "".join(writes) == graph.to_dot()
+    assert all(w.count("\n") == 1 and w.endswith("\n") for w in writes)
+    assert len(writes) == graph.node_count() + len(graph.edges) + 2

@@ -1,6 +1,6 @@
 import pytest
 
-from tautilt.algebra import CornerGrid, parse_algebra
+from tautilt.algebra import AlgebraError, CornerGrid, parse_algebra
 from tautilt.linalg import RowSpace
 from tautilt import modrep as mr
 from tautilt import twoterm as tt
@@ -140,6 +140,16 @@ def test_minimal_left_approximation_examples(kA2):
     # identity approximation
     h = tt.minimal_left_approximation(P1s, P1s)
     assert tt.complexes_isomorphic(h.target, P1s)
+
+
+def test_an_approximation_refuses_another_algebra(kA2):
+    # the walls are read by form ids, which each algebra numbers apart
+    other = parse_algebra(
+        'field = "Q"\nvertices = ["1", "2"]\n'
+        'arrow = { name = "a", source = "1", target = "2" }')
+    with pytest.raises(AlgebraError, match="different algebras"):
+        tt.minimal_left_approximation(tt.stalk_complex(kA2, (1,), 0),
+                                      tt.stalk_complex(other, (0,), 0))
 
 
 def test_approximation_factorization(kA2):
