@@ -503,10 +503,6 @@ class BoundQuiverAlgebra:
 
     # -- element arithmetic ----------------------------------------------
 
-    def unit(self):
-        one = self.field.one
-        return {e: one for e in self.idempotent}
-
     def idempotent_elem(self, v):
         return {self.idempotent[v]: self.field.one}
 
@@ -698,8 +694,3 @@ def add_products(rows, src, dst, d, d_left):
                             row.pop(col, None)
                         else:
                             row[col] = nv
-
-
-def path_basis(spec):
-    """Ordered irredundant path basis of kQ/I (as path tuples)."""
-    return list(BoundQuiverAlgebra(spec).basis)

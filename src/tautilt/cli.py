@@ -186,7 +186,8 @@ def cmd_check(args, out):
     alg = load_algebra(args.algebra)
     M = load_module(alg, args.module)
     tm = mr.tau(M)
-    rigid = st.is_tau_rigid_pair(M, (0,) * alg.n)
+    # `sttilt.is_tau_rigid_pair` for (M, 0), on the translate printed below
+    rigid = not mr.hom_space(M, tm)
     _emit(out, f"tau-rigid: {str(rigid).lower()}")
     _emit(out, f"dim-tau: {tm.total_dim}")
     return 0

@@ -155,10 +155,6 @@ class PrimeField:
 QQ = Rationals()
 
 
-def GF(p):
-    return PrimeField(p)
-
-
 def parse_field(text):
     """Parse a field tag: "Q" or "Fp:<p>"."""
     if not isinstance(text, str):

@@ -2,33 +2,14 @@
 
 `dumps(obj)` writes exactly the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True)`` for documents built from
-dicts with str keys, lists, tuples, str, int, bool and None.  A
-`Fragment` holds the text of a value already written by `dumps`; the
-writer splices it in, re-indented to its depth, and the fragment keeps
-that text for each depth, so a value that repeats across a document is
-encoded once and re-indented once per depth.  The Hasse graph writes its
-own skeleton around such texts (`sttilt.HasseGraph.write_json`).
+dicts with str keys, lists, tuples, str, int, bool and None.  Such a
+text re-indented to a depth, by putting that depth's indent after each
+newline, is the value's text at that depth; the Hasse graph writes its
+own skeleton around such texts, each value once per call
+(`sttilt.HasseGraph.write_json`).
 """
 
 from json.encoder import encode_basestring_ascii as _string
-
-
-class Fragment:
-    """The JSON text of one value, written once and spliced where used."""
-
-    __slots__ = ("text", "_at")
-
-    def __init__(self, obj):
-        self.text = dumps(obj)
-        self._at = {}
-
-    def at(self, nl):
-        """The text spliced where nl, the newline plus the indent of
-        the value's depth, starts its lines."""
-        text = self._at.get(nl)
-        if text is None:
-            text = self._at[nl] = self.text.replace("\n", nl)
-        return text
 
 
 def dumps(obj):
@@ -40,9 +21,7 @@ def dumps(obj):
 def _write(obj, out, nl):
     """Append the text of obj to out; nl is the newline plus the indent
     of obj's own depth."""
-    if isinstance(obj, Fragment):
-        out.append(obj.at(nl))
-    elif isinstance(obj, str):
+    if isinstance(obj, str):
         out.append(_string(obj))
     elif obj is None:
         out.append("null")

@@ -130,19 +130,6 @@ class ExactMatrix:
                 rows[j][i] = v
         return ExactMatrix(self.field, self.ncols, self.nrows, rows)
 
-    @staticmethod
-    def hstack(field, mats, nrows):
-        rows = [{} for _ in range(nrows)]
-        off = 0
-        for m in mats:
-            if m.nrows != nrows:
-                raise ValueError("hstack height mismatch")
-            for i, r in enumerate(m.rows):
-                for j, v in r.items():
-                    rows[i][off + j] = v
-            off += m.ncols
-        return ExactMatrix(field, nrows, off, rows)
-
     # -- elimination-backed queries --------------------------------------
 
     def rref(self):
@@ -170,11 +157,6 @@ class ExactMatrix:
         """Rows spanning {v : v . self = 0}."""
         return self.transpose().right_kernel_basis().transpose()
 
-    def row_space_rows(self):
-        """Canonical (RREF) basis of the row space as a matrix."""
-        space = RowSpace(self.field, self.ncols, self.rows)
-        return ExactMatrix(self.field, space.dim, self.ncols, space.reduced)
-
     def solve_right(self, g):
         """One h with self . h = g (reduced-echelon particular solution) or None."""
         if g.nrows != self.nrows:
@@ -195,14 +177,6 @@ class ExactMatrix:
                 if j >= r:
                     h_rows[pcol][j - r] = v
         return ExactMatrix(self.field, r, g.ncols, h_rows)
-
-    def inverse(self):
-        if self.nrows != self.ncols:
-            return None
-        h = self.solve_right(ExactMatrix.identity(self.field, self.nrows))
-        if h is None or h.mul(self) != ExactMatrix.identity(self.field, self.nrows):
-            return None
-        return h
 
 
 class RowSpace:

@@ -76,9 +76,6 @@ class Representation:
             return ExactMatrix.identity(self.alg.field, self.dims[v])
         return self.path_matrix_arrows(path)
 
-    def is_zero(self):
-        return self.total_dim == 0
-
     def __repr__(self):
         return f"Representation(dims={self.dims})"
 
@@ -123,18 +120,6 @@ def _morphism_layout(M, N):
         offsets.append(off)
         off += dm * dn
     return offsets, off
-
-
-def _flatten_morphism(alg, M, N, f):
-    """Coordinates of a morphism in the `_morphism_layout` of (M, N)."""
-    offsets, _ = _morphism_layout(M, N)
-    vec = {}
-    for v in range(alg.n):
-        off, dn = offsets[v], N.dims[v]
-        for i, row in enumerate(f[v].rows):
-            for j, val in row.items():
-                vec[off + i * dn + j] = val
-    return vec
 
 
 def _unflatten_morphism(alg, M, N, vec):
@@ -280,7 +265,7 @@ def standard_module(alg, vertex, flavor):
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-# -- submodules, quotients, radical, socle -------------------------------
+# -- submodules, quotients, radical --------------------------------------
 
 def subrep_from_rows(M, rows_per_vertex):
     """Subrepresentation spanned by given row vectors (must be closed).
@@ -346,21 +331,6 @@ def radical_rows(M):
             if arrow.target == v:
                 rows.extend(M.maps[ai].rows)
         out.append(rows)
-    return out
-
-
-def socle_rows(M):
-    """Row spans of soc M = {m : m J = 0} at each vertex."""
-    alg = M.alg
-    F = alg.field
-    out = []
-    for v in range(alg.n):
-        outgoing = [M.maps[ai] for ai, a in enumerate(alg.arrows) if a.source == v]
-        if not outgoing:
-            out.append(ExactMatrix.identity(F, M.dims[v]).rows)
-            continue
-        stacked = ExactMatrix.hstack(F, outgoing, nrows=M.dims[v])
-        out.append(stacked.left_kernel_rows().rows)
     return out
 
 
@@ -440,84 +410,6 @@ def tau(M):
     I1, I0, nf = nakayama_map(M.alg, pres.P1, pres.P0, pres.entries)
     K, _ = kernel_subrep(M.alg, I1.rep, nf)
     return K
-
-
-def _hom_dim_modulo(X, N, f, Y):
-    """dim Hom(X, N) modulo the maps g . f, g in Hom(Y, N), for f: X -> Y."""
-    alg = X.alg
-    vecs = [_flatten_morphism(alg, X, N, morphism_compose(alg, f, g))
-            for g in hom_space(Y, N)]
-    rank = RowSpace(alg.field, _morphism_layout(X, N)[1], vecs).dim
-    return len(hom_space(X, N)) - rank
-
-
-def ext1_dim(M, N):
-    """dim Ext^1(M, N) from 0 -> K -> P0 -> M -> 0."""
-    P0, cover = projective_cover(M)
-    K, incl = kernel_subrep(M.alg, P0.rep, cover)
-    return _hom_dim_modulo(K, N, incl, P0.rep)
-
-
-def injective_envelope(M):
-    """(E: InjSum, embedding morphism M -> E.rep).
-
-    E has one summand I_u per socle basis vector at u.  A functional phi
-    on M_u gives the map M -> I_u, m -> sum_p phi(m.p) p^* over the paths
-    p into u; with phi dual to the socle basis at u these maps restrict to
-    an isomorphism of socles, so together they embed M.
-    """
-    alg = M.alg
-    F = alg.field
-    socs = [ExactMatrix(F, len(rows), M.dims[v], rows).row_space_rows()
-            for v, rows in enumerate(socle_rows(M))]
-    # column k of duals[u] is the functional dual to socle basis vector k
-    duals = [soc.solve_right(ExactMatrix.identity(F, soc.nrows))
-             for soc in socs]
-    summands = [(u, k) for u, soc in enumerate(socs) for k in range(soc.nrows)]
-    E = InjSum.of(alg, [u for u, _ in summands])
-    emb = []
-    for v in range(alg.n):
-        cols = []
-        for u, k in summands:
-            for p in alg.corner_basis(v, u):
-                images = M.path_matrix(p).mul(duals[u]).rows
-                cols.append({i: r[k] for i, r in enumerate(images) if k in r})
-        emb.append(ExactMatrix(F, len(cols), M.dims[v], cols).transpose())
-    return E, tuple(emb)
-
-
-def stable_hom_dim(M, N):
-    """dim of Hom(M, N) modulo maps factoring through an injective.
-
-    Factorization is tested through the injective envelope of M: any map
-    through an injective extends along the essential embedding, so the
-    quotient by { g . emb : g in Hom(E(M), N) } is the costable Hom.
-    """
-    E, emb = injective_envelope(M)
-    return _hom_dim_modulo(M, N, emb, E.rep)
-
-
-def trace_rows(M, X):
-    """Row spans (per vertex) of the trace of M in X."""
-    alg = M.alg
-    homs = hom_space(M, X)
-    out = []
-    for v in range(alg.n):
-        rows = []
-        for f in homs:
-            rows.extend(f[v].rows)
-        out.append(rows)
-    return out
-
-
-def in_fac(X, M):
-    """True iff X lies in Fac M (the trace of M in X is all of X)."""
-    alg = X.alg
-    tr = trace_rows(M, X)
-    for v in range(alg.n):
-        if RowSpace(alg.field, X.dims[v], tr[v]).dim != X.dims[v]:
-            return False
-    return True
 
 
 # -- Krull-Schmidt decomposition -----------------------------------------

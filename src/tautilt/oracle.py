@@ -133,9 +133,6 @@ class OracleModule:
         self.dims = tuple(dims)
         self.mats = tuple(tuple(tuple(r) for r in m) for m in mats)
 
-    def key(self):
-        return (self.dims, self.mats)
-
     def total_dim(self):
         return sum(self.dims)
 

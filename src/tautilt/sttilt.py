@@ -59,7 +59,7 @@ from collections import deque
 from operator import mul
 
 from .algebra import AlgebraError
-from .jsontext import Fragment
+from .jsontext import dumps
 from .linalg import RowSpace
 from . import modrep as mr
 from . import twoterm as tt
@@ -187,14 +187,6 @@ class TauRigidPair:
         each call."""
         return tt.multiplicities(
             self.alg, [v for c in self.summands if not c.p0 for v in c.p1])
-
-    def module(self):
-        return mr.direct_sum(self.alg, self.module_summands())
-
-    def whole_complex(self):
-        if not self.summands:
-            return tt.TwoTermComplex(self.alg, (), ())
-        return tt.direct_sum_complex(self.summands)
 
     def __repr__(self):
         return f"TauRigidPair({list(self.summands)!r})"
@@ -531,22 +523,6 @@ def mutate(pair, index):
             "down" if downs[i] else "up")
 
 
-# -- order -------------------------------------------------------------------
-
-def leq(U, T):
-    """U <= T in the support tau-tilting order: Fac(M_U) inside Fac(M_T)."""
-    MT = T.module()
-    for s in U.module_summands():
-        if not mr.in_fac(s, MT):
-            return False
-    return True
-
-
-def silting_leq(U, T):
-    """U <= T on the silting side: Hom(T, U[1]) = 0."""
-    return tt.hom_homotopy(T.whole_complex(), U.whole_complex(), 1).dim == 0
-
-
 # -- Hasse quiver -------------------------------------------------------------
 
 class HasseGraph:
@@ -554,8 +530,8 @@ class HasseGraph:
 
     `write_json` streams the graph's JSON text to a writer one edge or
     node at a time, and `write_dot` its Graphviz text one line at a
-    time, so the CLI never holds the whole text; `to_json` and `to_dot`
-    are the joins of what they write."""
+    time, so the CLI never holds the whole text; `to_json` is the join
+    of what `write_json` writes."""
 
     def __init__(self, alg, pairs, edges, complete):
         self.alg = alg
@@ -573,10 +549,11 @@ class HasseGraph:
     def write_json(self, write):
         """Send the graph's JSON text, in the `jsontext` layout, to write,
         one edge or node at a time.  Each summand's g-vector and module
-        text, and each projective part's, is written once per call as a
-        jsontext `Fragment` at its depth and spliced into every node
-        holding it; the edges and the nodes around them are filled into
-        literal templates (`_EDGE`, `_NODE`)."""
+        text, and each projective part's, is written once per call by
+        `jsontext.dumps`, re-indented to its one depth (`_text`) and
+        spliced into every node holding it; the edges and the nodes
+        around them are filled into literal templates (`_EDGE`,
+        `_NODE`)."""
         summands = {}  # summand -> (g-vector text, module text or None)
         parts = {}  # projective part -> its text
         write('{\n  "edges": ')
@@ -594,8 +571,8 @@ class HasseGraph:
                 texts = summands.get(c)
                 if texts is None:
                     texts = summands[c] = (
-                        Fragment(tt.g_vector(c)).at(_ITEM),
-                        Fragment(module_to_json(tt.complex_h0(c))).at(_ITEM)
+                        _text(tt.g_vector(c), _ITEM),
+                        _text(module_to_json(tt.complex_h0(c)), _ITEM)
                         if c.p0 else None)
                 gs.append(texts[0])
                 if texts[1] is not None:
@@ -603,7 +580,7 @@ class HasseGraph:
             proj = p.projective_part()
             part = parts.get(proj)
             if part is None:
-                part = parts[proj] = Fragment(proj).at(_FIELD)
+                part = parts[proj] = _text(proj, _FIELD)
             write(_NODE % (sep, _list(gs), n, _list(ms), part))
             sep = ","
         write("\n  ]\n}")  # an enumeration keeps at least its top pair
@@ -627,12 +604,6 @@ class HasseGraph:
             write(f'  n{s} -> n{d} [label="{i + 1}"];\n')
         write("}\n")
 
-    def to_dot(self):
-        """The graph as Graphviz text: the join of `write_dot`."""
-        out = []
-        self.write_dot(out.append)
-        return "".join(out)
-
 
 # the skeleton of the graph's JSON text (`HasseGraph.write_json`): each
 # edge or node begins with its separator in its list, "[" or ","; a
@@ -642,6 +613,12 @@ _EDGE = ('%s\n    {\n      "dst": %d,\n      "index": %d,\n      "src": %d'
          '\n    }')
 _NODE = ('%s\n    {\n      "g_matrix": %s,\n      "id": %d,\n'
          '      "module_summands": %s,\n      "projective_part": %s\n    }')
+
+
+def _text(obj, nl):
+    """The JSON text of obj spliced where nl, the newline plus the indent
+    of its depth, starts its lines."""
+    return dumps(obj).replace("\n", nl)
 
 
 def _list(texts):

@@ -359,16 +359,6 @@ def _two_term_cone(f, left):
     return TwoTermComplex(ch.alg, p1, p0, AlgMatrix(ch.alg, p0, p1, d))
 
 
-def cone_two_term(f):
-    """Cone of a chain map out of a degree-0 stalk; two-term by shape."""
-    if f.source.p1:
-        raise AlgebraError("cone_two_term needs a stalk complex source")
-    Z = _two_term_cone(f, True)
-    if Z is None:
-        raise AssertionError("stalk cone left a degree -2 part")
-    return Z
-
-
 # -- homotopy Hom spaces --------------------------------------------------
 
 class HomotopyHom:
@@ -385,8 +375,8 @@ class HomotopyHom:
     homotopies are still built, since `chain_map_class` reduces by them.
     At shift 0 `reps` holds one strict chain map per class, over the
     grids c1 and c0, with composition through canonical class
-    coordinates.  At shifts +-1 only `dim` is read (presilting tests and
-    the silting order), so no representative is built.
+    coordinates.  At shifts +-1 only `dim` is read (the rigidity tests),
+    so no representative is built.
     Built through `hom_homotopy`, which checks that T and U share their
     algebra.
     """
@@ -491,17 +481,6 @@ def composition_table(A, B, C):
             for a in ab.reps]
 
 
-def is_presilting(T):
-    """Hom(T, T[1]) = 0; higher shifts vanish for two-term complexes."""
-    return hom_homotopy(T, T, 1).dim == 0
-
-
-def is_two_term_silting(T):
-    if not is_presilting(T):
-        return False
-    return len(decompose_complex(T)) == T.alg.n
-
-
 # -- decomposition and isomorphism through H^0 ------------------------------
 
 def decompose_complex(T):
@@ -580,19 +559,6 @@ def complex_h0(T):
     return T._h0
 
 
-def complex_to_pair(T):
-    """(M, P-multiplicities) with M = H^0(T), P the shifted summand.
-
-    Stripped, P^-1 is the P^-1 of the minimal presentation of M plus P
-    (see `decompose_complex`), whether or not T is presilting.
-    """
-    alg = T.alg
-    T = strip_contractible(T)
-    M = complex_h0(T)
-    return M, _shifted(
-        alg, T.p1, mr.minimal_projective_presentation(M).P1.verts)
-
-
 def _shifted(alg, p1, pres_p1):
     """Multiplicities of the shifted projectives of a stripped complex
     with P^-1 = p1 whose H^0 presentation has P^-1 = pres_p1."""
@@ -610,12 +576,15 @@ def _end_radical(end):
     """rad End_K(R) as coefficient rows over the representatives of
     end = Hom(R, R); computed once per Hom object."""
     if end.radical is None:
-        reps = end.reps
-        # b_i b_j = rep_i . rep_j
-        mult = {(i, j): end.chain_map_class(a.compose(b))
-                for i, a in enumerate(reps) for j, b in enumerate(reps)}
-        end.radical = (splitting.radical_from_mult_table(
-            end.classes.field, mult, end.dim) if end.dim else [])
+        end.radical = []
+        if end.dim:
+            R = end.reps[0].source
+            # b_i b_j = rep_i . rep_j, entry [j][i] of the composition table
+            table = composition_table(R, R, R)
+            mult = {(i, j): table[j][i]
+                    for i in range(end.dim) for j in range(end.dim)}
+            end.radical = splitting.radical_from_mult_table(
+                end.classes.field, mult, end.dim)
     return end.radical
 
 
@@ -764,20 +733,3 @@ def assemble_left_approximation(X, targets, chosen):
 def assemble_right_approximation(X, targets, chosen):
     """Stack chosen maps into one chain map (+) chosen targets -> X."""
     return _assemble(X, targets, chosen, False)
-
-
-def basic_summands(complexes):
-    """One representative per isomorphism class of indecomposable
-    complexes, in first-seen order."""
-    out = []
-    for c in complexes:
-        if not any(indecomposables_isomorphic(c, d) for d in out):
-            out.append(c)
-    return out
-
-
-def minimal_left_approximation(X, T):
-    """Minimal left add(T)-approximation of X, as a chain map X -> T'."""
-    targets = basic_summands(decompose_complex(T))
-    chosen = minimal_left_approximation_summands(X, targets)
-    return assemble_left_approximation(X, targets, chosen)

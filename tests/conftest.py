@@ -59,6 +59,18 @@ def top_and_bottom(graph):
             ids.get(tuple(sorted(tuple(-x for x in u) for u in units))))
 
 
+def pair_module(pair):
+    """The module of pair: the direct sum of its module summands."""
+    return mr.direct_sum(pair.alg, pair.module_summands())
+
+
+def pair_complex(pair):
+    """The whole complex of pair: the direct sum of its summands."""
+    if not pair.summands:
+        return tt.TwoTermComplex(pair.alg, (), ())
+    return tt.direct_sum_complex(pair.summands)
+
+
 def module_side_pair(alg, M, proj_mults):
     """The basic pair of M and proj_mults built on the module side, with
     no rigidity test: the presentation of one summand of M per

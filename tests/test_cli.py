@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from tautilt import modrep as mr
 from tautilt import twoterm
 from tautilt.cli import run
 
@@ -29,6 +30,24 @@ def test_check_tau_rigid():
     assert code == 0
     assert "tau-rigid: true" in out
     assert "dim-tau: 1" in out
+
+
+def test_check_translates_the_module_once(monkeypatch):
+    # the verdict Hom(M, tau M) = 0 reads the translate that check prints
+    translated = []
+    tau = mr.tau
+
+    def counted(M):
+        translated.append(M)
+        return tau(M)
+
+    monkeypatch.setattr(mr, "tau", counted)
+    for name in ("s1.mod", "p1.mod"):
+        del translated[:]
+        code, out, _ = invoke(["check", "--algebra", data_path("a2.alg"),
+                               "--module", data_path(name)])
+        assert code == 0 and "tau-rigid: true" in out
+        assert len(translated) == 1
 
 
 def test_tau_output_json():

@@ -18,7 +18,9 @@ from tautilt import modrep as mr
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
 
-from conftest import algebra_stalk, module_side_pair, read_algebra
+from conftest import (algebra_stalk, module_side_pair, pair_module,
+                      read_algebra)
+from reference import basic_summands, complex_to_pair
 from test_mutation_prediction import approximation_cone
 
 
@@ -27,10 +29,10 @@ def reference_completion(pair, left):
     of A[1]."""
     alg = pair.alg
     X = algebra_stalk(alg, 0 if left else 1)
-    targets = tt.basic_summands(pair.summands)
+    targets = basic_summands(pair.summands)
     Z = approximation_cone(X, targets, left)
     assert Z is not None
-    return st.TauRigidPair(alg, tt.basic_summands(
+    return st.TauRigidPair(alg, basic_summands(
         list(pair.summands) + tt.decompose_complex(Z)))
 
 
@@ -75,7 +77,7 @@ def test_the_rigidity_check_agrees_with_the_module_side(name):
     for k in (1, 2, 3):
         for part in combinations(pool, k):
             pair = st.TauRigidPair(alg, part)
-            rigid = st.is_tau_rigid_pair(pair.module(),
+            rigid = st.is_tau_rigid_pair(pair_module(pair),
                                          pair.projective_part())
             seen.add(rigid)
             if rigid:
@@ -127,7 +129,7 @@ def test_a_repeated_pair_build_decomposes_nothing(monkeypatch):
     def inputs():
         for pair in nodes:
             mods = pair.module_summands()
-            yield pair.module(), pair.projective_part()
+            yield pair_module(pair), pair.projective_part()
             yield mr.direct_sum(alg, mods + mods), pair.projective_part()
 
     decomposed = _recorded(monkeypatch, "decompose", mr)
@@ -153,7 +155,7 @@ def test_a_module_keeps_its_presentation(monkeypatch):
     # data is presented
     alg = read_algebra("preproj_a3.alg")
     nodes = st.enumerate_sttilt(alg).nodes
-    given = [(pair.module(), pair.projective_part()) for pair in nodes]
+    given = [(pair_module(pair), pair.projective_part()) for pair in nodes]
     first = [st.pair_from_module_data(alg, M, proj).summands
              for M, proj in given]
     covers = _recorded(monkeypatch, "projective_cover", mr)
@@ -229,7 +231,7 @@ def reference_decomposition(T):
     """The split of T through `complex_to_pair`: the presentations of
     the summands of H^0 and the shifted projectives it counts."""
     alg = T.alg
-    M, shifted = tt.complex_to_pair(T)
+    M, shifted = complex_to_pair(T)
     out = [tt.presentation_complex(m) for m in mr.decompose(M)]
     out.extend(tt.stalk_complex(alg, (v,), 1)
                for v in range(alg.n) for _ in range(shifted[v]))

@@ -15,7 +15,7 @@ from tautilt import sttilt as st
 from tautilt import twoterm as tt
 from tautilt.linalg import ExactMatrix
 
-from conftest import read_algebra
+from conftest import pair_module, read_algebra
 
 
 def product_gram_radical(field, mats):
@@ -53,7 +53,7 @@ def test_trace_form_matches_the_products_on_preprojective_a3():
     graph = st.enumerate_sttilt(alg)
     assert graph.node_count() == 24
     modules = [tt.complex_h0(R) for R in alg.summands.values() if R.p0]
-    modules += [p.module() for p in graph.nodes if p.module_summands()]
+    modules += [pair_module(p) for p in graph.nodes if p.module_summands()]
     nonzero = 0
     for M in modules:
         mats = [mr._block_diagonal(F, f) for f in mr.hom_space(M, M)]

@@ -5,7 +5,8 @@ from tautilt.linalg import RowSpace
 from tautilt import modrep as mr
 from tautilt import twoterm as tt
 
-from conftest import algebra_stalk, arrow_element, identity_map
+from conftest import algebra_stalk, arrow_element, identity_map, pair_complex
+from reference import complex_to_pair, minimal_left_approximation
 
 
 @pytest.fixture(scope="module")
@@ -95,25 +96,28 @@ def test_high_shifts_vanish(kA2, s1_complex):
 def test_silting_examples(kA2, s1_complex):
     A0 = algebra_stalk(kA2, 0)
     A1 = algebra_stalk(kA2, 1)
-    assert tt.is_two_term_silting(A0)
-    assert tt.is_two_term_silting(A1)
-    assert not tt.is_presilting(tt.direct_sum_complex([A0, A1]))
+    for T in (A0, A1):
+        assert tt.hom_homotopy(T, T, 1).dim == 0
+        assert len(tt.decompose_complex(T)) == kA2.n
+    both = tt.direct_sum_complex([A0, A1])
+    assert tt.hom_homotopy(both, both, 1).dim
     # complex of the pair (P1 + S1, 0) is silting
     P1 = mr.standard_module(kA2, 0, "projective")
     S1 = mr.standard_module(kA2, 0, "simple")
     M = mr.direct_sum(kA2, [P1, S1])
     T = tt.pair_to_complex(M, (0, 0))
-    assert tt.is_two_term_silting(T)
+    assert tt.hom_homotopy(T, T, 1).dim == 0
+    assert len(tt.decompose_complex(T)) == kA2.n
 
 
 def test_pair_complex_round_trips(kA2, s1_complex):
     S1 = mr.standard_module(kA2, 0, "simple")
-    M, pm = tt.complex_to_pair(s1_complex)
+    M, pm = complex_to_pair(s1_complex)
     assert mr.modules_isomorphic(M, S1) and pm == (0, 0)
     # (0, P2) -> P2[1]
     shifted = tt.pair_to_complex(mr.zero_rep(kA2), (0, 1))
     assert shifted.p1 == (1,) and shifted.p0 == ()
-    M2, pm2 = tt.complex_to_pair(shifted)
+    M2, pm2 = complex_to_pair(shifted)
     assert M2.total_dim == 0 and pm2 == (0, 1)
     # (A, 0) -> stalk
     P1 = mr.standard_module(kA2, 0, "projective")
@@ -121,7 +125,7 @@ def test_pair_complex_round_trips(kA2, s1_complex):
     A = mr.direct_sum(kA2, [P1, P2])
     stalk = tt.pair_to_complex(A, (0, 0))
     assert tt.complexes_isomorphic(stalk, algebra_stalk(kA2, 0))
-    MA, pmA = tt.complex_to_pair(algebra_stalk(kA2, 0))
+    MA, pmA = complex_to_pair(algebra_stalk(kA2, 0))
     assert MA.dims == (1, 2) and pmA == (0, 0)
 
 
@@ -129,16 +133,16 @@ def test_minimal_left_approximation_examples(kA2):
     P1s = tt.stalk_complex(kA2, (0,), 0)
     P2s = tt.stalk_complex(kA2, (1,), 0)
     # Hom(P2, P1) is one dimensional: the inclusion
-    f = tt.minimal_left_approximation(P2s, P1s)
+    f = minimal_left_approximation(P2s, P1s)
     assert f.target.p0 == (0,)
     assert (f.f0.matmul(f.source.d).entries
             == f.target.d.matmul(f.f1).entries)
     assert not f.f0.is_zero()
     # Hom(P1, P2) = 0: approximation by zero
-    g = tt.minimal_left_approximation(P1s, P2s)
+    g = minimal_left_approximation(P1s, P2s)
     assert g.target.is_zero()
     # identity approximation
-    h = tt.minimal_left_approximation(P1s, P1s)
+    h = minimal_left_approximation(P1s, P1s)
     assert tt.complexes_isomorphic(h.target, P1s)
 
 
@@ -148,7 +152,7 @@ def test_an_approximation_refuses_another_algebra(kA2):
         'field = "Q"\nvertices = ["1", "2"]\n'
         'arrow = { name = "a", source = "1", target = "2" }')
     with pytest.raises(AlgebraError, match="different algebras"):
-        tt.minimal_left_approximation(tt.stalk_complex(kA2, (1,), 0),
+        minimal_left_approximation(tt.stalk_complex(kA2, (1,), 0),
                                       tt.stalk_complex(other, (0,), 0))
 
 
@@ -157,7 +161,7 @@ def test_approximation_factorization(kA2):
     P2s = tt.stalk_complex(kA2, (1,), 0)
     P1s = tt.stalk_complex(kA2, (0,), 0)
     T = tt.direct_sum_complex([P1s, P1s])
-    f = tt.minimal_left_approximation(P2s, T)
+    f = minimal_left_approximation(P2s, T)
     hs = tt.hom_homotopy(P2s, T, 0)
     # g factors through f when its class lies in the span of the r . f
     image = [hs.chain_map_class(r.compose(f))
@@ -174,10 +178,10 @@ def test_cone_examples(kA2):
     zmap = tt.ChainMap(A0, zero_target,
                        tt.AlgMatrix(kA2, (), ()),
                        tt.AlgMatrix(kA2, (), A0.p0))
-    assert tt.complexes_isomorphic(tt.cone_two_term(zmap), A1)
+    assert tt.complexes_isomorphic(tt._two_term_cone(zmap, True), A1)
     idmap = tt.ChainMap(A0, A0, tt.AlgMatrix(kA2, (), ()),
                         identity_map(kA2, A0.p0))
-    assert tt.cone_two_term(idmap).is_zero()
+    assert tt._two_term_cone(idmap, True).is_zero()
 
 
 def test_bongartz_style_cone(kA2, s1_complex):
@@ -185,10 +189,10 @@ def test_bongartz_style_cone(kA2, s1_complex):
     # A -> P1^2, whose cone strips to (P2 -> P1)
     A0 = algebra_stalk(kA2, 0)
     P1s = tt.stalk_complex(kA2, (0,), 0)
-    f = tt.minimal_left_approximation(A0, P1s)
+    f = minimal_left_approximation(A0, P1s)
     assert len(f.target.p0) == 2 and set(f.target.p0) == {0}
-    cone = tt.cone_two_term(f)
-    assert tt.is_presilting(cone)
+    cone = tt._two_term_cone(f, True)
+    assert tt.hom_homotopy(cone, cone, 1).dim == 0
     parts = tt.decompose_complex(cone)
     assert len(parts) == 1
     assert tt.complexes_isomorphic(parts[0], s1_complex)
@@ -287,7 +291,7 @@ def test_decompose_complex_mixed_sums(request, name, max_nodes, min_mixed):
     graph = enumerate_sttilt(alg, max_nodes=max_nodes)
     still_mixed = 0
     for pair in graph.nodes:
-        T = pair.whole_complex()
+        T = pair_complex(pair)
         v = (T.p1 or T.p0)[0]
         unit = tt.AlgMatrix(alg, (v,), (v,))
         unit.set(0, 0, alg.idempotent_elem(v))
@@ -317,11 +321,11 @@ def test_preprojective_loops():
         'relations = ["a*b", "b*a"]')
     P1 = mr.standard_module(alg, 0, "projective")
     T = tt.presentation_complex(P1)
-    assert tt.is_presilting(T)
+    assert tt.hom_homotopy(T, T, 1).dim == 0
     S1 = mr.standard_module(alg, 0, "simple")
     TS = tt.presentation_complex(S1)
     assert tt.hom_homotopy(TS, TS, 1).dim == 0
-    M, pm = tt.complex_to_pair(TS)
+    M, pm = complex_to_pair(TS)
     assert mr.modules_isomorphic(M, S1) and pm == (0, 0)
 
 
