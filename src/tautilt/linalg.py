@@ -108,14 +108,6 @@ class ExactMatrix:
             out.append(acc)
         return ExactMatrix(F, self.nrows, self.ncols, out)
 
-    def neg(self):
-        F = self.field
-        return ExactMatrix(F, self.nrows, self.ncols,
-                           [{j: F.neg(v) for j, v in r.items()} for r in self.rows])
-
-    def sub(self, other):
-        return self.add(other.neg())
-
     def scale(self, c):
         F = self.field
         if c == 0:

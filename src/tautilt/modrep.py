@@ -20,7 +20,8 @@ from bisect import bisect_right
 from .algebra import AlgebraError, CornerGrid, add_products
 from .linalg import ExactMatrix, RowSpace
 from . import splitting
-from .splitting import DecompositionError  # re-exported for callers
+
+DecompositionError = splitting.DecompositionError  # re-exported for callers
 
 
 class Representation:
@@ -417,10 +418,12 @@ def tau(M):
 def decompose(M):
     """Indecomposable direct summands of M (with repetition), recursively.
 
-    Needs the rationals: splitting factors minimal polynomials over Q,
-    takes exact Bezout idempotents in End(M) and certifies a summand
-    indecomposable by its local End (see `splitting`).  Raises
-    DecompositionError when End(M) is neither split nor certified local.
+    `splitting` certifies End(M) local by its radical, or finds an
+    endomorphism y with M = im y + ker y (Fitting); both parts are
+    submodules, split in turn.  Needs the rationals: the trace form, the
+    rational root search and the rare sympy factorization of a minimal
+    polynomial all work over Q.  Raises DecompositionError when End(M)
+    is neither split nor certified local.
     """
     alg = M.alg
     if alg.field.characteristic != 0:
@@ -432,26 +435,26 @@ def decompose(M):
         return [M]
     # each endomorphism on the total space of M
     mats = [_block_diagonal(alg.field, f) for f in ends]
-    e = splitting.find_idempotent(alg.field, mats, M.total_dim)
-    if e is None:
+    y = splitting.find_idempotent(alg.field, mats, M.total_dim)
+    if y is None:
         return [M]
+    blocks = _vertex_blocks(M, y)
     out = []
-    for part in (e, ExactMatrix.identity(alg.field, M.total_dim).sub(e)):
-        sub, _ = subrep_from_rows(M, _vertex_rows(M, part))
-        if sub.total_dim == 0 or sub.total_dim == M.total_dim:
-            raise DecompositionError("idempotent produced a trivial split")
-        out.extend(decompose(sub))
+    for part in ([b.rows for b in blocks],
+                 [b.left_kernel_rows().rows for b in blocks]):
+        out.extend(decompose(subrep_from_rows(M, part)[0]))
     out.sort(key=lambda r: (r.total_dim, r.dims))
     return out
 
 
-def _vertex_rows(M, e):
-    """Rows of the vertex blocks of a block-diagonal total-space matrix."""
+def _vertex_blocks(M, y):
+    """The vertex blocks of a block-diagonal total-space matrix."""
     out = []
     off = 0
     for d in M.dims:
-        out.append([{j - off: val for j, val in e.rows[off + i].items()}
-                    for i in range(d)])
+        out.append(ExactMatrix(M.alg.field, d, d, [
+            {j - off: val for j, val in y.rows[off + i].items()}
+            for i in range(d)]))
         off += d
     return out
 

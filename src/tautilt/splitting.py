@@ -1,41 +1,50 @@
-"""Certified idempotent splitting of matrix algebras over Q.
+"""Certified Krull-Schmidt splitting of matrix algebras over Q.
 
 Used by the Krull-Schmidt decomposition of modules (`modrep.decompose`);
 two-term complexes are split through their H^0.  It hands in a basis of
-an endomorphism algebra E realized as square matrices on the total space;
-each candidate x is decided by the factors of its minimal polynomial.
+an endomorphism algebra E of M, realized as square matrices on the total
+space of M.  Every step is exact int/Fraction arithmetic; sympy is
+imported only for the last one.
 
-- Two or more coprime primary factors f, g: the Bezout identity
-  s f + t g = 1 gives the exact idempotent (t g)(x) (identity on the
-  f-primary part, zero on the rest), no lifting needed.
-- One primary factor p^k with deg p = dim E/rad E: the image y of x in
-  the semisimple E/rad E has minimal polynomial p, so Q[y] is a subfield
-  of E/rad E of full dimension.  Then E/rad E is a field, E is local and
-  the object is indecomposable.
+- Radical first.  rad E is the kernel of the trace form (`_radical`).  If
+  dim E/rad E = 1, then E/rad E = Q, so E is local and M indecomposable;
+  no candidate is tried.
+- Fitting split.  Otherwise the candidates x are the basis elements, then
+  their pairwise sums.  For a power y = x^N whose rank no longer drops,
+  M = im y + ker y is a direct sum of submodules (Fitting's lemma); it
+  splits M unless x is nilpotent (y = 0) or invertible.
+- An invertible x is shifted by the least rational root c of its minimal
+  polynomial m (rational root theorem), and x - c is split instead when
+  it is not nilpotent.  If m has no rational root and its squarefree part
+  s has degree at most 3, s is irreducible, so the image of x in E/rad E
+  spans a subfield of degree deg s; deg s = dim E/rad E then certifies
+  E/rad E a field, E local.
+- Only an m these steps leave undecided (no rational root and a
+  squarefree part of degree at least 4, or outer coefficients too large
+  to search) is factored, with sympy: two coprime factors split M along
+  the Fitting decomposition of the first one at x, and a single
+  irreducible factor of degree dim E/rad E certifies E local.
 
-The candidates are the basis elements, then their pairwise sums.  Returning
-None certifies a local algebra; when no candidate decides (E/rad E a
-noncommutative division algebra, say) `find_idempotent` raises
+Returning None certifies a local algebra; when no candidate decides (E/rad E
+a noncommutative division algebra, say) `find_idempotent` raises
 DecompositionError rather than guess.
 """
 
 import itertools
+from fractions import Fraction
 from functools import reduce
+from math import isqrt, lcm
 
 from .linalg import ExactMatrix, RowSpace
+
+# the rational root search enumerates the divisors of the outer
+# coefficients by trial division up to their square roots; a minimal
+# polynomial with a larger one goes to sympy
+_ROOT_SEARCH_LIMIT = 10 ** 12
 
 
 class DecompositionError(RuntimeError):
     """No candidate splits the endomorphism algebra or certifies it local."""
-
-
-def _flatten(mat):
-    vec = {}
-    n = mat.ncols
-    for i, row in enumerate(mat.rows):
-        for j, v in row.items():
-            vec[i * n + j] = v
-    return vec
 
 
 def minimal_polynomial(field, mat):
@@ -50,7 +59,8 @@ def minimal_polynomial(field, mat):
     for k in itertools.count():
         # the row [x^k | e_k]: once x^k reduces to zero in the first nn
         # columns, the tail holds the monic relation sum c_i x^i = 0
-        vec = _flatten(power)
+        vec = {i * n + j: v for i, row in enumerate(power.rows)
+               for j, v in row.items()}
         vec[nn + k] = field.one
         red = space.reduce(vec)
         if min(red) >= nn:
@@ -59,62 +69,85 @@ def minimal_polynomial(field, mat):
         power = power.mul(mat)
 
 
-def _eval_poly(field, coeffs, mat):
-    n = mat.nrows
-    acc = ExactMatrix.zero(field, n, n)
-    power = ExactMatrix.identity(field, n)
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            acc = acc.add(power.scale(c))
-        if k + 1 < len(coeffs):
-            power = power.mul(mat)
-    return acc
+def _fitting_power(mat):
+    """(y, rank y) for the first y = mat^(2^j) with rank y^2 = rank y.
 
-
-def _bezout_idempotent(field, mat, factors):
-    """(t g)(mat) for s f + t g = 1, f the first primary factor and g the
-    product of the others."""
-    f = factors[0][0] ** factors[0][1]
-    g = f.one
-    for base, mult in factors[1:]:
-        g *= base ** mult
-    _, t, _ = f.gcdex(g)
-    tg = t * g
-    e = _eval_poly(field, [field.from_string(str(c))
-                           for c in reversed(tg.all_coeffs())], mat)
-    if e.mul(e) != e:
-        raise DecompositionError("Bezout element is not idempotent")
-    return e
+    Then im y and ker y meet in 0 and span the space: Fitting's
+    decomposition of mat, into its invertible and its nilpotent part.
+    """
+    y, r = mat, mat.rank()
+    while r:
+        square = y.mul(y)
+        rank = square.rank()
+        if rank == r:
+            break
+        y, r = square, rank
+    return y, r
 
 
 def find_idempotent(field, basis_mats, total_dim):
-    """Nontrivial idempotent in the span of basis_mats, or None when the
+    """A Fitting element y of the span of basis_mats, or None when the
     span is a local algebra.
 
-    basis_mats must be closed under multiplication up to span (an algebra
-    basis) and contain the identity in their span.  Raises
-    DecompositionError when no candidate decides.
+    y has 0 < rank y = rank y^2 < total_dim, so its row space and its
+    left kernel (im y and ker y, on row vectors) are complementary
+    nonzero submodules.  basis_mats must be closed under multiplication
+    up to span (an algebra basis) and contain the identity in their
+    span.  Raises DecompositionError when no candidate decides.
     """
-    import sympy
-
     k = len(basis_mats)
-    if k == 1:
-        return None  # the span of the identity: Q itself
+    top = k - len(radical_from_trace(field, basis_mats, total_dim))
+    if top == 1:
+        return None  # E/rad E = Q, so E is local
+    one = ExactMatrix.identity(field, total_dim)
     pairs = (basis_mats[i].add(basis_mats[j])
              for i in range(k) for j in range(i + 1, k))
-    top_dim = None
-    x = sympy.Symbol("x")
-    for mat in itertools.chain(basis_mats, pairs):
-        coeffs = minimal_polynomial(field, mat)
-        poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x,
-                          domain="QQ")
-        factors = poly.factor_list()[1]
-        if len(factors) > 1:
-            return _bezout_idempotent(field, mat, factors)
-        if top_dim is None:
-            top_dim = k - len(radical_from_trace(field, basis_mats, total_dim))
-        if factors[0][0].degree() == top_dim:
-            return None
+    for x in itertools.chain(basis_mats, pairs):
+        y, r = _fitting_power(x)
+        if r < total_dim:
+            if r:
+                return y
+            continue  # nilpotent
+        coeffs = minimal_polynomial(field, x)
+        den = lcm(*(Fraction(c).denominator for c in coeffs))
+        ends = [abs(int(c * den)) for c in (coeffs[0], coeffs[-1])]
+        if max(ends) <= _ROOT_SEARCH_LIMIT:
+            # a rational root p/q has p | c_0 and q | c_d
+            divisors = [{e for d in range(1, isqrt(n) + 1) if n % d == 0
+                         for e in (d, n // d)} for n in ends]
+            roots = [c for c in (Fraction(s * p, q) for p in divisors[0]
+                                 for q in divisors[1] for s in (1, -1))
+                     if not sum(a * c ** i for i, a in enumerate(coeffs))]
+            if roots:
+                y, r = _fitting_power(x.add(one.scale(-min(roots))))
+                if r:
+                    return y
+                continue  # x = c + nilpotent
+            # deg of the squarefree part = dim Q[x] / rad Q[x]
+            powers = [one]
+            for _ in range(len(coeffs) - 2):
+                powers.append(powers[-1].mul(x))
+            squarefree = len(powers) - len(
+                radical_from_trace(field, powers, total_dim))
+            if squarefree <= 3:  # no linear factor: irreducible
+                if squarefree == top:
+                    return None
+                continue
+        import sympy
+
+        t = sympy.Symbol("t")
+        factors = sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator)
+             for c in reversed(coeffs)], t, domain="QQ").factor_list()[1]
+        if len(factors) == 1:
+            if factors[0][0].degree() == top:
+                return None
+            continue
+        # the first factor at x: its Fitting power splits off the rest
+        z = ExactMatrix.zero(field, total_dim, total_dim)
+        for c in factors[0][0].all_coeffs():
+            z = z.mul(x).add(one.scale(field.div(int(c.p), int(c.q))))
+        return _fitting_power(z)[0]
     raise DecompositionError(
         f"no basis element or pairwise sum splits the {k}-dimensional "
         f"endomorphism algebra or certifies it local")

@@ -574,10 +574,11 @@ def _shifted(alg, p1, pres_p1):
 
 def _end_radical(end):
     """rad End_K(R) as coefficient rows over the representatives of
-    end = Hom(R, R); computed once per Hom object."""
+    end = Hom(R, R); computed once per Hom object.  An End of dimension
+    at most 1 is 0 or Q id, a field, with no composition table built."""
     if end.radical is None:
         end.radical = []
-        if end.dim:
+        if end.dim > 1:
             R = end.reps[0].source
             # b_i b_j = rep_i . rep_j, entry [j][i] of the composition table
             table = composition_table(R, R, R)

@@ -317,3 +317,22 @@ def test_a_count_off_the_orbits_is_an_invariant_violation(monkeypatch):
                                        "dimension 1 over its wall, not a "
                                        "multiple of dim End/rad = 2")):
         st.mutate(top, 1)
+
+
+def test_a_self_wall_over_a_one_dimensional_end_builds_no_table(
+        monkeypatch):
+    # End(P1) of kA2 is Q id, a field: its radical is 0 with no
+    # composition table and no trace form, so the wall of P1 itself is
+    # empty on both sides
+    alg = read_algebra("a2.alg")
+    R = tt.stalk_complex(alg, (0,), 0)
+
+    def refuse(*args):
+        raise AssertionError("a composition table was built")
+
+    monkeypatch.setattr(tt, "composition_table", refuse)
+    end = tt.hom_homotopy(R, R)
+    assert end.dim == 1
+    for left in (True, False):
+        assert tt._wall_image(R, R, R, left, 1) == ()
+    assert end.radical == []

@@ -6,12 +6,14 @@ them off the oracle's Hasse quiver; the engine must agree on the pair's
 own key, its Bongartz (maximum) and its minimal completion.
 """
 
+import hashlib
 import importlib.util
+import json
 import os
 
 import pytest
 
-from tautilt import linalg, modrep as mr, oracle as orc, sttilt as st
+from tautilt import cli, linalg, modrep as mr, oracle as orc, sttilt as st
 from tautilt.algebra import parse_algebra
 
 INPUTS = os.path.join(os.path.dirname(__file__), "..", "bench", "inputs.py")
@@ -60,3 +62,21 @@ def test_completions_match_the_oracle(preproj_cases):
         if got != (case.key, case.bongartz, case.minimal):
             wrong.append((case.kind, case.key, got))
     assert not wrong, wrong
+
+
+def test_completion_outputs_are_byte_identical(preproj_cases):
+    # the CLI JSON of the input pair, both completions and a second build
+    # of the input, each case on a fresh algebra, pinned by its digest
+    _, cases = preproj_cases
+    text = load_inputs().preprojective_text(3)
+    lines = []
+    for case in cases:
+        alg = parse_algebra(text)
+        M = _module(alg, case.modules)
+        pair = st.pair_from_module_data(alg, M, case.proj)
+        again = st.pair_from_module_data(alg, M, case.proj)
+        for q in (pair, st.bongartz_completion(pair),
+                  st.minimal_completion(pair), again):
+            lines.append(json.dumps(cli.pair_to_json(q), sort_keys=True))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest.startswith("d93fd337caec2d70"), digest

@@ -1,4 +1,4 @@
-"""The trace-form radical against the Gram matrix of formed products.
+"""The splitter: its trace-form radical and each of its branches.
 
 `splitting.radical_from_trace` reads trace(b_i b_j) off the entries of
 b_i and b_j, and `splitting.radical_from_mult_table` off the structure
@@ -7,15 +7,27 @@ forms every product b_i b_j (for a multiplication table, of the
 regular-representation matrices) and takes the left kernel of the Gram
 matrix of their traces.  Both must return the same vectors on the End
 algebras of the Pi(A3) summands, on the module and on the complex side.
+
+`splitting.find_idempotent` is then run on explicit matrix algebras, one
+per branch: a Fitting split after a rational root shift, a local algebra
+certified by an irreducible cubic, and minimal polynomials that only
+sympy factors (degree 4 with no rational root, or coefficients too large
+to search).  A CLI completion of a Pi(A3) pair never imports
+sympy.
 """
+
+import os
+import subprocess
+import sys
 
 from tautilt import modrep as mr
 from tautilt import splitting
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
+from tautilt.fields import QQ
 from tautilt.linalg import ExactMatrix
 
-from conftest import pair_module, read_algebra
+from conftest import data_path, pair_module, read_algebra
 
 
 def product_gram_radical(field, mats):
@@ -70,3 +82,98 @@ def test_trace_form_matches_the_products_on_preprojective_a3():
             F, regular_representation(F, mult, end.dim))
         nonzero += bool(rad)
     assert nonzero >= 10
+
+
+def block_diagonal(*blocks):
+    return mr._block_diagonal(QQ, [ExactMatrix.from_rows(QQ, b)
+                                   for b in blocks])
+
+
+def powers(mat, count):
+    out = [ExactMatrix.identity(QQ, mat.nrows)]
+    for _ in range(count - 1):
+        out.append(out[-1].mul(mat))
+    return out
+
+
+def fitting_parts(y):
+    """(im y, ker y) on row vectors, as RREF rows."""
+    return (y.rref()[1], y.left_kernel_rows().rref()[1])
+
+
+def test_invertible_basis_is_split_after_a_rational_root_shift(monkeypatch):
+    # Q x Q spanned by I and diag(1, 2): both basis elements are
+    # invertible; diag(1, 2) - 1 = diag(0, 1) splits, and sympy is not
+    # needed (an import of it would raise)
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    y = splitting.find_idempotent(
+        QQ, [ExactMatrix.identity(QQ, 2), block_diagonal([[1]], [[2]])],
+        2)
+    assert fitting_parts(y) == ([{1: 1}], [{0: 1}])
+
+
+def test_an_irreducible_cubic_certifies_a_field(monkeypatch):
+    # Q(2^(1/3)) = Q[C], C the companion matrix of t^3 - 2: no rational
+    # root, squarefree of degree 3 = dim E/rad E, so E is a field
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    C = ExactMatrix.from_rows(QQ, [[0, 1, 0], [0, 0, 1], [2, 0, 0]])
+    assert splitting.find_idempotent(QQ, powers(C, 3), 3) is None
+
+
+def counted_factorizations(monkeypatch):
+    """The polynomials sympy factors from now on."""
+    import sympy
+
+    calls = []
+    factor_list = sympy.Poly.factor_list
+
+    def counted(poly, *args, **kwargs):
+        calls.append(poly)
+        return factor_list(poly, *args, **kwargs)
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", counted)
+    return calls
+
+
+def test_a_degree_four_minimal_polynomial_is_factored_by_sympy(monkeypatch):
+    # Q(sqrt 2) x Q(sqrt 3) = Q[A], A the block companion of t^2 - 2 and
+    # t^2 - 3: A has minimal polynomial t^4 - 5t^2 + 6, with no rational
+    # root and squarefree of degree 4, so sympy factors it; its first
+    # factor t^2 - 3 kills the second block and splits it off
+    calls = counted_factorizations(monkeypatch)
+    A = block_diagonal([[0, 1], [2, 0]], [[0, 1], [3, 0]])
+    y = splitting.find_idempotent(QQ, powers(A, 4), 4)
+    assert len(calls) == 1
+    assert fitting_parts(y) == ([{0: 1}, {1: 1}], [{2: 1}, {3: 1}])
+
+
+def test_a_minimal_polynomial_too_large_to_search_is_factored_by_sympy(
+        monkeypatch):
+    # diag(10^7, 10^7 + 1) has constant coefficient about 10^14, past the
+    # rational root search, so sympy finds its two linear factors
+    calls = counted_factorizations(monkeypatch)
+    D = block_diagonal([[10 ** 7]], [[10 ** 7 + 1]])
+    y = splitting.find_idempotent(QQ, [ExactMatrix.identity(QQ, 2), D], 2)
+    assert len(calls) == 1
+    assert sorted(fitting_parts(y), key=lambda rows: list(rows[0])) \
+        == [[{0: 1}], [{1: 1}]]
+
+
+def test_a_cli_completion_of_a_preprojective_pair_never_imports_sympy():
+    # a two-summand almost complete pair of Pi(A3): every End on the way
+    # is certified local by its radical or split at a basis element
+    script = (
+        "import io, sys\n"
+        "from tautilt import cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        f"argv = ['bongartz', '--algebra', {data_path('preproj_a3.alg')!r},"
+        f" '--pair', {data_path('preproj_a3_pair.json')!r}]\n"
+        "assert cli.run(argv, out=out, err=err) == 0, err.getvalue()\n"
+        "assert len(out.getvalue().split('dim_vector')) == 4\n"
+        "assert 'sympy' not in sys.modules\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
