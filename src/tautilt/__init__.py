@@ -12,11 +12,12 @@ from .algebra import (AdmissibilityError, AlgebraError, AlgebraFileError,
                       BoundQuiverAlgebra, QuiverSpec, parse_algebra)
 from .fields import QQ, parse_field
 from .linalg import ExactMatrix
-from .modrep import (DecompositionError, Representation, decompose,
-                     direct_sum, hom_space, minimal_projective_presentation,
-                     modules_isomorphic, standard_module, tau, zero_rep)
+from .modrep import (Representation, decompose, direct_sum, hom_space,
+                     minimal_projective_presentation, modules_isomorphic,
+                     standard_module, tau, zero_rep)
 from .oracle import (OracleConfig, OracleError, brute_force_indecomposables,
                      brute_force_sttilt, oracle_graph_json)
+from .splitting import DecompositionError
 from .sttilt import (FinitenessResult, HasseGraph, InvariantViolation,
                      NotTauRigidError, TauRigidPair, bongartz_completion,
                      enumerate_sttilt, is_classical_tilting,

@@ -16,6 +16,7 @@ from .jsontext import dumps
 from .linalg import ExactMatrix
 from . import modrep as mr
 from . import oracle as orc
+from .splitting import DecompositionError
 from . import sttilt as st
 
 
@@ -358,7 +359,7 @@ def run(argv, out=None, err=None):
         print(f"error: {exc}", file=err)
         return 2
     except (AlgebraError, orc.OracleError, st.InvariantViolation,
-            mr.DecompositionError) as exc:
+            DecompositionError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

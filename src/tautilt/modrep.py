@@ -21,8 +21,6 @@ from .algebra import AlgebraError, CornerGrid, add_products
 from .linalg import ExactMatrix, RowSpace
 from . import splitting
 
-DecompositionError = splitting.DecompositionError  # re-exported for callers
-
 
 class Representation:
     """A right module as a quiver representation; never changed after
@@ -420,10 +418,10 @@ def decompose(M):
 
     `splitting` certifies End(M) local by its radical, or finds an
     endomorphism y with M = im y + ker y (Fitting); both parts are
-    submodules, split in turn.  Needs the rationals: the trace form, the
-    rational root search and the rare sympy factorization of a minimal
-    polynomial all work over Q.  Raises DecompositionError when End(M)
-    is neither split nor certified local.
+    submodules, split in turn.  Needs the rationals: the trace form and
+    the sympy factorization of an invertible candidate's minimal
+    polynomial work over Q.  Raises `splitting.DecompositionError` when
+    End(M) is neither split nor certified local.
     """
     alg = M.alg
     if alg.field.characteristic != 0:

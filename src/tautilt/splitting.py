@@ -3,8 +3,7 @@
 Used by the Krull-Schmidt decomposition of modules (`modrep.decompose`);
 two-term complexes are split through their H^0.  It hands in a basis of
 an endomorphism algebra E of M, realized as square matrices on the total
-space of M.  Every step is exact int/Fraction arithmetic; sympy is
-imported only for the last one.
+space of M.
 
 - Radical first.  rad E is the kernel of the trace form (`_radical`).  If
   dim E/rad E = 1, then E/rad E = Q, so E is local and M indecomposable;
@@ -13,34 +12,21 @@ imported only for the last one.
   their pairwise sums.  For a power y = x^N whose rank no longer drops,
   M = im y + ker y is a direct sum of submodules (Fitting's lemma); it
   splits M unless x is nilpotent (y = 0) or invertible.
-- An invertible x is shifted by the least rational root c of its minimal
-  polynomial m (rational root theorem), and x - c is split instead when
-  it is not nilpotent.  If m has no rational root and its squarefree part
-  s has degree at most 3, s is irreducible, so the image of x in E/rad E
-  spans a subfield of degree deg s; deg s = dim E/rad E then certifies
-  E/rad E a field, E local.
-- Only an m these steps leave undecided (no rational root and a
-  squarefree part of degree at least 4, or outer coefficients too large
-  to search) is factored, with sympy: two coprime factors split M along
-  the Fitting decomposition of the first one at x, and a single
-  irreducible factor of degree dim E/rad E certifies E local.
+- Only an invertible x needs its minimal polynomial m, factored with
+  sympy, which is imported there and nowhere else: two coprime factors
+  split M along the Fitting decomposition of the first one at x, and a
+  single irreducible factor of degree dim E/rad E certifies E local.
 
-Returning None certifies a local algebra; when no candidate decides (E/rad E
-a noncommutative division algebra, say) `find_idempotent` raises
+The first two steps are exact int/Fraction arithmetic.  Returning None
+certifies a local algebra; when no candidate decides (E/rad E a
+noncommutative division algebra, say) `find_idempotent` raises
 DecompositionError rather than guess.
 """
 
 import itertools
-from fractions import Fraction
 from functools import reduce
-from math import isqrt, lcm
 
 from .linalg import ExactMatrix, RowSpace
-
-# the rational root search enumerates the divisors of the outer
-# coefficients by trial division up to their square roots; a minimal
-# polynomial with a larger one goes to sympy
-_ROOT_SEARCH_LIMIT = 10 ** 12
 
 
 class DecompositionError(RuntimeError):
@@ -108,33 +94,9 @@ def find_idempotent(field, basis_mats, total_dim):
             if r:
                 return y
             continue  # nilpotent
-        coeffs = minimal_polynomial(field, x)
-        den = lcm(*(Fraction(c).denominator for c in coeffs))
-        ends = [abs(int(c * den)) for c in (coeffs[0], coeffs[-1])]
-        if max(ends) <= _ROOT_SEARCH_LIMIT:
-            # a rational root p/q has p | c_0 and q | c_d
-            divisors = [{e for d in range(1, isqrt(n) + 1) if n % d == 0
-                         for e in (d, n // d)} for n in ends]
-            roots = [c for c in (Fraction(s * p, q) for p in divisors[0]
-                                 for q in divisors[1] for s in (1, -1))
-                     if not sum(a * c ** i for i, a in enumerate(coeffs))]
-            if roots:
-                y, r = _fitting_power(x.add(one.scale(-min(roots))))
-                if r:
-                    return y
-                continue  # x = c + nilpotent
-            # deg of the squarefree part = dim Q[x] / rad Q[x]
-            powers = [one]
-            for _ in range(len(coeffs) - 2):
-                powers.append(powers[-1].mul(x))
-            squarefree = len(powers) - len(
-                radical_from_trace(field, powers, total_dim))
-            if squarefree <= 3:  # no linear factor: irreducible
-                if squarefree == top:
-                    return None
-                continue
         import sympy
 
+        coeffs = minimal_polynomial(field, x)
         t = sympy.Symbol("t")
         factors = sympy.Poly(
             [sympy.Rational(c.numerator, c.denominator)

@@ -2,6 +2,7 @@ import pytest
 
 from tautilt.algebra import AlgebraError, parse_algebra
 from tautilt import modrep as mr
+from tautilt.splitting import DecompositionError
 
 from conftest import arrow_element
 from reference import ext1_dim, in_fac, stable_hom_dim, trace_rows
@@ -318,5 +319,5 @@ def test_end_a_quaternion_algebra_raises():
     left_j = [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]]
     M = _rep(alg, (4, 4), [one, left_i, left_j])
     assert len(mr.hom_space(M, M)) == 4
-    with pytest.raises(mr.DecompositionError):
+    with pytest.raises(DecompositionError):
         mr.decompose(M)

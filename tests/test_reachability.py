@@ -35,11 +35,8 @@ ALLOWED = {
     "modrep.summands_match": (
         "the summand match of the bench/spans.py entry points "
         "modrep.modules_isomorphic and sttilt.pairs_isomorphic"),
+    "splitting.minimal_polynomial": SPANS,
     "sttilt.HasseGraph.to_json": SPANS,
-    "splitting.minimal_polynomial": (
-        "decides only an invertible candidate of an End whose top has "
-        "dimension at least 2, which no small input meets; the branch "
-        "tests of tests/test_splitting.py run it"),
     "sttilt.pairs_isomorphic": SPANS,
     "twoterm.complexes_isomorphic": SPANS,
     "twoterm.indecomposables_isomorphic": (

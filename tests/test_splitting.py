@@ -8,12 +8,12 @@ regular-representation matrices) and takes the left kernel of the Gram
 matrix of their traces.  Both must return the same vectors on the End
 algebras of the Pi(A3) summands, on the module and on the complex side.
 
-`splitting.find_idempotent` is then run on explicit matrix algebras, one
-per branch: a Fitting split after a rational root shift, a local algebra
-certified by an irreducible cubic, and minimal polynomials that only
-sympy factors (degree 4 with no rational root, or coefficients too large
-to search).  A CLI completion of a Pi(A3) pair never imports
-sympy.
+`splitting.find_idempotent` is then run on explicit matrix algebras
+whose basis elements are all invertible, so that only sympy's factors of
+their minimal polynomials split them: Q x Q, and Q(sqrt 2) x Q(sqrt 3)
+with a minimal polynomial of degree 4.  The radical-first certificate
+and the Fitting split of a non-invertible element are enough for a CLI
+completion of a Pi(A3) pair, which never imports sympy.
 """
 
 import os
@@ -101,25 +101,6 @@ def fitting_parts(y):
     return (y.rref()[1], y.left_kernel_rows().rref()[1])
 
 
-def test_invertible_basis_is_split_after_a_rational_root_shift(monkeypatch):
-    # Q x Q spanned by I and diag(1, 2): both basis elements are
-    # invertible; diag(1, 2) - 1 = diag(0, 1) splits, and sympy is not
-    # needed (an import of it would raise)
-    monkeypatch.setitem(sys.modules, "sympy", None)
-    y = splitting.find_idempotent(
-        QQ, [ExactMatrix.identity(QQ, 2), block_diagonal([[1]], [[2]])],
-        2)
-    assert fitting_parts(y) == ([{1: 1}], [{0: 1}])
-
-
-def test_an_irreducible_cubic_certifies_a_field(monkeypatch):
-    # Q(2^(1/3)) = Q[C], C the companion matrix of t^3 - 2: no rational
-    # root, squarefree of degree 3 = dim E/rad E, so E is a field
-    monkeypatch.setitem(sys.modules, "sympy", None)
-    C = ExactMatrix.from_rows(QQ, [[0, 1, 0], [0, 0, 1], [2, 0, 0]])
-    assert splitting.find_idempotent(QQ, powers(C, 3), 3) is None
-
-
 def counted_factorizations(monkeypatch):
     """The polynomials sympy factors from now on."""
     import sympy
@@ -137,24 +118,25 @@ def counted_factorizations(monkeypatch):
 
 def test_a_degree_four_minimal_polynomial_is_factored_by_sympy(monkeypatch):
     # Q(sqrt 2) x Q(sqrt 3) = Q[A], A the block companion of t^2 - 2 and
-    # t^2 - 3: A has minimal polynomial t^4 - 5t^2 + 6, with no rational
-    # root and squarefree of degree 4, so sympy factors it; its first
-    # factor t^2 - 3 kills the second block and splits it off
+    # t^2 - 3: the basis element I has minimal polynomial t - 1, which
+    # decides nothing, and A has t^4 - 5t^2 + 6; its first factor t^2 - 3
+    # kills the second block and splits it off
     calls = counted_factorizations(monkeypatch)
     A = block_diagonal([[0, 1], [2, 0]], [[0, 1], [3, 0]])
     y = splitting.find_idempotent(QQ, powers(A, 4), 4)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert fitting_parts(y) == ([{0: 1}, {1: 1}], [{2: 1}, {3: 1}])
 
 
-def test_a_minimal_polynomial_too_large_to_search_is_factored_by_sympy(
-        monkeypatch):
-    # diag(10^7, 10^7 + 1) has constant coefficient about 10^14, past the
-    # rational root search, so sympy finds its two linear factors
+def test_an_invertible_basis_is_split_by_its_factors(monkeypatch):
+    # Q x Q spanned by I and diag(1, 2): both basis elements are
+    # invertible, so each minimal polynomial goes to sympy; t - 1 (of I)
+    # decides nothing, and a linear factor of (t - 1)(t - 2) at
+    # diag(1, 2) splits off one coordinate
     calls = counted_factorizations(monkeypatch)
-    D = block_diagonal([[10 ** 7]], [[10 ** 7 + 1]])
+    D = block_diagonal([[1]], [[2]])
     y = splitting.find_idempotent(QQ, [ExactMatrix.identity(QQ, 2), D], 2)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert sorted(fitting_parts(y), key=lambda rows: list(rows[0])) \
         == [[{0: 1}], [{1: 1}]]
 

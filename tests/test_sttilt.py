@@ -6,6 +6,7 @@ import pytest
 from tautilt.algebra import parse_algebra
 from tautilt.fields import QQ
 from tautilt.linalg import ExactMatrix
+from tautilt.splitting import DecompositionError
 from tautilt import modrep as mr
 from tautilt import sttilt as st
 from tautilt import twoterm as tt
@@ -374,7 +375,7 @@ def test_trace_form_radical_refuses_small_characteristic():
     # over F_3 it can
     with open(data_path("loop_arrow_f2.alg"), encoding="utf-8") as fh:
         text = fh.read()
-    with pytest.raises(mr.DecompositionError,
+    with pytest.raises(DecompositionError,
                        match=r"characteristic 0 or p > dim"):
         st.enumerate_sttilt(parse_algebra(text))
     graph = st.enumerate_sttilt(parse_algebra(text.replace("Fp:2", "Fp:3")))
