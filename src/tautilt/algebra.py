@@ -96,6 +96,10 @@ class QuiverSpec:
                 raise AlgebraError("relation mixes non-parallel paths")
             out[path] = self.field.add(out.get(path, self.field.zero), coeff)
         out = {p: c for p, c in out.items() if c != 0}
+        if not out:
+            text = " + ".join("*".join([self.field.to_string(c)] + names)
+                              for c, names in rel)
+            raise AlgebraError(f"relation {text!r} is zero: its terms cancel")
         return out
 
 

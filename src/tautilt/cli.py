@@ -12,7 +12,6 @@ import sys
 
 from .algebra import AlgebraError, AlgebraFileError, parse_algebra
 from .fields import FieldError, PrimeField
-from .jsontext import dumps
 from .linalg import ExactMatrix
 from . import modrep as mr
 from . import oracle as orc
@@ -174,7 +173,7 @@ def _graph_table(graph):
              f"edges: {len(graph.edges)}",
              f"complete: {str(graph.complete).lower()}"]
     for i, p in enumerate(graph.nodes):
-        g = ";".join(",".join(str(x) for x in col) for col in p.g_matrix())
+        g = st.g_matrix_label(p)
         dims = " ".join(str(list(m.dims)) for m in p.module_summands())
         lines.append(f"node {i}: g=[{g}] modules=[{dims}] "
                      f"support={list(p.projective_part())}")
@@ -199,7 +198,7 @@ def cmd_tau(args, out):
     M = load_module(alg, args.module)
     tm = mr.tau(M)
     if args.format == "json":
-        _emit(out, dumps(st.module_to_json(tm)))
+        _emit(out, st.dumps(st.module_to_json(tm)))
     else:
         _emit(out, f"dim_vector: {list(tm.dims)}")
         for ai, arrow in enumerate(alg.arrows):
@@ -231,7 +230,7 @@ def cmd_mutate(args, out):
     alg = load_algebra(args.algebra)
     pair = load_pair(alg, args.pair)
     new, direction = st.mutate(pair, args.index)
-    _emit(out, dumps({"pair": pair_to_json(new), "direction": direction}))
+    _emit(out, st.dumps({"pair": pair_to_json(new), "direction": direction}))
     return 0
 
 
@@ -239,7 +238,7 @@ def cmd_bongartz(args, out):
     alg = load_algebra(args.algebra)
     pair = load_pair(alg, args.pair)
     done = st.bongartz_completion(pair)
-    _emit(out, dumps(pair_to_json(done)))
+    _emit(out, st.dumps(pair_to_json(done)))
     return 0
 
 
@@ -247,14 +246,14 @@ def cmd_cocompletion(args, out):
     alg = load_algebra(args.algebra)
     pair = load_pair(alg, args.pair)
     done = st.minimal_completion(pair)
-    _emit(out, dumps(pair_to_json(done)))
+    _emit(out, st.dumps(pair_to_json(done)))
     return 0
 
 
 def cmd_gvectors(args, out):
     alg = load_algebra(args.algebra)
     pair = load_pair(alg, args.pair)
-    _emit(out, dumps({"g_matrix": [list(c) for c in pair.g_matrix()]}))
+    _emit(out, st.dumps({"g_matrix": [list(c) for c in pair.g_matrix()]}))
     return 0
 
 
@@ -274,7 +273,7 @@ def cmd_oracle(args, out):
     except FieldError as exc:
         raise UsageError(f"bad --prime: {exc}") from exc
     cfg = orc.OracleConfig(bound, p=args.prime)
-    _emit(out, dumps(orc.oracle_graph_json(alg, cfg)))
+    _emit(out, st.dumps(orc.oracle_graph_json(alg, cfg)))
     return 0
 
 

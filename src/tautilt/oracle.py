@@ -32,22 +32,32 @@ class OracleConfig:
 
 
 def algebra_mod_p(alg, p):
-    """Rebuild a bound quiver algebra over GF(p) from any presentation."""
+    """Rebuild a bound quiver algebra given over Q or GF(p) as one over
+    GF(p).  A relation coefficient that vanishes mod p or has p in its
+    denominator, and a field GF(q) with q != p, would give another
+    algebra; each raises OracleError."""
     field = PrimeField(p)
+    F = alg.field
+    if F.characteristic not in (0, p):
+        raise OracleError(f"an algebra over {F!r} has no reduction mod {p}")
     spec = alg.spec
     relations = []
     for rel in spec.relations:
         terms = []
         for path, coeff in rel.items():
             names = [spec.arrows[i].name for i in path]
-            if alg.field.characteristic == 0:
+            if F.characteristic == 0:
                 den = coeff.denominator % p
                 if den == 0:
                     raise OracleError("relation coefficient has p in "
                                       "its denominator")
                 c = (coeff.numerator * pow(den, -1, p)) % p
+                if c == 0:
+                    raise OracleError(
+                        f"relation coefficient {F.to_string(coeff)} of "
+                        f"{'*'.join(names)} vanishes mod {p}")
             else:
-                c = coeff % p
+                c = coeff
             terms.append((c, names))
         relations.append(terms)
     new_spec = QuiverSpec(

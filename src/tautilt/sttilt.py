@@ -56,10 +56,10 @@ c-vector algebra, the output order and the error texts.
 
 from bisect import bisect_left
 from collections import deque
+import json
 from operator import mul
 
 from .algebra import AlgebraError
-from .jsontext import dumps
 from .linalg import RowSpace
 from . import modrep as mr
 from . import twoterm as tt
@@ -547,13 +547,13 @@ class HasseGraph:
         return len(self.nodes)
 
     def write_json(self, write):
-        """Send the graph's JSON text, in the `jsontext` layout, to write,
-        one edge or node at a time.  Each summand's g-vector and module
-        text, and each projective part's, is written once per call by
-        `jsontext.dumps`, re-indented to its one depth (`_text`) and
-        spliced into every node holding it; the edges and the nodes
-        around them are filled into literal templates (`_EDGE`,
-        `_NODE`)."""
+        """Send the graph's JSON text, in the `dumps` layout, to write,
+        one edge or node at a time.  The edges and nodes fill literal
+        templates (`_EDGE`, `_NODE`), and a node's lists are written by
+        `_list`.  Each summand's g-vector and module text, and each
+        projective part's, is made once per call and spliced into every
+        node holding it; only a module's dict goes through `dumps`,
+        re-indented to its one depth."""
         summands = {}  # summand -> (g-vector text, module text or None)
         parts = {}  # projective part -> its text
         write('{\n  "edges": ')
@@ -571,17 +571,18 @@ class HasseGraph:
                 texts = summands.get(c)
                 if texts is None:
                     texts = summands[c] = (
-                        _text(tt.g_vector(c), _ITEM),
-                        _text(module_to_json(tt.complex_h0(c)), _ITEM)
-                        if c.p0 else None)
+                        _list([str(x) for x in tt.g_vector(c)], _ITEM),
+                        dumps(module_to_json(tt.complex_h0(c))).replace(
+                            "\n", _ITEM) if c.p0 else None)
                 gs.append(texts[0])
                 if texts[1] is not None:
                     ms.append(texts[1])
             proj = p.projective_part()
             part = parts.get(proj)
             if part is None:
-                part = parts[proj] = _text(proj, _FIELD)
-            write(_NODE % (sep, _list(gs), n, _list(ms), part))
+                part = parts[proj] = _list([str(x) for x in proj], _FIELD)
+            write(_NODE % (sep, _list(gs, _FIELD), n, _list(ms, _FIELD),
+                           part))
             sep = ","
         write("\n  ]\n}")  # an enumeration keeps at least its top pair
 
@@ -597,12 +598,23 @@ class HasseGraph:
         1-based summand index."""
         write("digraph sttilt {\n")
         for i, p in enumerate(self.nodes):
-            label = ";".join(
-                ",".join(str(x) for x in col) for col in p.g_matrix())
-            write(f'  n{i} [label="[{label}]"];\n')
+            write(f'  n{i} [label="[{g_matrix_label(p)}]"];\n')
         for (s, d, i) in self.edges:
             write(f'  n{s} -> n{d} [label="{i + 1}"];\n')
         write("}\n")
+
+
+def g_matrix_label(pair):
+    """The g-matrix as one line of text: the columns' entries joined by
+    ",", the columns by ";"."""
+    return ";".join(",".join(map(str, col)) for col in pair.g_matrix())
+
+
+def dumps(obj):
+    """The JSON text of obj in the package's one layout: indent 2,
+    sorted keys.  Re-indented by putting a depth's indent after each
+    newline, it is obj's text at that depth."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 # the skeleton of the graph's JSON text (`HasseGraph.write_json`): each
@@ -615,17 +627,14 @@ _NODE = ('%s\n    {\n      "g_matrix": %s,\n      "id": %d,\n'
          '      "module_summands": %s,\n      "projective_part": %s\n    }')
 
 
-def _text(obj, nl):
-    """The JSON text of obj spliced where nl, the newline plus the indent
-    of its depth, starts its lines."""
-    return dumps(obj).replace("\n", nl)
-
-
-def _list(texts):
-    """A node's field holding the list of item texts written at _ITEM."""
+def _list(texts, nl):
+    """The JSON list of the item texts at the depth where nl, the newline
+    plus that depth's indent, starts its lines.  Each item text is
+    already indented one level deeper."""
     if not texts:
         return "[]"
-    return "[" + _ITEM + ("," + _ITEM).join(texts) + _FIELD + "]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
 def module_to_json(M):

@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 
@@ -20,6 +21,15 @@ def data_path(name):
 def read_algebra(name):
     with open(data_path(name), "r", encoding="utf-8") as fh:
         return parse_algebra(fh.read())
+
+
+def loads_without_floats(text):
+    """The JSON text parsed; a float or a NaN or infinity in it fails the
+    test, since the package writes exact numbers as ints or strings."""
+    def refuse(literal):
+        raise AssertionError(f"a float in JSON output: {literal}")
+
+    return json.loads(text, parse_float=refuse, parse_constant=refuse)
 
 
 def path_name(alg, i):

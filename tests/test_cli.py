@@ -11,7 +11,7 @@ from tautilt import modrep as mr
 from tautilt import twoterm
 from tautilt.cli import run
 
-from conftest import data_path
+from conftest import data_path, loads_without_floats
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -200,6 +200,53 @@ def test_malformed_module_file_is_usage_error(tmp_path, text, needle):
     assert err.startswith("error:") and needle in err
 
 
+@pytest.mark.parametrize("field, relation",
+                         [("Q", "a*b - a*b"), ("Fp:2", "2*a*b")])
+def test_a_relation_whose_terms_cancel_is_a_domain_error(tmp_path, field,
+                                                         relation):
+    alg = tmp_path / "a3.alg"
+    alg.write_text(f'field = "{field}"\nvertices = ["1", "2", "3"]\n'
+                   'arrow = { name = "a", source = "1", target = "2" }\n'
+                   'arrow = { name = "b", source = "2", target = "3" }\n'
+                   f'relations = ["{relation}"]\n')
+    mod = tmp_path / "s1.mod"
+    mod.write_text("dim_vector = [1, 0, 0]\n")
+    code, out, err = invoke(["check", "--algebra", str(alg),
+                             "--module", str(mod)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: relation ") and err.count("\n") == 1
+    assert "cancel" in err
+
+
+def _square(tmp_path, field, relation):
+    """The commutative square 1 -> 2 -> 4, 1 -> 3 -> 4 under relation."""
+    path = tmp_path / "square.alg"
+    path.write_text(f'field = "{field}"\nvertices = ["1", "2", "3", "4"]\n'
+                    'arrow = { name = "a", source = "1", target = "2" }\n'
+                    'arrow = { name = "b", source = "2", target = "4" }\n'
+                    'arrow = { name = "c", source = "1", target = "3" }\n'
+                    'arrow = { name = "d", source = "3", target = "4" }\n'
+                    f'relations = ["{relation}"]\n')
+    return str(path)
+
+
+@pytest.mark.parametrize("field, relation, prime, needle", [
+    ("Q", "2*a*b", "2", "vanishes mod 2"),
+    ("Q", "a*b - 3*c*d", "3", "vanishes mod 3"),
+    ("Fp:5", "a*b - 2*c*d", "2", "GF(5)"),
+    ("Fp:5", "a*b - 2*c*d", "3", "GF(5)")])
+def test_oracle_refuses_a_change_of_algebra_mod_p(tmp_path, field, relation,
+                                                  prime, needle):
+    # reducing mod the prime would drop a term of the relation or re-read
+    # residues of another prime
+    code, out, err = invoke(["oracle", "--algebra",
+                             _square(tmp_path, field, relation),
+                             "--dim-bound", "1,1,1,1", "--prime", prime])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
 def test_small_characteristic_radical_is_an_error():
     # End(P1) = F_2[x]/(x^2): the trace form cannot decide its radical
     code, out, err = invoke(["enumerate", "--algebra",
@@ -268,6 +315,18 @@ def test_gvectors():
                            "--pair", data_path("s1_pair.json")])
     assert code == 0
     assert json.loads(out)["g_matrix"] == [[1, -1]]
+
+
+@pytest.mark.parametrize("command, algebra, flag, data, extra", [
+    ("tau", "a2.alg", "--module", "s1.mod", ["--format", "json"]),
+    ("bongartz", "preproj_a3.alg", "--pair", "preproj_a3_pair.json", []),
+    ("gvectors", "preproj_a3.alg", "--pair", "preproj_a3_pair.json", [])],
+    ids=["tau", "bongartz", "gvectors"])
+def test_json_output_holds_no_float(command, algebra, flag, data, extra):
+    code, out, _ = invoke([command, "--algebra", data_path(algebra),
+                           flag, data_path(data)] + extra)
+    assert code == 0
+    loads_without_floats(out)
 
 
 def test_tilting_command(tmp_path):
