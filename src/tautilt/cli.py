@@ -268,11 +268,14 @@ def cmd_oracle(args, out):
     if any(b < 0 for b in bound):
         raise UsageError(f"--dim-bound entries must be non-negative: "
                          f"{args.dim_bound!r}")
+    prime = args.prime
+    if prime is None:
+        prime = alg.field.characteristic or 2
     try:
-        PrimeField(args.prime)
+        PrimeField(prime)
     except FieldError as exc:
         raise UsageError(f"bad --prime: {exc}") from exc
-    cfg = orc.OracleConfig(bound, p=args.prime)
+    cfg = orc.OracleConfig(bound, p=prime)
     _emit(out, st.dumps(orc.oracle_graph_json(alg, cfg)))
     return 0
 
@@ -335,7 +338,8 @@ def build_parser():
     common(p, fmt=("json",))
     p.add_argument("--dim-bound", required=True,
                    help="per-vertex caps, comma separated")
-    p.add_argument("--prime", type=int, default=2)
+    p.add_argument("--prime", type=int,
+                   help="default: the algebra's characteristic, or 2 over Q")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("tilting", help="classical tilting module test")

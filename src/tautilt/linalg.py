@@ -6,7 +6,8 @@ keeps the reduced row echelon form of the rows added so far.  The RREF
 of a row space is unique, so every reduced output (echelon bases,
 `RowSpace.kernel`, particular solutions) is a function of the row space
 alone, independent of the order the rows arrive in.  The kernel basis
-of `kernel_via_presolve` is expanded from its union-find, not reduced.
+of `kernel_via_presolve` is expanded over its classes of variables
+equal up to a scalar, not reduced: only its span is canonical.
 
 0 x n and n x 0 matrices are legal and behave as empty maps.
 """
@@ -136,18 +137,10 @@ class ExactMatrix:
     def rank(self):
         return RowSpace(self.field, self.ncols, self.rows).dim
 
-    def right_kernel_basis(self):
-        """Columns spanning {x : self . x = 0}; rank + kernel cols = ncols."""
-        vecs = RowSpace(self.field, self.ncols, self.rows).kernel()
-        out = [{} for _ in range(self.ncols)]
-        for k, vec in enumerate(vecs):
-            for i, v in vec.items():
-                out[i][k] = v
-        return ExactMatrix(self.field, self.ncols, len(vecs), out)
-
     def left_kernel_rows(self):
         """Rows spanning {v : v . self = 0}."""
-        return self.transpose().right_kernel_basis().transpose()
+        vecs = RowSpace(self.field, self.nrows, self.transpose().rows).kernel()
+        return ExactMatrix(self.field, len(vecs), self.nrows, vecs)
 
     def solve_right(self, g):
         """One h with self . h = g (reduced-echelon particular solution) or None."""
@@ -287,127 +280,75 @@ class RowSpace:
 def kernel_via_presolve(field, rows, ncols):
     """Right-kernel basis vectors of a sparse homogeneous system.
 
-    Each row is rewritten once over the class representatives so far;
-    one or two entries left pin a variable to zero or identify two up to
-    a scalar through a weighted union-find.  Longer rows are rewritten
-    over the final representatives and the (small) residual system runs
-    through `RowSpace`.  Built for the differentials
-    of the Hom complexes (`twoterm.HomotopyHom`), which are almost
-    entirely two-term unit equations.
-
-    Returns a list of {col: val} vectors spanning the kernel.
+    Built for the Hom-complex differentials of `twoterm.HomotopyHom`,
+    which are almost all two-term unit equations.  Each variable is a
+    multiple of its class root, x = mult[x] * root[x].  A row rewritten
+    over the roots so far (dead classes dropped) to one entry kills its
+    class; to two, a*x + b*y = 0, it moves the smaller class under the
+    larger, so no variable moves more than log2(ncols) times.  Longer
+    rows wait, are rewritten over the final roots and solved over the
+    live roots by `RowSpace`; each solution is expanded over the
+    classes.  The vectors span the kernel but are not reduced.
     """
-    parent = list(range(ncols))
-    one = field.one
-    mult = [one] * ncols  # var = mult[var] * parent[var]
-    is_zero = [False] * ncols
-
-    def resolve(x):
-        p = parent[x]
-        if p == x:
-            return x, one
-        if parent[p] == p:
-            return p, mult[x]
-        # path compression, deepest first so multipliers compose correctly
-        chain = [x]
-        x2 = p
-        while parent[x2] != x2:
-            chain.append(x2)
-            x2 = parent[x2]
-        root = x2
-        for y in reversed(chain):
-            p2 = parent[y]
-            if p2 != root:
-                mp = mult[p2]
-                if mp != one:
-                    mult[y] = field.mul(mult[y], mp)
-                parent[y] = root
-        return root, mult[x]
-
-    def pin_zero(x):
-        r, _ = resolve(x)
-        is_zero[r] = True
-
-    def link(x, a, y, b):
-        # a x + b y = 0
-        rx, mx = resolve(x)
-        ry, my = resolve(y)
-        ca = a if mx == one else field.mul(a, mx)
-        cb = b if my == one else field.mul(b, my)
-        if rx == ry:
-            if field.add(ca, cb) != 0:
-                is_zero[rx] = True
-            return
-        if is_zero[rx] or is_zero[ry]:
-            is_zero[rx] = is_zero[ry] = True
-        # attach the larger root under the smaller for determinism
-        if rx > ry:
-            rx, ry, ca, cb = ry, rx, cb, ca
-        # now attach ry under rx: ry = -(ca/cb) rx
-        parent[ry] = rx
-        mult[ry] = field.neg(field.div(ca, cb))
-        if is_zero[rx]:
-            is_zero[ry] = True
+    one, mul, add = field.one, field.mul, field.add
+    root = list(range(ncols))
+    mult = [one] * ncols
+    size = [1] * ncols
+    after = [-1] * ncols  # the next member of a class, from its root
+    last = list(range(ncols))
+    dead = [False] * ncols
 
     def rewrite(row):
-        # the row over the class representatives, zero classes dropped
+        # the row over the roots, dead classes dropped
         acc = {}
         for x, c in row.items():
-            r, m = resolve(x)
-            if is_zero[r]:
+            r = root[x]
+            if dead[r]:
                 continue
-            cm = c if m == one else field.mul(c, m)
+            m = mult[x]
+            cm = c if m == one else mul(c, m)
             cur = acc.get(r)
-            nv = cm if cur is None else field.add(cur, cm)
+            nv = cm if cur is None else add(cur, cm)
             if nv == 0:
                 acc.pop(r, None)
             else:
                 acc[r] = nv
         return acc
 
-    # one pass: a row still longer than two entries once rewritten goes
-    # to the residual system, which is rewritten over the final roots
+    # rewritten rows hold distinct live roots, so two entries always
+    # join two classes; a longer row waits for the final roots
     pending = []
     for row in rows:
         acc = rewrite(row)
         if len(acc) == 1:
-            (x, _), = acc.items()
-            pin_zero(x)
+            dead[next(iter(acc))] = True
         elif len(acc) == 2:
             (x, a), (y, b) = acc.items()
-            link(x, a, y, b)
+            if size[x] < size[y]:
+                x, a, y, b = y, b, x, a
+            f = field.neg(field.div(a, b))  # y = f * x
+            z = y
+            while z >= 0:
+                root[z] = x
+                mult[z] = f if mult[z] == one else mul(mult[z], f)
+                z = after[z]
+            after[last[x]], last[x] = y, last[y]
+            size[x] += size[y]
         elif acc:
             pending.append(acc)
 
-    # residual system over surviving roots
-    live = set()
-    for x in range(ncols):
-        r, _ = resolve(x)
-        if not is_zero[r]:
-            live.add(r)
-    live_roots = sorted(live)
-    root_pos = {r: i for i, r in enumerate(live_roots)}
-    res_rows = [{root_pos[r]: c for r, c in acc.items()}
+    live = [r for r in range(ncols) if root[r] == r and not dead[r]]
+    pos = {r: i for i, r in enumerate(live)}
+    res_rows = [{pos[r]: c for r, c in acc.items()}
                 for acc in map(rewrite, pending) if acc]
-    root_solutions = [
-        {live_roots[i]: v for i, v in vec.items()}
-        for vec in RowSpace(field, len(live_roots), res_rows).kernel()]
-
-    # expand each root solution across its class members
-    members = {}
-    for x in range(ncols):
-        r, m = resolve(x)
-        if is_zero[r]:
-            continue
-        members.setdefault(r, []).append((x, m))
     vectors = []
-    for sol in root_solutions:
+    for sol in RowSpace(field, len(live), res_rows).kernel():
         vec = {}
-        for r, val in sol.items():
-            for (x, m) in members.get(r, ()):
-                v = val if m == one else field.mul(m, val)
-                if v != 0:
-                    vec[x] = v
-        if vec:
-            vectors.append(vec)
+        for i, val in sol.items():
+            z = live[i]
+            while z >= 0:
+                m = mult[z]
+                vec[z] = val if m == one else mul(m, val)
+                z = after[z]
+        vectors.append(vec)
     return vectors

@@ -633,23 +633,18 @@ class OraclePair:
 
 def brute_force_sttilt(alg_q, cfg):
     """All support tau-tilting pairs from exhaustive subset search."""
-    alg = algebra_mod_p(alg_q, cfg.p)
     p = cfg.p
-    n = alg.n
+    n = alg_q.n
     indecs = brute_force_indecomposables(alg_q, cfg)
-    taus = [tau_oracle(m, p) for m in indecs]
-    rigid = []
-    for m, t in zip(indecs, taus):
-        if _hom_dim(m, t, p) == 0:
-            rigid.append(m)
-    rigid_tau = {id(m): tau_oracle(m, p) for m in rigid}
+    tau = {id(m): tau_oracle(m, p) for m in indecs}
+    rigid = [m for m in indecs if _hom_dim(m, tau[id(m)], p) == 0]
     pairs = []
     for r in range(0, n + 1):
         for mods in itertools.combinations(rigid, r):
             # mutual tau-rigidity
             ok = True
             for a in mods:
-                ta = rigid_tau[id(a)]
+                ta = tau[id(a)]
                 for b in mods:
                     if _hom_dim(b, ta, p) != 0:
                         ok = False
@@ -670,7 +665,6 @@ def brute_force_sttilt(alg_q, cfg):
 
 def oracle_hasse(alg_q, cfg):
     """Pairs, order relation and Hasse edges by transitive reduction."""
-    alg = algebra_mod_p(alg_q, cfg.p)
     p = cfg.p
     pairs = brute_force_sttilt(alg_q, cfg)
     keys = [pr.g_columns(p) for pr in pairs]

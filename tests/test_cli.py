@@ -247,6 +247,16 @@ def test_oracle_refuses_a_change_of_algebra_mod_p(tmp_path, field, relation,
     assert needle in err
 
 
+def test_oracle_prime_defaults_to_the_characteristic(tmp_path):
+    path = tmp_path / "a4_fp3.alg"
+    with open(data_path("a4.alg"), encoding="utf-8") as fh:
+        path.write_text(fh.read().replace('"Q"', '"Fp:3"'))
+    argv = ["oracle", "--algebra", str(path), "--dim-bound", "1,1,1,1"]
+    default = invoke(argv)
+    assert default[0] == 0
+    assert default == invoke(argv + ["--prime", "3"])
+
+
 def test_small_characteristic_radical_is_an_error():
     # End(P1) = F_2[x]/(x^2): the trace form cannot decide its radical
     code, out, err = invoke(["enumerate", "--algebra",

@@ -1,29 +1,36 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from tautilt import twoterm as tt
+from tautilt.algebra import parse_algebra
 from tautilt.fields import QQ, PrimeField
 from tautilt.linalg import ExactMatrix, RowSpace, kernel_via_presolve
+from tautilt.sttilt import enumerate_sttilt
 
+from conftest import data_path
 from reference import inverse, row_space_rows
 
 
 def test_kernel_identity_empty():
-    assert ExactMatrix.identity(QQ, 2).right_kernel_basis().ncols == 0
+    K = ExactMatrix.identity(QQ, 2).transpose().left_kernel_rows()
+    assert K.nrows == 0
 
 
 def test_kernel_zero_matrix_full():
-    K = ExactMatrix.zero(QQ, 2, 3).right_kernel_basis()
-    assert K.ncols == 3
+    K = ExactMatrix.zero(QQ, 2, 3).transpose().left_kernel_rows()
+    assert K.nrows == 3
     assert K.rank() == 3
 
 
 def test_kernel_rank_one():
     # [[1,1],[1,1]]: kernel spanned by (1,-1) up to scaling
     M = ExactMatrix.from_rows(QQ, [[F(1), F(1)], [F(1), F(1)]])
-    K = M.right_kernel_basis()
-    assert K.ncols == 1
-    assert M.mul(K).is_zero()
-    col = [K.entry(0, 0), K.entry(1, 0)]
+    K = M.transpose().left_kernel_rows()
+    assert K.nrows == 1
+    assert M.mul(K.transpose()).is_zero()
+    col = [K.entry(0, 0), K.entry(0, 1)]
     assert col[0] != 0 and col[0] == -col[1]
 
 
@@ -48,9 +55,9 @@ def test_solve_column():
 
 def test_empty_shapes_behave():
     empty = ExactMatrix.zero(QQ, 0, 3)
-    assert empty.right_kernel_basis().ncols == 3
+    assert empty.transpose().left_kernel_rows().nrows == 3
     tall = ExactMatrix.zero(QQ, 3, 0)
-    assert tall.right_kernel_basis().ncols == 0
+    assert tall.transpose().left_kernel_rows().nrows == 0
     assert empty.rank() == 0
 
 
@@ -61,9 +68,9 @@ def test_random_kernel_and_solve_exact():
         M = ExactMatrix.from_rows(
             QQ, [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
                  for _ in range(n)], ncols=m)
-        K = M.right_kernel_basis()
-        assert M.mul(K).is_zero()
-        assert M.rank() + K.ncols == m
+        K = M.transpose().left_kernel_rows()
+        assert M.mul(K.transpose()).is_zero()
+        assert M.rank() + K.nrows == m
         H = ExactMatrix.from_rows(
             QQ, [[F(rng.randint(-3, 3)) for _ in range(2)] for _ in range(m)],
             ncols=2)
@@ -88,9 +95,9 @@ def test_rref_canonical_under_row_shuffle():
 def test_prime_field_kernel():
     F2 = PrimeField(2)
     M = ExactMatrix.from_rows(F2, [[1, 1, 0], [0, 1, 1]])
-    K = M.right_kernel_basis()
-    assert K.ncols == 1
-    assert M.mul(K).is_zero()
+    K = M.transpose().left_kernel_rows()
+    assert K.nrows == 1
+    assert M.mul(K.transpose()).is_zero()
 
 
 def test_presolve_kernel_matches_generic():
@@ -110,6 +117,53 @@ def test_presolve_kernel_matches_generic():
         out = kernel_via_presolve(QQ, rows, m)
         assert len(out) == len(expected)
         assert RowSpace(QQ, m, out).reduced == expected
+
+
+def assert_presolve_spans_the_kernel(field, rows, ncols):
+    out = kernel_via_presolve(field, rows, ncols)
+    kernel = RowSpace(field, ncols, rows).kernel()
+    assert len(out) == len(kernel)
+    assert RowSpace(field, ncols, out).reduced \
+        == RowSpace(field, ncols, kernel).reduced
+
+
+@pytest.mark.parametrize("name, field, max_nodes", [
+    ("kronecker.alg", "Q", 20), ("kronecker.alg", "Fp:3", 20),
+    ("preproj_a3.alg", "Q", 10 ** 6)])
+def test_presolve_on_the_systems_of_an_enumeration(monkeypatch, name, field,
+                                                   max_nodes):
+    # the Hom-complex differentials hold long classes of unit equations,
+    # which the small random systems above never build
+    with open(data_path(name), encoding="utf-8") as fh:
+        alg = parse_algebra(fh.read().replace('"Q"', f'"{field}"'))
+    systems = []
+    kernel = tt.kernel_via_presolve
+
+    def captured(F, rows, ncols):
+        systems.append((F, rows, ncols))
+        return kernel(F, rows, ncols)
+
+    monkeypatch.setattr(tt, "kernel_via_presolve", captured)
+    enumerate_sttilt(alg, max_nodes=max_nodes)
+    assert systems
+    for F, rows, ncols in systems:
+        assert_presolve_spans_the_kernel(F, rows, ncols)
+
+
+@pytest.mark.parametrize("field, rows, ncols", [
+    # x0 = x1 = x2 = -x0 pins the class to zero outside characteristic 2;
+    # the class {x3, x4} stays free
+    (QQ, [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: 1}, {3: 1, 4: -1}], 5),
+    (PrimeField(3), [{0: 1, 1: 2}, {1: 1, 2: 2}, {2: 1, 0: 1}, {3: 1, 4: 2}],
+     5),
+    # {x1, x2, x3} forms first; the third row names the singleton x0
+    # before x1, and x0 = 3 x1 moves the first class it names under the
+    # larger second one
+    (QQ, [{1: 1, 2: -1}, {2: 1, 3: -2}, {0: 1, 1: -3}, {4: 1, 5: 1, 6: 1}],
+     7)], ids=["disagreeing-cycle-Q", "disagreeing-cycle-GF3",
+               "larger-second-class"])
+def test_presolve_on_hand_built_classes(field, rows, ncols):
+    assert_presolve_spans_the_kernel(field, rows, ncols)
 
 
 # -- differential test against a dense textbook Gauss-Jordan ----------------
@@ -213,10 +267,7 @@ def test_elimination_matches_dense_gauss_jordan():
 
             kernel = reference_kernel(field, rows, m)
             assert grown.kernel() == kernel
-            basis = mat.right_kernel_basis()
-            assert [{i: basis.rows[i][k] for i in range(m)
-                     if k in basis.rows[i]} for k in range(basis.ncols)] \
-                == kernel
+            assert mat.transpose().left_kernel_rows().rows == kernel
             out = kernel_via_presolve(field, rows, m)
             assert RowSpace(field, m, out).reduced \
                 == reference_rref(field, kernel, m)[1]

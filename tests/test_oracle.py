@@ -45,6 +45,26 @@ def test_hasse_pentagon(a2):
     assert all(degree.get(i, 0) == 2 for i in range(5))
 
 
+def test_hasse_builds_the_mod_p_algebra_once_and_each_tau_once(
+        a2, monkeypatch):
+    calls = {"algebra_mod_p": 0, "tau_oracle": 0}
+
+    def counted(name):
+        inner = getattr(orc, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(orc, name, wrapper)
+
+    counted("algebra_mod_p")
+    counted("tau_oracle")
+    pairs, _, edges = orc.oracle_hasse(a2, orc.OracleConfig((1, 1)))
+    assert (len(pairs), len(edges)) == (5, 5)
+    # kA2 has three indecomposables: S1, S2 and P1
+    assert calls == {"algebra_mod_p": 1, "tau_oracle": 3}
+
+
 def test_candidate_ceiling():
     big = parse_algebra(
         'field = "Q"\nvertices = ["1", "2"]\n'
